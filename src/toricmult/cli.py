@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from typing import Sequence
 
 from .errors import ToricError
-from .multiplication import check_surjectivity, cokernel_dim
+from .multiplication import DecompositionPath, check_surjectivity, cokernel_dim
 from .reduction import SWEEP_BUDGET, edge_lattice_report, reduce_to_globally_generated, sweep_cokernel
 from .serialization import (
     fan_json,
@@ -117,6 +118,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"total points: {report.total_points}")
     print(f"decomposed: {report.decomposed}")
     print(f"structured fallbacks: {report.structured_fallbacks}")
+    paths = Counter(w.path for w in report.witnesses)
+    for path in DecompositionPath:
+        print(f"path {path.value}: {paths[path]}")
     return 0
 
 

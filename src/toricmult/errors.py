@@ -32,7 +32,8 @@ class DecompositionRangeError(ToricError):
 
 
 class TheoremViolationError(ToricError):
-    """A decomposition guaranteed to exist was not found; indicates a bug."""
+    """A guaranteed invariant failed, such as a decomposition the theorem
+    promises; indicates a bug."""
 
 
 class FanValidationError(ToricError):

@@ -22,6 +22,7 @@ from .errors import (
     EmptyInputError,
     NoIntegerInIntervalError,
     PreconditionError,
+    TheoremViolationError,
     UnboundedRegionError,
 )
 
@@ -618,7 +619,10 @@ def pick_count(poly: ConvexLatticePolygon) -> int:
         p, q = verts[i], verts[(i + 1) % n]
         twice_area += p.x * q.y - p.y * q.x
         boundary += math.gcd(abs(q.x - p.x), abs(q.y - p.y))
-    assert twice_area > 0 and (twice_area + boundary) % 2 == 0
+    if twice_area <= 0 or (twice_area + boundary) % 2 != 0:
+        raise TheoremViolationError(
+            f"Pick data inconsistent: twice area {twice_area}, boundary {boundary}"
+        )
     return (twice_area + boundary) // 2 + 1
 
 
@@ -812,5 +816,6 @@ def decompose_interval(
     if not (a1 + a2 <= z <= b1 + b2):
         raise DecompositionRangeError(f"{z} outside [{a1 + a2}, {b1 + b2}]")
     c1 = max(lo1, z - b2)
-    assert c1 <= min(hi1, z - a2)
+    if c1 > min(hi1, z - a2):
+        raise TheoremViolationError(f"no split of {z} in [{a1}, {b1}] + [{a2}, {b2}]")
     return c1, z - c1

@@ -3,10 +3,16 @@
 A lattice point p of the sum polygon is certified by a witness q1 + q2 = p
 with q1, q2 lattice points of the two factor polygons.  Witnesses come from
 two independent routes: an exhaustive scan (the oracle) and a structured
-algorithm that mirrors the constructive proof (vertex analysis of the fiber
-polygon, reduction to a corner triangle in an adapted lattice basis, then
-horizontal/vertical interval splits or a homothetic-triangle split).  The
-structured route keeps a mandatory fallback and records when it was used.
+route whose steps are the cases of the constructive proof on the fiber
+P_E intersect (p - P_D), each plain integer arithmetic on the fan's rays:
+
+(a) vertex: a fiber vertex interior to P_E is p - u for a vertex u of P_D;
+(b) edge: otherwise the fiber meets the boundary of P_E, so look for a
+    lattice point m + k t of an edge of P_E in p - P_D, an interval in k;
+(c) triangle regions: reduce an edge to its corner triangle in an adapted
+    lattice basis, then split by horizontal/vertical intervals or by
+    homothetic triangles;
+(d) fallback: the exhaustive scan, recorded in the witness's path.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import ge
 from typing import Callable
 
 from .errors import (
@@ -30,7 +37,7 @@ from .lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
-    _hom_lex_lt,
+    _primitive_pair,
     decompose_interval,
     face_in_direction,
     hull,
@@ -63,8 +70,9 @@ class DecompositionWitness:
     path: DecompositionPath
 
     def __post_init__(self) -> None:
-        if self.q1 + self.q2 != self.p:
-            raise TheoremViolationError(f"witness does not sum: {self.q1} + {self.q2} != {self.p}")
+        q1, q2, p = self.q1, self.q2, self.p
+        if q1.x + q2.x != p.x or q1.y + q2.y != p.y:
+            raise TheoremViolationError(f"witness does not sum: {q1} + {q2} != {p}")
 
 
 @dataclass(frozen=True)
@@ -102,21 +110,6 @@ class TriangleReduction:
     triangle: ConvexLatticePolygon
     legs: tuple[int, int] | None
     corner_ray_index: int | None
-
-
-def _make_witness(
-    p_d: ConvexLatticePolygon,
-    p_e: ConvexLatticePolygon,
-    p: LatticeVector,
-    q2: LatticeVector,
-    path: DecompositionPath,
-) -> DecompositionWitness:
-    q1 = p - q2
-    if not p_d.contains(q1):
-        raise TheoremViolationError(f"witness check failed: {q1} not in the first polygon")
-    if not p_e.contains(q2):
-        raise TheoremViolationError(f"witness check failed: {q2} not in the second polygon")
-    return DecompositionWitness(p=p, q1=q1, q2=q2, path=path)
 
 
 def _contains_factory(poly: ConvexLatticePolygon) -> Callable[[int, int], bool]:
@@ -158,11 +151,6 @@ def decompose_bruteforce(
 # -- triangle reduction ---------------------------------------------------------
 
 
-def _primitive(v: LatticeVector) -> LatticeVector:
-    g = math.gcd(abs(v.x), abs(v.y))
-    return LatticeVector(v.x // g, v.y // g)
-
-
 def _frame_data(
     fan: Fan, triangle: ConvexLatticePolygon, m1: LatticeVector, m2: LatticeVector
 ) -> tuple[int, int, int]:
@@ -183,8 +171,8 @@ def _frame_data(
     next_v = verts[(idx + 1) % 3]
     d_in = t - prev_v
     d_out = next_v - t
-    n_in = _primitive(LatticeVector(-d_in.y, d_in.x))
-    n_out = _primitive(LatticeVector(-d_out.y, d_out.x))
+    n_in = LatticeVector(*_primitive_pair(-d_in.y, d_in.x))
+    n_out = LatticeVector(*_primitive_pair(-d_out.y, d_out.x))
     i_in = fan.index_of(n_in)
     i_out = fan.index_of(n_out)
     if i_in is None or i_out is None or (i_in + 1) % fan.n != i_out:
@@ -292,128 +280,13 @@ def decompose_homothetic_triangles(
 # -- the structured algorithm ---------------------------------------------------
 
 
-def _fiber_polygon(
-    p_d: ConvexLatticePolygon, p_e: ConvexLatticePolygon, p: LatticeVector
-) -> ConvexLatticePolygon:
-    """Q2 = P_E intersect (p - P_D), via exact half-plane intersection."""
-    planes = list(p_e.hrep)
-    for h in p_d.hrep:
-        planes.append(HalfPlane(-h.normal, h.normal.dot(p) + h.offset))
-    return intersect_halfplanes(planes)
-
-
-class _FiberEngine:
-    """Vertex and lattice analysis of P_E intersect (p - P_D) on one instance.
-
-    All constraints have the fixed normals {v_i} and {-v_i}; only the
-    reflected offsets move with p, so the pairwise intersection structure is
-    precomputed once and each point costs plain integer arithmetic.  Results
-    agree with the generic half-plane intersection route (tested).
-    """
-
-    def __init__(self, fan: Fan, d: TorusDivisor, e: TorusDivisor):
-        rays = fan.rays
-        self.n = fan.n
-        self.norms = [(v.x, v.y) for v in rays] + [(-v.x, -v.y) for v in rays]
-        self.e_offsets = list(e.coeffs)
-        self.d_coeffs = list(d.coeffs)
-        pairs = []
-        m = len(self.norms)
-        for k in range(m):
-            kx, ky = self.norms[k]
-            for l in range(k + 1, m):
-                lx, ly = self.norms[l]
-                det = kx * ly - ky * lx
-                if det != 0:
-                    pairs.append((k, l, det))
-        self.pairs = pairs
-
-    def offsets_at(self, px: int, py: int) -> list[int]:
-        offs = list(self.e_offsets)
-        for i in range(self.n):
-            nx, ny = self.norms[i]
-            offs.append(self.d_coeffs[i] + nx * px + ny * py)
-        return offs
-
-    def vertices_at(self, offs: list[int]) -> list[tuple[int, int, int]]:
-        """Feasible pairwise intersections = the fiber's vertices, homogeneous."""
-        norms = self.norms
-        out = []
-        for k, l, det in self.pairs:
-            ck, cl = offs[k], offs[l]
-            kx, ky = norms[k]
-            lx, ly = norms[l]
-            x = -ck * ly + cl * ky
-            y = -cl * kx + ck * lx
-            w = det
-            if w < 0:
-                x, y, w = -x, -y, -w
-            feasible = True
-            for m, (nx, ny) in enumerate(norms):
-                if nx * x + ny * y < -offs[m] * w:
-                    feasible = False
-                    break
-            if feasible:
-                out.append((x, y, w))
-        return out
-
-    def lattice_points_at(
-        self, verts: list[tuple[int, int, int]], offs: list[int]
-    ) -> list[tuple[int, int]]:
-        """Fiber lattice points in lexicographic order (column sweep)."""
-        bx, bw = verts[0][0], verts[0][2]
-        tx, tw = bx, bw
-        for x, _, w in verts[1:]:
-            if x * bw < bx * w:
-                bx, bw = x, w
-            if x * tw > tx * w:
-                tx, tw = x, w
-        xlo = -((-bx) // bw)
-        xhi = tx // tw
-        norms = self.norms
-        out = []
-        for x in range(xlo, xhi + 1):
-            ylo = None
-            yhi = None
-            ok = True
-            for (nx, ny), c in zip(norms, offs):
-                rhs = -c - nx * x  # ny*y >= rhs
-                if ny == 0:
-                    if rhs > 0:
-                        ok = False
-                        break
-                elif ny > 0:
-                    b = -((-rhs) // ny)
-                    if ylo is None or b > ylo:
-                        ylo = b
-                else:
-                    b = (-rhs) // (-ny)
-                    if yhi is None or b < yhi:
-                        yhi = b
-            if not ok or ylo is None or yhi is None:
-                continue
-            for y in range(ylo, yhi + 1):
-                out.append((x, y))
-        return out
-
-    def tight_e_index(self, x: int, y: int, w: int = 1) -> int | None:
-        """First E-constraint index tight at (x/w, y/w), or None."""
-        for i in range(self.n):
-            nx, ny = self.norms[i]
-            if nx * x + ny * y == -self.e_offsets[i] * w:
-                return i
-        return None
-
-    def interior_of_e(self, x: int, y: int, w: int) -> bool:
-        for i in range(self.n):
-            nx, ny = self.norms[i]
-            if nx * x + ny * y <= -self.e_offsets[i] * w:
-                return False
-        return True
-
-
 class _StructuredContext:
-    """Precomputed data shared by all points of one (fan, D, E) instance."""
+    """Precomputed data shared by all points of one (fan, D, E) instance.
+
+    Every polygon involved is cut out by the fan's rays, q in P_F iff
+    <q, v_j> >= -f_j, so each test on a point p compares the n products
+    <p, v_j> with integer thresholds fixed here once per instance.
+    """
 
     def __init__(self, fan: Fan, d: TorusDivisor, e: TorusDivisor):
         if classify(fan, d) is not PositivityClass.AMPLE:
@@ -428,11 +301,35 @@ class _StructuredContext:
         self.p_d = polygon_of(fan, d)
         self.p_e = polygon_of(fan, e)
         self.d_vertices = sorted(self.p_d.lattice_vertices())
-        self.e_is_2d = self.p_e.dim is PolygonDim.POLYGON
-        self.engine = _FiberEngine(fan, d, e)
         self.in_pd = _contains_factory(self.p_d)
         self.in_pe = _contains_factory(self.p_e)
         self._reductions: dict[int, TriangleReduction | None] = {}
+        self.rays = rays = [(v.x, v.y) for v in fan.rays]
+        # p in P_{D+E} iff <p, v_j> >= -(d_j + e_j)
+        self.sum_floors = tuple(-(a + b) for a, b in zip(d.coeffs, e.coeffs))
+        # (a) p - u in P_E iff <p, v_j> >= <u, v_j> - e_j
+        self.vertex_floors = [
+            (u.x, u.y, tuple(vx * u.x + vy * u.y - b for (vx, vy), b in zip(rays, e.coeffs)))
+            for u in self.d_vertices
+        ]
+        # (b) q2 = m + k t on an edge of P_E; p - q2 in P_D iff
+        # k <t, v_j> <= <p, v_j> + d_j - <m, v_j> for every j
+        verts = self.p_e.lattice_vertices()
+        if self.p_e.dim is PolygonDim.POLYGON:
+            ends = list(zip(verts, verts[1:] + verts[:1]))
+        else:
+            ends = [(verts[0], verts[-1])]  # a segment, or a point as an edge of length 0
+        self.edges = []
+        for m, m_next in ends:
+            g = math.gcd(m_next.x - m.x, m_next.y - m.y)
+            tx, ty = ((m_next.x - m.x) // g, (m_next.y - m.y) // g) if g else (0, 0)
+            self.edges.append((
+                m.x, m.y, tx, ty, g,
+                tuple(
+                    (vx * tx + vy * ty, a - vx * m.x - vy * m.y)
+                    for (vx, vy), a in zip(rays, d.coeffs)
+                ),
+            ))
 
     def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
         """Triangle reduction for edge sigma_{j0+1}, cached per instance.
@@ -456,6 +353,16 @@ class _StructuredContext:
                     red = None
             self._reductions[j0] = red
         return self._reductions[j0]
+
+
+def _context_witness(
+    ctx: _StructuredContext, p: LatticeVector, q2x: int, q2y: int, path: DecompositionPath
+) -> DecompositionWitness:
+    """Check q1 = p - q2 and q2 against both factor polygons, then certify."""
+    if not ctx.in_pd(p.x - q2x, p.y - q2y) or not ctx.in_pe(q2x, q2y):
+        raise TheoremViolationError(f"witness check failed at {p}")
+    q1 = LatticeVector(p.x - q2x, p.y - q2y)
+    return DecompositionWitness(p=p, q1=q1, q2=LatticeVector(q2x, q2y), path=path)
 
 
 def _try_regions(
@@ -494,7 +401,7 @@ def _try_regions(
         q1f: tuple[int, int], q2f: tuple[int, int], path: DecompositionPath
     ) -> DecompositionWitness:
         q2 = from_frame(q2f, cp, cp1)
-        return _make_witness(ctx.p_d, ctx.p_e, p, q2, path)
+        return _context_witness(ctx, p, q2.x, q2.y, path)
 
     # horizontal strip: q2 on the base edge of the triangle
     chord = face_in_direction(pd_frame, LatticeVector(0, 1), -py)
@@ -541,64 +448,54 @@ def _try_regions(
     return None
 
 
-def _context_witness(
-    ctx: _StructuredContext, p: LatticeVector, q2x: int, q2y: int, path: DecompositionPath
-) -> DecompositionWitness:
-    if not ctx.in_pd(p.x - q2x, p.y - q2y) or not ctx.in_pe(q2x, q2y):
-        raise TheoremViolationError(f"witness check failed at {p}")
-    q2 = LatticeVector(q2x, q2y)
-    return DecompositionWitness(p=p, q1=p - q2, q2=q2, path=path)
-
-
 def _decompose_structured_in_context(
     ctx: _StructuredContext, p: LatticeVector
 ) -> DecompositionWitness:
-    engine = ctx.engine
-    offs = engine.offsets_at(p.x, p.y)
-    verts = engine.vertices_at(offs)
-    if not verts:
-        raise DecompositionRangeError(f"{p} lies outside the sum polygon")
-    # (2) a vertex of the fiber interior to P_E forces a vertex of P_D
-    if ctx.e_is_2d:
-        v0 = verts[0]
-        for v in verts[1:]:
-            if _hom_lex_lt(v, v0):
-                v0 = v
-        x, y, w = v0
-        if x % w == 0 and y % w == 0 and engine.interior_of_e(x, y, w):
+    """Steps (a)-(d) of the module docstring; the first that succeeds wins."""
+    px, py = p.x, p.y
+    pv = [vx * px + vy * py for vx, vy in ctx.rays]
+    # (a) vertex: the first vertex u of P_D, in sorted order, with p - u in P_E
+    for ux, uy, floors in ctx.vertex_floors:
+        if all(map(ge, pv, floors)):
+            return _context_witness(ctx, p, px - ux, py - uy, DecompositionPath.INTERIOR_VERTEX)
+    # (b) edge: the smallest k in [0, g] with p - (m + k t) in P_D
+    for mx, my, tx, ty, g, cons in ctx.edges:
+        lo, hi = 0, g
+        for a, (s, c) in zip(pv, cons):
+            r = a + c  # need k * s <= r
+            if s > 0:
+                if r < s * hi:
+                    hi = r // s
+            elif s < 0:
+                if r < s * lo:
+                    lo = -(r // -s)
+            elif r < 0:
+                hi = -1
+            if lo > hi:
+                break
+        else:
             return _context_witness(
-                ctx, p, x // w, y // w, DecompositionPath.INTERIOR_VERTEX
+                ctx, p, mx + lo * tx, my + lo * ty, DecompositionPath.BOUNDARY_LATTICE
             )
-    # (3) any lattice point of the fiber on the boundary of P_E
-    fiber_points = engine.lattice_points_at(verts, offs)
-    for zx, zy in fiber_points:
-        if engine.tight_e_index(zx, zy) is not None:
-            return _context_witness(ctx, p, zx, zy, DecompositionPath.BOUNDARY_LATTICE)
-    # (4)-(5) boundary point interior to an edge: reduce and split by regions
-    if ctx.e_is_2d:
-        seen: set[tuple[int, int, int]] = set()
-        for raw in verts:
-            g = math.gcd(math.gcd(abs(raw[0]), abs(raw[1])), raw[2])
-            v = (raw[0] // g, raw[1] // g, raw[2] // g)
-            if v[2] == 1 or v in seen:
-                continue  # lattice vertices were handled by step (3)
-            seen.add(v)
-            j0 = engine.tight_e_index(*v)
-            if j0 is None:
-                continue  # fiber vertex interior to P_E
+    # a witness from (a) or (b) puts p in P_D + P_E, so only now can p be out of range
+    if not all(map(ge, pv, ctx.sum_floors)):
+        raise DecompositionRangeError(f"{p} lies outside the sum polygon")
+    # (c) triangle regions on the corner triangle of each edge of P_E
+    if ctx.p_e.dim is PolygonDim.POLYGON:
+        for j0 in range(ctx.fan.n):
             red = ctx.reduction_for_edge(j0)
             if red is None or red.triangle.dim is not PolygonDim.POLYGON:
-                continue  # a segment reduction adds nothing beyond step (3)
+                continue  # a segment reduction adds nothing beyond step (b)
             witness = _try_regions(ctx, red, p)
             if witness is not None:
                 return witness
-    # (6) mandatory fallback: exhaustive scan restricted to the fiber
-    if fiber_points:
-        zx, zy = fiber_points[0]
-        return _context_witness(ctx, p, zx, zy, DecompositionPath.FALLBACK_SEARCH)
-    raise TheoremViolationError(
-        f"no decomposition for {p} under ample x globally generated hypotheses"
-    )
+    # (d) counted fallback: the exhaustive scan
+    witness = decompose_bruteforce(ctx.p_d, ctx.p_e, p)
+    if witness is None:
+        raise TheoremViolationError(
+            f"no decomposition for {p} under ample x globally generated hypotheses"
+        )
+    return witness
 
 
 def decompose_structured(
@@ -617,26 +514,26 @@ def decompose_structured(
 # -- reports ----------------------------------------------------------------------
 
 
-def _brute_witness_map(
+def _smallest_q1_map(
     p_d: ConvexLatticePolygon,
     p_e: ConvexLatticePolygon,
     pair_budget: int,
-) -> dict[tuple[int, int], DecompositionWitness]:
-    """All decomposable sums as a hash map keyed by p, smallest q1 kept."""
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """The exhaustive oracle: every pairwise sum p mapped to its smallest q1."""
     s_d = lattice_points(p_d)
     s_e = lattice_points(p_e)
     if len(s_d) * len(s_e) > pair_budget:
         raise BudgetExceededError(
             f"{len(s_d)} x {len(s_e)} pairwise sums exceed the budget of {pair_budget}"
         )
-    out: dict[tuple[int, int], DecompositionWitness] = {}
+    e_points = [q2.as_tuple() for q2 in s_e]
+    out: dict[tuple[int, int], tuple[int, int]] = {}
     for q1 in s_d:  # ascending, so the first writer has the smallest q1
-        for q2 in s_e:
-            key = (q1.x + q2.x, q1.y + q2.y)
+        x1, y1 = q1t = q1.as_tuple()
+        for x2, y2 in e_points:
+            key = (x1 + x2, y1 + y2)
             if key not in out:
-                out[key] = DecompositionWitness(
-                    p=LatticeVector(*key), q1=q1, q2=q2, path=DecompositionPath.FALLBACK_SEARCH
-                )
+                out[key] = q1t
     return out
 
 
@@ -660,24 +557,26 @@ def check_surjectivity(
     if mode == "brute" and (not lattice_points(p_d) or not lattice_points(p_e)):
         raise PreconditionError("brute mode requires sections on both factors")
     points = lattice_points(polygon_of(fan, d + e))
-    ctx = _StructuredContext(fan, d, e) if mode in ("structured", "both") else None
-    brute = (
-        _brute_witness_map(p_d, p_e, pair_budget) if mode in ("brute", "both") else None
-    )
     witnesses: list[DecompositionWitness] = []
-    for p in points:
-        if ctx is not None:
+    if mode == "brute":
+        smallest_q1 = _smallest_q1_map(p_d, p_e, pair_budget)
+        for p in points:
+            found = smallest_q1.get(p.as_tuple())
+            if found is not None:
+                q1 = LatticeVector(*found)
+                witnesses.append(DecompositionWitness(
+                    p=p, q1=q1, q2=p - q1, path=DecompositionPath.FALLBACK_SEARCH
+                ))
+    else:
+        ctx = _StructuredContext(fan, d, e)
+        oracle = _smallest_q1_map(p_d, p_e, pair_budget) if mode == "both" else None
+        for p in points:
             witness = _decompose_structured_in_context(ctx, p)
-            if brute is not None and p.as_tuple() not in brute:
+            if oracle is not None and p.as_tuple() not in oracle:
                 raise TheoremViolationError(
                     f"structured route decomposed {p} but the exhaustive oracle did not"
                 )
             witnesses.append(witness)
-        else:
-            assert brute is not None
-            found = brute.get(p.as_tuple())
-            if found is not None:
-                witnesses.append(found)
     decomposed = len(witnesses)
     return SurjectivityReport(
         total_points=len(points),

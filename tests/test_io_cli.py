@@ -190,9 +190,18 @@ class TestCli:
         gg = tmp_path / "gg.json"
         gg.write_text(json.dumps({"coeffs": [1, 1, 1, 1]}))
         assert run_cli(["verify", f2_file, l_file, str(gg), "--mode", "both"]) == 0
-        out = capsys.readouterr().out
-        assert "surjective: true" in out
-        assert "structured fallbacks:" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "surjective: true"
+        assert lines[1:4] == ["total points: 24", "decomposed: 24", "structured fallbacks: 0"]
+        # one histogram line per certificate path, in declaration order
+        assert lines[4:] == [
+            "path interior_vertex: 23",
+            "path boundary_lattice: 1",
+            "path triangle_region_A: 0",
+            "path triangle_region_B: 0",
+            "path triangle_region_C: 0",
+            "path fallback_search: 0",
+        ]
 
     def test_verify_bad_hypotheses_is_domain_error(self, f2_file, l_file, e_file, capsys):
         code = run_cli(["verify", f2_file, l_file, e_file, "--mode", "structured"])

@@ -207,42 +207,35 @@ class TestDecomposeStructured:
             assert decompose_bruteforce(p_d, p_e, p) is not None
 
 
-class TestFiberEngine:
-    """The integer fiber engine must agree with the generic half-plane route."""
+class TestStructuredSteps:
+    """Golden points where step (a) finds no vertex and step (b) fires."""
 
-    def test_matches_generic_intersection(self):
-        import math
-
-        from toricmult.multiplication import (
-            _StructuredContext,
-            _fiber_polygon,
-        )
-
-        d, e = D((2, 0, 1, 1)), D((1, 1, 2, 1))
-        ctx = _StructuredContext(F2, d, e)
-        for p in lattice_points(polygon_of(F2, d + e)):
-            offs = ctx.engine.offsets_at(p.x, p.y)
-            verts = ctx.engine.vertices_at(offs)
-            generic = _fiber_polygon(ctx.p_d, ctx.p_e, p)
-            if not verts:
-                assert generic.is_empty()
-                continue
-            normalized = set()
-            for x, y, w in verts:
-                g = math.gcd(math.gcd(abs(x), abs(y)), w)
-                normalized.add((x // g, y // g, w // g))
-            assert normalized == {(v.x_num, v.y_num, v.den) for v in generic.vrep}
-            assert ctx.engine.lattice_points_at(verts, offs) == [
-                (z.x, z.y) for z in lattice_points(generic)
-            ]
+    @pytest.mark.parametrize(
+        "d, e, p, q2",
+        [
+            # triangle P_E: the first edge from (-1,-1) already works at k = 0
+            (D((1, 0, 1, 1)), D((1, 1, 1, 1)), V(-1, -1), V(-1, -1)),
+            # quadrilateral P_E: the first edge fails, the second needs k = 1
+            (D((0, 0, 1, 2)), D((0, 0, 1, 1)), V(4, 3), V(3, 1)),
+            # segment P_E from (0,0) to (2,0): k = 0 and k = 1 fail, k = 2 works
+            (D((0, 0, 1, 2)), D((0, 0, 2, 0)), V(5, 1), V(2, 0)),
+        ],
+    )
+    def test_edge_step_takes_smallest_k(self, d, e, p, q2):
+        p_d, p_e = polygon_of(F2, d), polygon_of(F2, e)
+        assert not any(p_e.contains(p - u) for u in p_d.lattice_vertices())
+        w = decompose_structured(F2, d, e, p)
+        assert w.path is DecompositionPath.BOUNDARY_LATTICE
+        assert w.q2 == q2
+        assert_valid(w, p_d, p_e)
 
 
 class TestTriangleRegions:
     """The adapted-frame region machinery, driven directly.
 
-    Under the theorem hypotheses the vertex and boundary-lattice shortcuts
-    almost always fire first on small fans, so the region splitter is
-    exercised here on real reductions without those shortcuts in the way.
+    Under the theorem hypotheses the vertex and edge steps (a) and (b) have
+    certified every point searched so far, so step (c), the region splitter,
+    is exercised here on real reductions without those steps in the way.
     """
 
     def test_regions_cover_whole_sum_polygon(self):
@@ -265,6 +258,30 @@ class TestTriangleRegions:
             DecompositionPath.TRIANGLE_REGION_B,
             DecompositionPath.TRIANGLE_REGION_C,
         }
+
+    def test_route_falls_through_to_regions_and_fallback(self):
+        from toricmult.multiplication import (
+            _decompose_structured_in_context,
+            _StructuredContext,
+        )
+
+        d = D((1, 0, 1, 1))
+        cases = [
+            (
+                D((2, 2, 2, 2)),
+                {"triangle_region_A": 24, "triangle_region_B": 18, "triangle_region_C": 6},
+            ),
+            (D((0, 0, 2, 0)), {"fallback_search": 12}),  # a segment has no corner triangle
+        ]
+        for e, expected in cases:
+            ctx = _StructuredContext(F2, d, e)
+            ctx.vertex_floors, ctx.edges = [], []  # steps (a) and (b) find nothing
+            seen = {}
+            for p in lattice_points(polygon_of(F2, d + e)):
+                w = _decompose_structured_in_context(ctx, p)
+                assert_valid(w, ctx.p_d, ctx.p_e)
+                seen[w.path.value] = seen.get(w.path.value, 0) + 1
+            assert seen == expected
 
     def test_horizontal_split_uses_base_edge(self):
         from toricmult.multiplication import _StructuredContext, _try_regions
@@ -296,6 +313,28 @@ class TestCheckSurjectivity:
         assert report.decomposed == 8
         decomposed_points = {w.p for w in report.witnesses}
         assert V(-1, -1) not in decomposed_points
+
+    def test_brute_witnesses_take_smallest_q1(self):
+        d, e = D((1, 0, 1, 1)), D((0, 2, 1, 0))
+        p_d, p_e = polygon_of(F2, d), polygon_of(F2, e)
+        report = check_surjectivity(F2, d, e, mode="brute")
+        assert report.witnesses
+        for w in report.witnesses:
+            assert w == decompose_bruteforce(p_d, p_e, w.p)
+
+    def test_both_mode_raises_when_oracle_lacks_a_point(self, monkeypatch):
+        import toricmult.multiplication as mult
+
+        oracle = mult._smallest_q1_map
+
+        def oracle_missing_first_point(p_d, p_e, pair_budget):
+            out = oracle(p_d, p_e, pair_budget)
+            del out[min(out)]
+            return out
+
+        monkeypatch.setattr(mult, "_smallest_q1_map", oracle_missing_first_point)
+        with pytest.raises(TheoremViolationError):
+            check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
 
     def test_witnesses_sorted_by_point(self):
         report = check_surjectivity(P2, D((0, 0, 2)), D((0, 0, 1)), mode="structured")

@@ -15,9 +15,10 @@ from toricmult.lattice import (
     minkowski_sum,
     pick_count,
 )
-from toricmult.multiplication import cokernel_dim, decompose_bruteforce
+from toricmult.multiplication import check_surjectivity, cokernel_dim, decompose_bruteforce
 from toricmult.reduction import reduce_to_globally_generated
 from toricmult.surface import (
+    PositivityClass,
     TorusDivisor,
     blowup,
     classify,
@@ -192,3 +193,49 @@ def test_cokernel_symmetric_and_matches_bruteforce(xd, xe):
     p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
     for p in report.missing_points[:5]:
         assert decompose_bruteforce(p_d, p_e, p) is None
+
+
+@st.composite
+def ample_with_gg(draw):
+    # built, not filtered: random coefficients are rarely ample on blown-up
+    # fans, and filtering for them trips Hypothesis's filter health check.
+    # D is ample iff its polygon has an edge of lattice length l_i >= 1 with
+    # inner normal v_i for every ray, and such lengths close up iff
+    # sum l_i v_i = 0.
+    fan = draw(fans())
+    rays, n = fan.rays, fan.n
+    lengths = [draw(st.integers(1, 3)) for _ in range(n)]
+    sx = -sum(l * v.x for l, v in zip(lengths, rays))
+    sy = -sum(l * v.y for l, v in zip(lengths, rays))
+    for k in range(n):  # (sx, sy) lies in a cone of two consecutive rays, a lattice basis
+        a, b = rays[k], fan.ray(k + 1)
+        alpha, beta = sx * b.y - sy * b.x, a.x * sy - a.y * sx
+        if alpha >= 0 and beta >= 0:
+            lengths[k] += alpha
+            lengths[(k + 1) % n] += beta
+            break
+    x = y = 0
+    corners = []
+    for l, v in zip(lengths, rays):  # the edge with inner normal v runs along (v.y, -v.x)
+        x, y = x + l * v.y, y - l * v.x
+        corners.append((x, y))
+    d = TorusDivisor(tuple(max(-(v.x * cx + v.y * cy) for cx, cy in corners) for v in rays))
+    effective = TorusDivisor(tuple(draw(st.integers(0, 4)) for _ in range(n)))
+    return fan, d, reduce_to_globally_generated(fan, effective).reduced
+
+
+@given(ample_with_gg())
+@settings(max_examples=60, deadline=None)
+def test_ample_times_gg_surjective_with_valid_witnesses(fde):
+    # the paper's theorem, with every structured witness checked against
+    # both factor polygons and the exhaustive oracle (mode "both")
+    fan, d, e = fde
+    assert classify(fan, d) is PositivityClass.AMPLE
+    assert classify(fan, e).is_globally_generated()
+    report = check_surjectivity(fan, d, e, mode="both")
+    assert report.surjective
+    assert [w.p for w in report.witnesses] == lattice_points(polygon_of(fan, d + e))
+    p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
+    for w in report.witnesses:
+        assert w.q1 + w.q2 == w.p
+        assert p_d.contains(w.q1) and p_e.contains(w.q2)
