@@ -46,11 +46,6 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def floor_div(a: int, b: int) -> int:
-    """Exact floor of a/b for integers, b > 0."""
-    return a // b
-
-
 @dataclass(frozen=True, order=True)
 class LatticeVector:
     """An integer point of the rank-2 lattice (character or ray data)."""
@@ -163,9 +158,6 @@ class HalfPlane:
         if abs(self.offset) > _INTERMEDIATE_BOUND:
             raise CoordinateOverflowError("offset exceeds the 128-bit intermediate bound")
 
-    def contains_lattice(self, p: LatticeVector) -> bool:
-        return self.normal.x * p.x + self.normal.y * p.y >= -self.offset
-
     def contains(self, p: RationalPoint) -> bool:
         return self.normal.x * p.x_num + self.normal.y * p.y_num >= -self.offset * p.den
 
@@ -214,9 +206,15 @@ def _hull_hom(points: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, in
 
     Returns the hull CCW starting at the lexicographically smallest point;
     collinear non-extreme points are dropped.  Degenerate outputs have one or
-    two entries.
+    two entries.  Lattice-only input (every w == 1) sorts on the raw integer
+    tuples, which order it lexicographically; rational input needs the exact
+    Fraction key.
     """
-    pts = sorted(set(points), key=_hom_lex_key)
+    uniq = set(points)
+    if all(p[2] == 1 for p in uniq):
+        pts = sorted(uniq)
+    else:
+        pts = sorted(uniq, key=_hom_lex_key)
     if len(pts) <= 1:
         return pts
     lower: list[tuple[int, int, int]] = []
@@ -379,11 +377,6 @@ class ConvexLatticePolygon:
             raise EmptyInputError("support of an empty region is undefined")
         return min(Fraction(v.x * p.x_num + v.y * p.y_num, p.den) for p in self.vrep)
 
-    def support_max(self, v: LatticeVector) -> Fraction:
-        if self.is_empty():
-            raise EmptyInputError("support of an empty region is undefined")
-        return max(Fraction(v.x * p.x_num + v.y * p.y_num, p.den) for p in self.vrep)
-
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self.is_empty():
             raise EmptyInputError("empty region has no bounding box")
@@ -397,18 +390,6 @@ class ConvexLatticePolygon:
         )
         hrep = tuple(HalfPlane(h.normal, h.offset - h.normal.dot(t)) for h in self.hrep)
         return ConvexLatticePolygon(verts, self.dim, hrep)
-
-    def reflect(self) -> "ConvexLatticePolygon":
-        """The region { -u : u in P }, canonicalized."""
-        hrep = tuple(HalfPlane(-h.normal, h.offset) for h in self.hrep)
-        hom = [(-p.x_num, -p.y_num, p.den) for p in self.vrep]
-        return ConvexLatticePolygon._from_hom_vertices(hom, hrep)
-
-    def twice_area(self) -> Fraction:
-        total = Fraction(0)
-        for p, q in self._edges():
-            total += p.x * q.y - p.y * q.x
-        return total
 
     def __str__(self) -> str:
         return f"{self.dim.value}[{', '.join(str(v) for v in self.vrep)}]"
@@ -549,58 +530,61 @@ def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
 def lattice_points(poly: ConvexLatticePolygon) -> list[LatticeVector]:
     """All lattice points of a bounded region, sorted lexicographically.
 
-    Row sweep: for each integer y between the vertical extremes, the x range
-    is pinned down by exact ceilings/floors of the supporting constraints.
+    Column sweep: for each integer x between the horizontal extremes, the y
+    range is pinned down by exact ceilings/floors of the supporting
+    constraints, so the points come out already in (x, y) order.
     """
     return list(_lattice_points_cached(poly))
 
 
+def _columns(poly: ConvexLatticePolygon) -> Iterator[tuple[int, int, int]]:
+    """(x, ylo, yhi) with ylo <= yhi for every integer x whose column of the
+    region holds a lattice point, in increasing x."""
+    if poly.is_empty():
+        return
+    xmin = min(ceil_div(v.x_num, v.den) for v in poly.vrep)
+    xmax = max(v.x_num // v.den for v in poly.vrep)
+    cons = poly.support_constraints()
+    for x in range(xmin, xmax + 1):
+        ylo: int | None = None
+        yhi: int | None = None
+        for nx, ny, num, den in cons:
+            rhs = num - nx * x * den  # ny*y*den >= rhs
+            if ny == 0:
+                if rhs > 0:
+                    break
+            elif ny > 0:
+                b = ceil_div(rhs, ny * den)
+                if ylo is None or b > ylo:
+                    ylo = b
+            else:
+                b = (-rhs) // (-ny * den)
+                if yhi is None or b < yhi:
+                    yhi = b
+        else:
+            if ylo is None or yhi is None:
+                raise UnboundedRegionError("column sweep hit an unbounded column")
+            if ylo <= yhi:
+                yield x, ylo, yhi
+
+
 @lru_cache(maxsize=65536)
 def _lattice_points_cached(poly: ConvexLatticePolygon) -> tuple[LatticeVector, ...]:
-    if poly.is_empty():
-        return ()
-    if poly.dim is PolygonDim.POINT:
-        v = poly.vrep[0]
-        return (v.to_lattice(),) if v.den == 1 else ()
-    _, ymin, _, ymax = poly.bounding_box()
-    cons = poly.support_constraints()
-    out: list[LatticeVector] = []
-    for y in range(math.ceil(ymin), math.floor(ymax) + 1):
-        xlo: int | None = None
-        xhi: int | None = None
-        row_ok = True
-        for nx, ny, num, den in cons:
-            rhs = num - ny * y * den  # nx*x*den >= rhs
-            if nx == 0:
-                if rhs > 0:
-                    row_ok = False
-                    break
-            elif nx > 0:
-                b = ceil_div(rhs, nx * den)
-                if xlo is None or b > xlo:
-                    xlo = b
-            else:
-                b = floor_div(-rhs, -nx * den)
-                if xhi is None or b < xhi:
-                    xhi = b
-        if not row_ok:
-            continue
-        if xlo is None or xhi is None:
-            raise UnboundedRegionError("row sweep hit an unbounded row")
-        for x in range(xlo, xhi + 1):
-            out.append(LatticeVector(x, y))
-    out.sort()
-    return tuple(out)
+    return tuple(
+        LatticeVector(x, y) for x, ylo, yhi in _columns(poly) for y in range(ylo, yhi + 1)
+    )
 
 
 def lattice_point_count(poly: ConvexLatticePolygon) -> int:
-    return len(lattice_points(poly))
+    """Number of lattice points of a bounded region, counted column by column
+    without materializing them."""
+    return sum(yhi - ylo + 1 for _, ylo, yhi in _columns(poly))
 
 
 def pick_count(poly: ConvexLatticePolygon) -> int:
     """Lattice-point count via Pick's theorem: Area + B/2 + 1.
 
-    Independent of the row sweep; requires lattice vertices.
+    Independent of the column sweep; requires lattice vertices.
     """
     if poly.is_empty():
         raise PreconditionError("pick_count requires a nonempty polygon")

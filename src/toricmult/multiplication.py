@@ -38,10 +38,12 @@ from .lattice import (
     PolygonDim,
     RationalPoint,
     _primitive_pair,
+    ceil_div,
     decompose_interval,
     face_in_direction,
     hull,
     intersect_halfplanes,
+    lattice_point_count,
     lattice_points,
     minkowski_sum,
 )
@@ -589,6 +591,16 @@ def check_surjectivity(
     )
 
 
+def _box_bound(poly: ConvexLatticePolygon) -> int:
+    """Lattice points of the bounding box: an upper bound on those of poly."""
+    if poly.is_empty():
+        return 0
+    vrep = poly.vrep
+    width = max(v.x_num // v.den for v in vrep) - min(ceil_div(v.x_num, v.den) for v in vrep) + 1
+    height = max(v.y_num // v.den for v in vrep) - min(ceil_div(v.y_num, v.den) for v in vrep) + 1
+    return max(width, 0) * max(height, 0)
+
+
 def cokernel_dim(
     fan: Fan,
     d: TorusDivisor,
@@ -599,20 +611,25 @@ def cokernel_dim(
 
     Both divisors must have sections.  Missing points are reported sorted;
     the sumset size is derived from them since every pairwise sum lands in
-    the sum polygon.
+    the sum polygon.  An instance whose membership tests exceed pair_budget
+    is refused before any lattice point is materialized.
     """
-    s_d = lattice_points(polygon_of(fan, d))
-    s_e = lattice_points(polygon_of(fan, e))
+    p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
+    # Bounding boxes bound the counts in O(n); counting exactly costs a
+    # column sweep, so it runs only when the boxes could exceed the budget.
+    if _box_bound(p_sum) * min(_box_bound(p_d), _box_bound(p_e)) > pair_budget:
+        h0_sum = lattice_point_count(p_sum)
+        h0_inner = min(lattice_point_count(p_d), lattice_point_count(p_e))
+        if h0_sum * h0_inner > pair_budget:
+            raise BudgetExceededError(
+                f"{h0_sum} x {h0_inner} membership tests exceed the budget of {pair_budget}"
+            )
+    s_d = lattice_points(p_d)
+    s_e = lattice_points(p_e)
     if not s_d or not s_e:
         raise PreconditionError("cokernel requires sections on both factors")
-    points = lattice_points(polygon_of(fan, d + e))
-    inner, other_poly = (
-        (s_d, polygon_of(fan, e)) if len(s_d) <= len(s_e) else (s_e, polygon_of(fan, d))
-    )
-    if len(points) * len(inner) > pair_budget:
-        raise BudgetExceededError(
-            f"{len(points)} x {len(inner)} membership tests exceed the budget of {pair_budget}"
-        )
+    points = lattice_points(p_sum)
+    inner, other_poly = (s_d, p_e) if len(s_d) <= len(s_e) else (s_e, p_d)
     inside = _contains_factory(other_poly)
     missing = [
         p

@@ -10,12 +10,13 @@ divisor families and records whether the maximum stabilizes.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .lattice import ConvexLatticePolygon, face_in_direction, hull, lattice_points
+from .lattice import ConvexLatticePolygon, LatticeVector, face_in_direction, hull, lattice_points
 from .multiplication import CokernelReport, cokernel_dim
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
@@ -54,6 +55,18 @@ class SweepResult:
     reports: tuple[CokernelReport, ...] | None = None
 
 
+def _rounded(fan: Fan, d: TorusDivisor) -> tuple[list[LatticeVector], TorusDivisor]:
+    """The sections of d and d with each coefficient rounded to max -<s, v>
+    over the sections s."""
+    sections = lattice_points(polygon_of(fan, d))
+    if not sections:
+        raise PreconditionError("reduction requires a divisor with sections")
+    reduced = TorusDivisor(
+        tuple(max(-s.dot(v) for s in sections) for v in fan.rays)
+    )
+    return sections, reduced
+
+
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
     """Round each coefficient to the minimal offset its sections support.
 
@@ -61,12 +74,7 @@ def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
     generated, has the same sections, and its polygon is the hull of the
     original polygon's lattice points.
     """
-    sections = lattice_points(polygon_of(fan, d))
-    if not sections:
-        raise PreconditionError("reduction requires a divisor with sections")
-    reduced = TorusDivisor(
-        tuple(max(-s.dot(v) for s in sections) for v in fan.rays)
-    )
+    sections, reduced = _rounded(fan, d)
     moved = frozenset(
         i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a
     )
@@ -164,7 +172,7 @@ def _check_pipeline(
     and every missing point must come from the polygon collar that the
     reduction shaved off.
     """
-    reduced = reduce_to_globally_generated(fan, e).reduced
+    _, reduced = _rounded(fan, e)
     reduced_report = cokernel_dim(fan, fixed_l, reduced)
     if reduced_report.coker_dim != 0:
         raise TheoremViolationError(
@@ -213,13 +221,16 @@ def sweep_cokernel(
     the budget; otherwise falls back to seeded stratified sampling (a seed is
     then required).  Every instance is cross-checked against the reduction
     pipeline unless check_pipeline is disabled.  jobs > 1 fans instances out
-    to worker processes; the result is assembled in canonical order either
-    way, so output does not depend on scheduling.
+    to worker processes, never more than the instances or the CPUs; the
+    result is assembled in canonical order either way, so output does not
+    depend on scheduling.
     """
     if classify(fan, fixed_l) is not PositivityClass.AMPLE:
         raise PreconditionError("sweep requires an ample fixed divisor")
     if e_max < 1:
         raise PreconditionError("e_max must be >= 1")
+    if jobs < 1:
+        raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     n = fan.n
     sampled = False
     if filter_pattern is not None:
@@ -236,13 +247,14 @@ def sweep_cokernel(
             )
         sampled = True
         vectors = _stratified_sample(n, e_max, budget, seed)
-    if jobs > 1:
+    workers = min(jobs, len(vectors), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(
-            jobs, initializer=_sweep_worker_init, initargs=(fan, fixed_l, check_pipeline)
+            workers, initializer=_sweep_worker_init, initargs=(fan, fixed_l, check_pipeline)
         ) as pool:
-            chunk = max(1, len(vectors) // (8 * jobs))
+            chunk = max(1, len(vectors) // (8 * workers))
             results = pool.map(_sweep_instance, vectors, chunksize=chunk)
     else:
         _sweep_worker_init(fan, fixed_l, check_pipeline)

@@ -92,9 +92,6 @@ class TorusDivisor:
             raise PreconditionError("divisors live on fans with different ray counts")
         return TorusDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def scale(self, k: int) -> "TorusDivisor":
-        return TorusDivisor(tuple(k * a for a in self.coeffs))
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.coeffs) + ")"
 

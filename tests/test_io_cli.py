@@ -243,6 +243,13 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert all(line.split(",")[8] == "false" for line in lines[1:])
 
+    def test_sweep_rejects_jobs_below_one(self, f2_file, l_file, capsys):
+        code = run_cli(
+            ["sweep", f2_file, l_file, "--max-coeff", "2", "--seed", "1", "--jobs", "0"]
+        )
+        assert code == 1
+        assert "error: jobs must be >= 1" in capsys.readouterr().err
+
     def test_plot(self, f2_file, l_file, e_file, tmp_path):
         out_path = tmp_path / "fig.svg"
         assert run_cli(["plot", f2_file, l_file, e_file, "--out", str(out_path)]) == 0

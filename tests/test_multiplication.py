@@ -3,6 +3,7 @@
 import pytest
 
 from toricmult.errors import (
+    BudgetExceededError,
     DecompositionRangeError,
     PreconditionError,
     TheoremViolationError,
@@ -399,6 +400,22 @@ class TestCokernelDim:
     def test_requires_sections(self):
         with pytest.raises(PreconditionError):
             cokernel_dim(P2, D((0, 0, 1)), D((0, 0, -1)))
+
+    def test_budget_counts_exactly_when_boxes_exceed_it(self):
+        # 10 x 3 membership tests; the bounding boxes allow 16 x 4
+        d, e = D((0, 0, 1)), D((0, 0, 2))
+        assert cokernel_dim(P2, d, e, pair_budget=30).coker_dim == 0
+        with pytest.raises(BudgetExceededError, match=r"^10 x 3 membership tests exceed the budget of 29$"):
+            cokernel_dim(P2, d, e, pair_budget=29)
+
+    def test_over_budget_refused_before_enumeration(self, monkeypatch):
+        def no_points(poly):
+            raise RuntimeError("lattice points were materialized")
+
+        monkeypatch.setattr("toricmult.multiplication.lattice_points", no_points)
+        d = D((150, 150, 150))
+        with pytest.raises(BudgetExceededError, match=r"^406351 x 101926 membership tests"):
+            cokernel_dim(P2, d, d)
 
     def test_coker_zero_iff_brute_surjective(self):
         for d, e in [

@@ -4,13 +4,15 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from toricmult.lattice import (
+    ConvexLatticePolygon,
     LatticeVector,
     decompose_interval,
     face_in_direction,
     hull,
+    lattice_point_count,
     lattice_points,
     minkowski_sum,
     pick_count,
@@ -63,6 +65,61 @@ def test_hull_of_lattice_points_contained(poly):
         return
     inner = hull(pts)
     assert all(poly.contains(v) for v in inner.vrep)
+
+
+@given(point_lists)
+@settings(max_examples=200, deadline=None)
+def test_hull_of_lattice_points_matches_rational_path(ps):
+    # lattice-only input sorts on integer tuples; one non-lattice point
+    # strictly between two input points sends the same hull through the
+    # exact Fraction-key sort without changing it
+    distinct = sorted(set(ps))
+    assume(len(distinct) >= 2)
+    (x1, y1), (x2, y2) = distinct[0], distinct[-1]
+    dx, dy = x2 - x1, y2 - y1
+    k = abs(dx) + abs(dy) + 1  # exceeds |dx| and |dy|, so the point is not a lattice point
+    hom = [(x, y, 1) for x, y in ps] + [(k * x1 + dx, k * y1 + dy, k)]
+    rational = ConvexLatticePolygon._from_hom_vertices(hom, ())
+    assert rational.vrep == hull([V(x, y) for x, y in ps]).vrep
+
+
+def assert_column_sweep(poly):
+    pts = lattice_points(poly)
+    assert all(a.as_tuple() < b.as_tuple() for a, b in zip(pts, pts[1:]))
+    assert lattice_point_count(poly) == len(pts)
+    if poly.is_empty():
+        assert pts == []
+        return
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    box = [
+        V(x, y)
+        for x in range(math.ceil(xmin), math.floor(xmax) + 1)
+        for y in range(math.ceil(ymin), math.floor(ymax) + 1)
+    ]
+    assert pts == [p for p in box if poly.contains(p)]
+
+
+@given(fan_with_divisor(lo=-3, hi=4))
+@settings(max_examples=200, deadline=None)
+@example((generate_family("p2"), TorusDivisor((-2, -1, 3))))  # lattice point
+@example((blowup(generate_family("p2"), 1), TorusDivisor((-2, -2, 1, 2))))  # segment
+@example((generate_family("f2"), TorusDivisor((-2, -1, -1, 2))))  # rational vertex
+def test_lattice_points_of_divisor_polygons(fan_divisor):
+    fan, d = fan_divisor
+    assert_column_sweep(polygon_of(fan, d))
+
+
+rational_coords = st.tuples(
+    st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 4)
+)
+
+
+@given(st.lists(rational_coords, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_lattice_points_of_rational_regions(hom):
+    # rational points, segments and polygons without an hrep, so the sweep
+    # runs on constraints derived from rational vertices
+    assert_column_sweep(ConvexLatticePolygon._from_hom_vertices(hom, ()))
 
 
 @given(lattice_polys, lattice_polys)

@@ -1,5 +1,7 @@
 """Divisor rounding (section-preserving) and cokernel sweeps."""
 
+import multiprocessing
+import os
 from itertools import product
 
 import pytest
@@ -163,6 +165,49 @@ class TestSweep:
     def test_rejects_non_ample(self):
         with pytest.raises(PreconditionError):
             sweep_cokernel(F2, D((1, 1, 1, 1)), e_max=3)
+
+    def test_pipeline_check_builds_no_hull(self, monkeypatch):
+        def no_hull(points):
+            raise RuntimeError("the pipeline check built a hull")
+
+        monkeypatch.setattr("toricmult.reduction.hull", no_hull)
+        sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2, check_pipeline=True)
+        assert sweep.max_coker == 2
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(PreconditionError, match="jobs"):
+                sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2, jobs=jobs)
+
+    def test_pool_never_exceeds_instances_or_cpus(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes, initializer, initargs):
+                sizes.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        l_div = D((1, 0, 1, 1))
+        serial = sweep_cokernel(F2, l_div, e_max=2)
+        assert sweep_cokernel(F2, l_div, e_max=2, jobs=10**9) == serial
+        assert sizes == [3]  # capped by the CPUs
+        family = sweep_cokernel(F2, l_div, e_max=2, filter_pattern="0,k,0,0", jobs=10**9)
+        assert sizes == [3, 2]  # capped by the two instances
+        assert family == sweep_cokernel(F2, l_div, e_max=2, filter_pattern="0,k,0,0")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep_cokernel(F2, l_div, e_max=2, jobs=8) == serial
+        assert sizes == [3, 2]  # an unknown CPU count runs serially
 
     def test_bad_filter_patterns(self):
         with pytest.raises(PreconditionError):
