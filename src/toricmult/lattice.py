@@ -126,9 +126,6 @@ class RationalPoint:
     def y(self) -> Fraction:
         return Fraction(self.y_num, self.den)
 
-    def is_lattice(self) -> bool:
-        return self.den == 1
-
     def to_lattice(self) -> LatticeVector:
         if self.den != 1:
             raise PreconditionError(f"{self} is not a lattice point")
@@ -421,20 +418,10 @@ def _directions_positively_span(normals: Sequence[LatticeVector]) -> bool:
     dirs = list({n.as_tuple() for n in normals})
     if len(dirs) < 3:
         return False
-
-    def half(d: tuple[int, int]) -> int:
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    def angle_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return ha < hb
-        return a[0] * b[1] - a[1] * b[0] > 0
-
     ordered: list[tuple[int, int]] = []
     for d in dirs:  # insertion sort via the exact comparator; lists are tiny
         i = 0
-        while i < len(ordered) and angle_lt(ordered[i], d):
+        while i < len(ordered) and _angle_lt(ordered[i], d):
             i += 1
         ordered.insert(i, d)
     m = len(ordered)
@@ -544,23 +531,23 @@ def _columns(poly: ConvexLatticePolygon) -> Iterator[tuple[int, int, int]]:
         return
     xmin = min(ceil_div(v.x_num, v.den) for v in poly.vrep)
     xmax = max(v.x_num // v.den for v in poly.vrep)
-    cons = poly.support_constraints()
+    cons = [(nx * den, num, ny * den) for nx, ny, num, den in poly.support_constraints()]
     for x in range(xmin, xmax + 1):
         ylo: int | None = None
         yhi: int | None = None
-        for nx, ny, num, den in cons:
-            rhs = num - nx * x * den  # ny*y*den >= rhs
-            if ny == 0:
+        for a, num, b in cons:
+            rhs = num - a * x  # b*y >= rhs
+            if b == 0:
                 if rhs > 0:
                     break
-            elif ny > 0:
-                b = ceil_div(rhs, ny * den)
-                if ylo is None or b > ylo:
-                    ylo = b
+            elif b > 0:
+                t = -(-rhs // b)
+                if ylo is None or t > ylo:
+                    ylo = t
             else:
-                b = (-rhs) // (-ny * den)
-                if yhi is None or b < yhi:
-                    yhi = b
+                t = rhs // b
+                if yhi is None or t < yhi:
+                    yhi = t
         else:
             if ylo is None or yhi is None:
                 raise UnboundedRegionError("column sweep hit an unbounded column")
@@ -640,8 +627,7 @@ class Face:
         if a.den == 1 and b.den == 1:
             dx, dy = b.x_num - a.x_num, b.y_num - a.y_num
             return math.gcd(abs(dx), abs(dy)) + 1
-        seg = ConvexLatticePolygon((a, b), PolygonDim.SEGMENT, ())
-        return len(lattice_points(seg))
+        return lattice_point_count(ConvexLatticePolygon((a, b), PolygonDim.SEGMENT, ()))
 
     def sum_with(self, other: "Face") -> "Face":
         """Minkowski sum of two faces (face additivity lives at this level)."""
@@ -720,11 +706,9 @@ def _edge_vectors(
     return verts[start], edges
 
 
-def _angle_lt(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
-    def half(d: tuple[Fraction, Fraction]) -> int:
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    ha, hb = half(a), half(b)
+def _angle_lt(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> bool:
+    """Exact order of nonzero directions by angle from the positive x-axis."""
+    ha, hb = (0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1 for d in (a, b))
     if ha != hb:
         return ha < hb
     return a[0] * b[1] - a[1] * b[0] > 0

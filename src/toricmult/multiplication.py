@@ -37,6 +37,7 @@ from .lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
+    _columns,
     _primitive_pair,
     ceil_div,
     decompose_interval,
@@ -522,12 +523,9 @@ def _smallest_q1_map(
     pair_budget: int,
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """The exhaustive oracle: every pairwise sum p mapped to its smallest q1."""
+    _refuse_over_budget(p_d, (p_e,), pair_budget, "pairwise sums")
     s_d = lattice_points(p_d)
     s_e = lattice_points(p_e)
-    if len(s_d) * len(s_e) > pair_budget:
-        raise BudgetExceededError(
-            f"{len(s_d)} x {len(s_e)} pairwise sums exceed the budget of {pair_budget}"
-        )
     e_points = [q2.as_tuple() for q2 in s_e]
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for q1 in s_d:  # ascending, so the first writer has the smallest q1
@@ -556,22 +554,22 @@ def check_surjectivity(
         raise PreconditionError(f"unknown mode {mode!r}")
     p_d = polygon_of(fan, d)
     p_e = polygon_of(fan, e)
-    if mode == "brute" and (not lattice_points(p_d) or not lattice_points(p_e)):
+    if mode == "brute" and (not lattice_point_count(p_d) or not lattice_point_count(p_e)):
         raise PreconditionError("brute mode requires sections on both factors")
+    ctx = _StructuredContext(fan, d, e) if mode != "brute" else None
+    # the oracle refuses an over-budget instance before any point is listed
+    oracle = _smallest_q1_map(p_d, p_e, pair_budget) if mode != "structured" else None
     points = lattice_points(polygon_of(fan, d + e))
     witnesses: list[DecompositionWitness] = []
     if mode == "brute":
-        smallest_q1 = _smallest_q1_map(p_d, p_e, pair_budget)
         for p in points:
-            found = smallest_q1.get(p.as_tuple())
+            found = oracle.get(p.as_tuple())
             if found is not None:
                 q1 = LatticeVector(*found)
                 witnesses.append(DecompositionWitness(
                     p=p, q1=q1, q2=p - q1, path=DecompositionPath.FALLBACK_SEARCH
                 ))
     else:
-        ctx = _StructuredContext(fan, d, e)
-        oracle = _smallest_q1_map(p_d, p_e, pair_budget) if mode == "both" else None
         for p in points:
             witness = _decompose_structured_in_context(ctx, p)
             if oracle is not None and p.as_tuple() not in oracle:
@@ -601,6 +599,20 @@ def _box_bound(poly: ConvexLatticePolygon) -> int:
     return max(width, 0) * max(height, 0)
 
 
+def _refuse_over_budget(
+    big: ConvexLatticePolygon, small: tuple[ConvexLatticePolygon, ...], budget: int, what: str
+) -> None:
+    """Refuse when h0(big) x min h0(small) exceeds the budget, listing no point.
+
+    Bounding boxes bound the counts in O(n); counting exactly costs a column
+    sweep, so it runs only when the boxes could exceed the budget.
+    """
+    if _box_bound(big) * min(map(_box_bound, small)) > budget:
+        h_big, h_small = lattice_point_count(big), min(map(lattice_point_count, small))
+        if h_big * h_small > budget:
+            raise BudgetExceededError(f"{h_big} x {h_small} {what} exceed the budget of {budget}")
+
+
 def cokernel_dim(
     fan: Fan,
     d: TorusDivisor,
@@ -609,38 +621,39 @@ def cokernel_dim(
 ) -> CokernelReport:
     """Count the lattice points of the sum polygon missed by the sumset.
 
-    Both divisors must have sections.  Missing points are reported sorted;
-    the sumset size is derived from them since every pairwise sum lands in
-    the sum polygon.  An instance whose membership tests exceed pair_budget
-    is refused before any lattice point is materialized.
+    Exact, from column intervals: the lattice points (x1, lo1..hi1) of a
+    column of P_D plus those (x2, lo2..hi2) of a column of P_E fill the
+    interval [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are
+    the gaps these intervals leave in the columns of P_{D+E}, found in order
+    in O(w_D w_E + columns) for column counts w_D, w_E without listing any
+    lattice point.  Both divisors must have sections; an instance with
+    h0(D+E) x min(h0(D), h0(E)) over pair_budget is refused.
     """
     p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
-    # Bounding boxes bound the counts in O(n); counting exactly costs a
-    # column sweep, so it runs only when the boxes could exceed the budget.
-    if _box_bound(p_sum) * min(_box_bound(p_d), _box_bound(p_e)) > pair_budget:
-        h0_sum = lattice_point_count(p_sum)
-        h0_inner = min(lattice_point_count(p_d), lattice_point_count(p_e))
-        if h0_sum * h0_inner > pair_budget:
-            raise BudgetExceededError(
-                f"{h0_sum} x {h0_inner} membership tests exceed the budget of {pair_budget}"
-            )
-    s_d = lattice_points(p_d)
-    s_e = lattice_points(p_e)
-    if not s_d or not s_e:
+    _refuse_over_budget(p_sum, (p_d, p_e), pair_budget, "membership tests")
+    cols_d, cols_e = list(_columns(p_d)), list(_columns(p_e))
+    if not cols_d or not cols_e:
         raise PreconditionError("cokernel requires sections on both factors")
-    points = lattice_points(p_sum)
-    inner, other_poly = (s_d, p_e) if len(s_d) <= len(s_e) else (s_e, p_d)
-    inside = _contains_factory(other_poly)
-    missing = [
-        p
-        for p in points
-        if not any(inside(p.x - q.x, p.y - q.y) for q in inner)
-    ]
+    covered: dict[int, list[tuple[int, int]]] = {}
+    for x1, lo1, hi1 in cols_d:
+        for x2, lo2, hi2 in cols_e:
+            covered.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
+    h0_sum = 0
+    missing: list[LatticeVector] = []
+    for x, ylo, yhi in _columns(p_sum):
+        h0_sum += yhi - ylo + 1
+        y = ylo  # the lowest y of the column that no interval so far covers
+        for lo, hi in sorted(covered.get(x, ())):
+            if lo > y:
+                missing += [LatticeVector(x, m) for m in range(y, lo)]
+            if hi >= y:
+                y = hi + 1
+        missing += [LatticeVector(x, m) for m in range(y, yhi + 1)]
     return CokernelReport(
-        h0_D=len(s_d),
-        h0_E=len(s_e),
-        h0_sum=len(points),
-        sumset_size=len(points) - len(missing),
+        h0_D=sum(hi - lo + 1 for _, lo, hi in cols_d),
+        h0_E=sum(hi - lo + 1 for _, lo, hi in cols_e),
+        h0_sum=h0_sum,
+        sumset_size=h0_sum - len(missing),
         coker_dim=len(missing),
         missing_points=tuple(missing),
     )

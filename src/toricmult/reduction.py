@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .lattice import ConvexLatticePolygon, LatticeVector, face_in_direction, hull, lattice_points
+from .lattice import ConvexLatticePolygon, LatticeVector, _columns, face_in_direction, hull
 from .multiplication import CokernelReport, cokernel_dim
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
@@ -55,16 +55,21 @@ class SweepResult:
     reports: tuple[CokernelReport, ...] | None = None
 
 
-def _rounded(fan: Fan, d: TorusDivisor) -> tuple[list[LatticeVector], TorusDivisor]:
-    """The sections of d and d with each coefficient rounded to max -<s, v>
-    over the sections s."""
-    sections = lattice_points(polygon_of(fan, d))
-    if not sections:
+def _rounded(fan: Fan, d: TorusDivisor) -> tuple[list[tuple[int, int, int]], TorusDivisor]:
+    """The columns (x, lo, hi) of d's polygon and d with each coefficient
+    rounded to max -<s, v> over the sections s.
+
+    Along a column -<s, v> is linear in y, so its maximum there sits at one
+    end of the column: O(columns x rays), with no section listed.
+    """
+    cols = list(_columns(polygon_of(fan, d)))
+    if not cols:
         raise PreconditionError("reduction requires a divisor with sections")
-    reduced = TorusDivisor(
-        tuple(max(-s.dot(v) for s in sections) for v in fan.rays)
-    )
-    return sections, reduced
+    reduced = TorusDivisor(tuple(
+        max(-(v.x * x + v.y * (lo if v.y > 0 else hi)) for x, lo, hi in cols)
+        for v in fan.rays
+    ))
+    return cols, reduced
 
 
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
@@ -72,15 +77,16 @@ def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
 
     Requires at least one section.  The reduced divisor is globally
     generated, has the same sections, and its polygon is the hull of the
-    original polygon's lattice points.
+    original polygon's lattice points.  Every lattice point lies between the
+    two ends of its column, so that hull is built from the column ends
+    alone: the cost follows the width of the polygon, not its h0.
     """
-    sections, reduced = _rounded(fan, d)
+    cols, reduced = _rounded(fan, d)
     moved = frozenset(
         i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a
     )
-    return ReductionResult(
-        original=d, reduced=reduced, J=moved, hull_polygon=hull(sections)
-    )
+    ends = hull(LatticeVector(x, y) for x, lo, hi in cols for y in (lo, hi))
+    return ReductionResult(original=d, reduced=reduced, J=moved, hull_polygon=ends)
 
 
 def edge_lattice_report(fan: Fan, result: ReductionResult) -> list[tuple[int, int]]:
@@ -196,7 +202,7 @@ def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor, check_pipeline: bool) ->
 def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     fan, fixed_l, check_pipeline = _WORKER["args"]  # type: ignore[misc]
     e = TorusDivisor(coeffs)
-    if not lattice_points(polygon_of(fan, e)):
+    if next(_columns(polygon_of(fan, e)), None) is None:
         return None
     report = cokernel_dim(fan, fixed_l, e)
     if check_pipeline:

@@ -28,10 +28,12 @@ from .lattice import (
     FaceKind,
     HalfPlane,
     LatticeVector,
+    _angle_lt,
+    _columns,
     check_input_coord,
     face_in_direction,
     intersect_halfplanes,
-    lattice_points,
+    lattice_point_count,
 )
 
 #: Generated fans refuse to grow beyond this many rays.
@@ -106,17 +108,6 @@ class PositivityClass(Enum):
         return self in (PositivityClass.AMPLE, PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE)
 
 
-def _angle_half(v: LatticeVector) -> int:
-    return 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
-
-
-def _angle_lt(a: LatticeVector, b: LatticeVector) -> bool:
-    ha, hb = _angle_half(a), _angle_half(b)
-    if ha != hb:
-        return ha < hb
-    return a.cross(b) > 0
-
-
 def validate_fan(rays: Sequence[LatticeVector | tuple[int, int]]) -> Fan:
     """Check smoothness, completeness and CCW order; normalize the rotation.
 
@@ -144,10 +135,11 @@ def validate_fan(rays: Sequence[LatticeVector | tuple[int, int]]) -> Fan:
         det = a.cross(b)
         if det != 1:
             raise NonSmoothFanError(i, det)
-    wraps = sum(1 for i in range(n) if not _angle_lt(vs[i], vs[(i + 1) % n]))
+    ts = [v.as_tuple() for v in vs]
+    wraps = sum(1 for i in range(n) if not _angle_lt(ts[i], ts[(i + 1) % n]))
     if wraps != 1:
         raise NonCompleteFanError(f"ray angles wrap {wraps} times instead of once")
-    start = min(range(n), key=lambda i: sum(1 for j in range(n) if _angle_lt(vs[j], vs[i])))
+    start = min(range(n), key=lambda i: sum(1 for j in range(n) if _angle_lt(ts[j], ts[i])))
     return Fan(tuple(vs[start:] + vs[:start]))
 
 
@@ -168,8 +160,9 @@ def _polygon_of_cached(
 
 
 def h0(fan: Fan, d: TorusDivisor) -> int:
-    """Number of sections = number of lattice points of the polygon."""
-    return len(lattice_points(polygon_of(fan, d)))
+    """Number of sections = number of lattice points of the polygon, counted
+    column by column without listing them."""
+    return lattice_point_count(polygon_of(fan, d))
 
 
 def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:
@@ -199,7 +192,7 @@ def _classify_cached(fan: Fan, d: TorusDivisor) -> PositivityClass:
         if all(f.kind is FaceKind.EDGE for f in faces):
             return PositivityClass.AMPLE
         return PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
-    if lattice_points(poly):
+    if next(_columns(poly), None) is not None:
         return PositivityClass.EFFECTIVE_SECTIONS_ONLY
     return PositivityClass.NO_SECTIONS
 

@@ -337,6 +337,23 @@ class TestCheckSurjectivity:
         with pytest.raises(TheoremViolationError):
             check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
 
+    @pytest.mark.parametrize("mode", ["both", "brute"])
+    def test_over_budget_refused_before_enumeration(self, no_point_lists, mode):
+        d = D((150, 150, 150))
+        with pytest.raises(BudgetExceededError, match=r"^101926 x 101926 pairwise sums"):
+            check_surjectivity(P2, d, d, mode=mode)
+
+    def test_brute_budget_counts_exactly_when_boxes_exceed_it(self):
+        # 3 x 6 pairwise sums; the bounding boxes allow 4 x 9
+        d, e = D((0, 0, 1)), D((0, 0, 2))
+        assert check_surjectivity(P2, d, e, mode="brute", pair_budget=18).surjective
+        with pytest.raises(BudgetExceededError, match=r"^3 x 6 pairwise sums exceed the budget of 17$"):
+            check_surjectivity(P2, d, e, mode="brute", pair_budget=17)
+
+    def test_brute_mode_requires_sections(self, no_point_lists):
+        with pytest.raises(PreconditionError, match="sections"):
+            check_surjectivity(P2, D((0, 0, 1)), D((0, 0, -1)), mode="brute")
+
     def test_witnesses_sorted_by_point(self):
         report = check_surjectivity(P2, D((0, 0, 2)), D((0, 0, 1)), mode="structured")
         pts = [w.p for w in report.witnesses]
@@ -416,6 +433,11 @@ class TestCokernelDim:
         d = D((150, 150, 150))
         with pytest.raises(BudgetExceededError, match=r"^406351 x 101926 membership tests"):
             cokernel_dim(P2, d, d)
+
+    def test_lists_no_lattice_point(self, no_point_lists):
+        report = cokernel_dim(F2, D((1, 0, 1, 1)), D((0, 1, 0, 0)))
+        assert (report.h0_D, report.h0_E, report.h0_sum, report.sumset_size) == (8, 1, 9, 8)
+        assert report.missing_points == (V(-1, -1),)
 
     def test_coker_zero_iff_brute_surjective(self):
         for d, e in [

@@ -237,12 +237,26 @@ def test_reduction_contract(fan_divisor):
     assert reduce_to_globally_generated(fan, res.reduced).reduced == res.reduced
 
 
-@given(fan_with_divisor(hi=3), fan_with_divisor(hi=3))
+@st.composite
+def fan_with_two_divisors(draw, lo=0, hi=4, shift=0):
+    # a_i = c_i - <m, v_i> translates the polygon of c by m; with c effective
+    # this reaches every divisor with sections, negative coefficients included
+    fan = draw(fans())
+    shifts = st.integers(-shift, shift)
+
+    def divisor():
+        mx, my = draw(shifts), draw(shifts)
+        return TorusDivisor(
+            tuple(draw(st.integers(lo, hi)) - v.x * mx - v.y * my for v in fan.rays)
+        )
+
+    return fan, divisor(), divisor()
+
+
+@given(fan_with_two_divisors(hi=3))
 @settings(max_examples=50, deadline=None)
-def test_cokernel_symmetric_and_matches_bruteforce(xd, xe):
-    fan, d = xd
-    _, e = xe
-    assume(len(e.coeffs) == fan.n)
+def test_cokernel_symmetric_and_matches_bruteforce(fde):
+    fan, d, e = fde
     report = cokernel_dim(fan, d, e)
     flipped = cokernel_dim(fan, e, d)
     assert report.coker_dim == flipped.coker_dim
@@ -250,6 +264,39 @@ def test_cokernel_symmetric_and_matches_bruteforce(xd, xe):
     p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
     for p in report.missing_points[:5]:
         assert decompose_bruteforce(p_d, p_e, p) is None
+
+
+def _sections(fan, d):
+    # the lattice points of the bounding box on the right side of every ray's line
+    vrep = polygon_of(fan, d).vrep
+    if not vrep:
+        return set()
+    xs, ys = [v.x for v in vrep], [v.y for v in vrep]
+    return {
+        (x, y)
+        for x in range(math.floor(min(xs)), math.ceil(max(xs)) + 1)
+        for y in range(math.floor(min(ys)), math.ceil(max(ys)) + 1)
+        if all(v.x * x + v.y * y >= -a for v, a in zip(fan.rays, d.coeffs))
+    }
+
+
+@given(fan_with_two_divisors(hi=6, shift=3))
+@settings(max_examples=150, deadline=None)
+def test_cokernel_matches_explicit_pairwise_sums(fde):
+    # column intervals against the set of every pairwise sum, on divisors
+    # with negative coefficients and rational vertices
+    fan, d, e = fde
+    s_d, s_e, total = _sections(fan, d), _sections(fan, e), _sections(fan, d + e)
+    assert s_d and s_e
+    sumset = {(x1 + x2, y1 + y2) for x1, y1 in s_d for x2, y2 in s_e}
+    assert sumset <= total
+    missing = tuple(LatticeVector(x, y) for x, y in sorted(total - sumset))
+    for (a, b), (s_a, s_b) in (((d, e), (s_d, s_e)), ((e, d), (s_e, s_d))):
+        report = cokernel_dim(fan, a, b)
+        assert (report.h0_D, report.h0_E, report.h0_sum) == (len(s_a), len(s_b), len(total))
+        assert report.sumset_size == len(sumset)
+        assert report.coker_dim == len(missing)
+        assert report.missing_points == missing
 
 
 @st.composite

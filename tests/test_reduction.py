@@ -69,6 +69,13 @@ class TestReduce:
         with pytest.raises(PreconditionError):
             reduce_to_globally_generated(P2, D((0, 0, -1)))
 
+    def test_large_divisor_from_column_ends(self, no_point_lists):
+        # 641,601 sections; the rounding and the hull read only the column ends
+        res = reduce_to_globally_generated(F2, D((400, 1200, 400, 400)))
+        assert res.reduced == D((400, 400, 400, 400))
+        assert res.J == frozenset({2})
+        assert res.hull_polygon == polygon_of(F2, res.reduced)
+
     def test_negative_coefficients_allowed_with_sections(self):
         # a translate of an effective divisor still reduces cleanly
         d = D((2, -1, 1))
@@ -173,6 +180,14 @@ class TestSweep:
         monkeypatch.setattr("toricmult.reduction.hull", no_hull)
         sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2, check_pipeline=True)
         assert sweep.max_coker == 2
+
+    def test_pipeline_check_lists_no_lattice_point(self, no_point_lists):
+        l_div = D((1, 0, 1, 1))
+        args = dict(e_max=8, budget=200, seed=5, check_pipeline=True, keep_reports=True)
+        sweep = sweep_cokernel(F2, l_div, **args)
+        no_point_lists.undo()
+        assert sweep == sweep_cokernel(F2, l_div, **args)
+        assert sweep.max_coker >= 1
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):

@@ -19,3 +19,24 @@ def test_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_floats_outside_svg():
+    # exact arithmetic: only the SVG writer may produce floating-point numbers
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "svg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            is_float_call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+            is_float_literal = isinstance(node, ast.Constant) and isinstance(
+                node.value, (float, complex)
+            )
+            if is_float_call or is_float_literal:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"floats outside svg.py: {found}"

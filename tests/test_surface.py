@@ -117,6 +117,11 @@ class TestH0:
     def test_f2_quadrilateral(self):
         assert h0(hirzebruch(2), D((1, 0, 1, 1))) == 8
 
+    def test_counts_without_listing(self, no_point_lists):
+        # (541 * 542) / 2 sections of O(540) on P2
+        assert h0(projective_plane(), D((180, 180, 180))) == 146611
+        assert h0(projective_plane(), D((0, 0, -1))) == 0
+
     def test_translation_invariance(self):
         fan = hirzebruch(3)
         d = D((2, 1, 0, 2))
@@ -139,6 +144,12 @@ class TestClassify:
     def test_f2_effective_only(self):
         assert (
             classify(hirzebruch(2), D((0, 1, 0, 0)))
+            is PositivityClass.EFFECTIVE_SECTIONS_ONLY
+        )
+
+    def test_effective_only_lists_no_lattice_point(self, no_point_lists):
+        assert (
+            classify(hirzebruch(2), D((0, 7, 0, 0)))
             is PositivityClass.EFFECTIVE_SECTIONS_ONLY
         )
 
