@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -433,43 +432,6 @@ def _directions_positively_span(normals: Sequence[LatticeVector]) -> bool:
     return True
 
 
-def _feasible(planes: Sequence[HalfPlane]) -> bool:
-    """Exact emptiness test by eliminating x, then checking the y interval."""
-    lows: list[tuple[Fraction, Fraction]] = []  # x >= s*y + t
-    ups: list[tuple[Fraction, Fraction]] = []  # x <= s*y + t
-    ylo: Fraction | None = None
-    yhi: Fraction | None = None
-
-    def tighten(a: Fraction, b: Fraction) -> bool:
-        # require a*y + b >= 0 for some y
-        nonlocal ylo, yhi
-        if a == 0:
-            return b >= 0
-        bound = -b / a
-        if a > 0:
-            if ylo is None or bound > ylo:
-                ylo = bound
-        else:
-            if yhi is None or bound < yhi:
-                yhi = bound
-        return True
-
-    for h in planes:
-        nx, ny, c = h.normal.x, h.normal.y, h.offset
-        if nx == 0:
-            if not tighten(Fraction(ny), Fraction(c)):
-                return False
-        elif nx > 0:
-            lows.append((Fraction(-ny, nx), Fraction(-c, nx)))
-        else:
-            ups.append((Fraction(-ny, nx), Fraction(-c, nx)))
-    for ls, lt in lows:
-        for us, ut in ups:
-            if not tighten(us - ls, ut - lt):
-                return False
-    return ylo is None or yhi is None or ylo <= yhi
-
-
 def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
     """Intersection of closed half-planes as a canonical polygon.
 
@@ -503,8 +465,14 @@ def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
             if ok:
                 candidates.append((x, y, w))
     if not candidates:
-        if _feasible(planes):
-            raise UnboundedRegionError("intersection is nonempty but has no vertex")
+        # a nonempty region with two independent normals would have a vertex;
+        # with every (primitive) normal +-n it is the strip lo <= <u, n> <= hi
+        n0 = data[0][:2]
+        if all(nx * n0[1] == ny * n0[0] for nx, ny, _ in data):
+            lo = max(-c for nx, ny, c in data if (nx, ny) == n0)
+            hi = min((c for nx, ny, c in data if (nx, ny) != n0), default=None)
+            if hi is None or lo <= hi:
+                raise UnboundedRegionError("intersection is nonempty but has no vertex")
         return ConvexLatticePolygon((), PolygonDim.EMPTY, tuple(planes))
     if not _directions_positively_span([h.normal for h in planes]):
         raise UnboundedRegionError("half-plane normals do not positively span the plane")
@@ -521,7 +489,7 @@ def lattice_points(poly: ConvexLatticePolygon) -> list[LatticeVector]:
     range is pinned down by exact ceilings/floors of the supporting
     constraints, so the points come out already in (x, y) order.
     """
-    return list(_lattice_points_cached(poly))
+    return [LatticeVector(x, y) for x, ylo, yhi in _columns(poly) for y in range(ylo, yhi + 1)]
 
 
 def _columns(poly: ConvexLatticePolygon) -> Iterator[tuple[int, int, int]]:
@@ -555,11 +523,10 @@ def _columns(poly: ConvexLatticePolygon) -> Iterator[tuple[int, int, int]]:
                 yield x, ylo, yhi
 
 
-@lru_cache(maxsize=65536)
-def _lattice_points_cached(poly: ConvexLatticePolygon) -> tuple[LatticeVector, ...]:
-    return tuple(
-        LatticeVector(x, y) for x, ylo, yhi in _columns(poly) for y in range(ylo, yhi + 1)
-    )
+def _column_table(poly: ConvexLatticePolygon) -> dict[int, tuple[int, int]]:
+    """{x: (ylo, yhi)} from :func:`_columns`, in increasing x: (x, y) is a
+    lattice point of the region iff ylo <= y <= yhi in column x."""
+    return {x: (ylo, yhi) for x, ylo, yhi in _columns(poly)}
 
 
 def lattice_point_count(poly: ConvexLatticePolygon) -> int:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import ge
-from typing import Callable
 
 from .errors import (
     BudgetExceededError,
@@ -37,6 +36,7 @@ from .lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
+    _column_table,
     _columns,
     _primitive_pair,
     ceil_div,
@@ -115,19 +115,28 @@ class TriangleReduction:
     corner_ray_index: int | None
 
 
-def _contains_factory(poly: ConvexLatticePolygon) -> Callable[[int, int], bool]:
-    """Fast lattice-point membership from the support constraints."""
-    if poly.is_empty():
-        return lambda x, y: False
-    cons = poly.support_constraints()
+def _inside(table: dict[int, tuple[int, int]], x: int, y: int) -> bool:
+    """Lattice-point membership in a polygon given by its column table."""
+    col = table.get(x)
+    return col is not None and col[0] <= y <= col[1]
 
-    def inside(x: int, y: int) -> bool:
-        for nx, ny, num, den in cons:
-            if (nx * x + ny * y) * den < num:
-                return False
-        return True
 
-    return inside
+def _smallest_q1(
+    table_a: dict[int, tuple[int, int]], table_b: dict[int, tuple[int, int]], x: int, y: int
+) -> tuple[int, int] | None:
+    """The exhaustive search: the lexicographically smallest lattice point q1
+    of A with (x, y) - q1 in B, or None.
+
+    Column x1 of A and column x - x1 of B hold (x1, lo1..hi1) and
+    (x - x1, lo2..hi2), whose sums fill (x, lo1+lo2 .. hi1+hi2); so every
+    pair of columns is tried in increasing x1, and in the first that covers y
+    the smallest y1 is max(lo1, y - hi2).
+    """
+    for x1, (lo1, hi1) in table_a.items():
+        col = table_b.get(x - x1)
+        if col is not None and lo1 + col[0] <= y <= hi1 + col[1]:
+            return x1, max(lo1, y - col[1])
+    return None
 
 
 def decompose_bruteforce(
@@ -142,13 +151,18 @@ def decompose_bruteforce(
     """
     if p_d.is_empty() or p_e.is_empty():
         raise EmptyInputError("decompose_bruteforce requires nonempty polygons")
-    inside_e = _contains_factory(p_e)
-    for q1 in lattice_points(p_d):
-        if inside_e(p.x - q1.x, p.y - q1.y):
-            return DecompositionWitness(
-                p=p, q1=q1, q2=p - q1, path=DecompositionPath.FALLBACK_SEARCH
-            )
-    return None
+    return _fallback_witness(_column_table(p_d), _column_table(p_e), p)
+
+
+def _fallback_witness(
+    table_d: dict[int, tuple[int, int]], table_e: dict[int, tuple[int, int]], p: LatticeVector
+) -> DecompositionWitness | None:
+    """The exhaustive search's witness for p, tagged as the fallback path."""
+    found = _smallest_q1(table_d, table_e, p.x, p.y)
+    if found is None:
+        return None
+    q1 = LatticeVector(*found)
+    return DecompositionWitness(p=p, q1=q1, q2=p - q1, path=DecompositionPath.FALLBACK_SEARCH)
 
 
 # -- triangle reduction ---------------------------------------------------------
@@ -273,11 +287,11 @@ def decompose_homothetic_triangles(
             raise PreconditionError("triangles are not translates of multiples of one triangle")
     if not minkowski_sum(t1, t2).contains(p):
         raise DecompositionRangeError(f"{p} lies outside the sum of the triangles")
-    inside_t2 = _contains_factory(t2)
-    for q1 in lattice_points(t1):
-        if inside_t2(p.x - q1.x, p.y - q1.y):
-            return q1, p - q1
-    raise TheoremViolationError("no lattice split of homothetic triangles; this is a bug")
+    found = _smallest_q1(_column_table(t1), _column_table(t2), p.x, p.y)
+    if found is None:
+        raise TheoremViolationError("no lattice split of homothetic triangles; this is a bug")
+    q1 = LatticeVector(*found)
+    return q1, p - q1
 
 
 # -- the structured algorithm ---------------------------------------------------
@@ -304,8 +318,8 @@ class _StructuredContext:
         self.p_d = polygon_of(fan, d)
         self.p_e = polygon_of(fan, e)
         self.d_vertices = sorted(self.p_d.lattice_vertices())
-        self.in_pd = _contains_factory(self.p_d)
-        self.in_pe = _contains_factory(self.p_e)
+        self.table_d = _column_table(self.p_d)
+        self.table_e = _column_table(self.p_e)
         self._reductions: dict[int, TriangleReduction | None] = {}
         self.rays = rays = [(v.x, v.y) for v in fan.rays]
         # p in P_{D+E} iff <p, v_j> >= -(d_j + e_j)
@@ -362,7 +376,7 @@ def _context_witness(
     ctx: _StructuredContext, p: LatticeVector, q2x: int, q2y: int, path: DecompositionPath
 ) -> DecompositionWitness:
     """Check q1 = p - q2 and q2 against both factor polygons, then certify."""
-    if not ctx.in_pd(p.x - q2x, p.y - q2y) or not ctx.in_pe(q2x, q2y):
+    if not _inside(ctx.table_d, p.x - q2x, p.y - q2y) or not _inside(ctx.table_e, q2x, q2y):
         raise TheoremViolationError(f"witness check failed at {p}")
     q1 = LatticeVector(p.x - q2x, p.y - q2y)
     return DecompositionWitness(p=p, q1=q1, q2=LatticeVector(q2x, q2y), path=path)
@@ -428,13 +442,13 @@ def _try_regions(
             return emit((px, c1), (0, c2), DecompositionPath.TRIANGLE_REGION_B)
     # corner homothets: q1 in a translated multiple of the triangle
     delta = hull([LatticeVector(0, 0), LatticeVector(a_leg, 0), LatticeVector(0, b_leg)])
-    inside_pd = _contains_factory(pd_frame)
+    frame = _column_table(pd_frame)
     _, _, xmax, ymax = pd_frame.bounding_box()
     for w in sorted(pd_frame.lattice_vertices()):
         c_hi = min((int(xmax) - w.x) // a_leg, (int(ymax) - w.y) // b_leg)
         c_best = 0
         for cc in range(c_hi, 0, -1):
-            if inside_pd(w.x + cc * a_leg, w.y) and inside_pd(w.x, w.y + cc * b_leg):
+            if _inside(frame, w.x + cc * a_leg, w.y) and _inside(frame, w.x, w.y + cc * b_leg):
                 c_best = cc
                 break
         rx, ry = px - w.x, py - w.y
@@ -493,7 +507,7 @@ def _decompose_structured_in_context(
             if witness is not None:
                 return witness
     # (d) counted fallback: the exhaustive scan
-    witness = decompose_bruteforce(ctx.p_d, ctx.p_e, p)
+    witness = _fallback_witness(ctx.table_d, ctx.table_e, p)
     if witness is None:
         raise TheoremViolationError(
             f"no decomposition for {p} under ample x globally generated hypotheses"
@@ -517,26 +531,6 @@ def decompose_structured(
 # -- reports ----------------------------------------------------------------------
 
 
-def _smallest_q1_map(
-    p_d: ConvexLatticePolygon,
-    p_e: ConvexLatticePolygon,
-    pair_budget: int,
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """The exhaustive oracle: every pairwise sum p mapped to its smallest q1."""
-    _refuse_over_budget(p_d, (p_e,), pair_budget, "pairwise sums")
-    s_d = lattice_points(p_d)
-    s_e = lattice_points(p_e)
-    e_points = [q2.as_tuple() for q2 in s_e]
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for q1 in s_d:  # ascending, so the first writer has the smallest q1
-        x1, y1 = q1t = q1.as_tuple()
-        for x2, y2 in e_points:
-            key = (x1 + x2, y1 + y2)
-            if key not in out:
-                out[key] = q1t
-    return out
-
-
 def check_surjectivity(
     fan: Fan,
     d: TorusDivisor,
@@ -554,28 +548,29 @@ def check_surjectivity(
         raise PreconditionError(f"unknown mode {mode!r}")
     p_d = polygon_of(fan, d)
     p_e = polygon_of(fan, e)
-    if mode == "brute" and (not lattice_point_count(p_d) or not lattice_point_count(p_e)):
-        raise PreconditionError("brute mode requires sections on both factors")
-    ctx = _StructuredContext(fan, d, e) if mode != "brute" else None
-    # the oracle refuses an over-budget instance before any point is listed
-    oracle = _smallest_q1_map(p_d, p_e, pair_budget) if mode != "structured" else None
+    if mode != "structured":
+        # the oracle refuses an over-budget instance before any point is listed
+        _refuse_over_budget(p_d, (p_e,), pair_budget, "pairwise sums")
+    if mode == "brute":
+        ctx = None
+        table_d, table_e = _column_table(p_d), _column_table(p_e)
+        if not table_d or not table_e:
+            raise PreconditionError("brute mode requires sections on both factors")
+    else:
+        ctx = _StructuredContext(fan, d, e)
+        table_d, table_e = ctx.table_d, ctx.table_e
     points = lattice_points(polygon_of(fan, d + e))
     witnesses: list[DecompositionWitness] = []
-    if mode == "brute":
-        for p in points:
-            found = oracle.get(p.as_tuple())
-            if found is not None:
-                q1 = LatticeVector(*found)
-                witnesses.append(DecompositionWitness(
-                    p=p, q1=q1, q2=p - q1, path=DecompositionPath.FALLBACK_SEARCH
-                ))
-    else:
-        for p in points:
+    for p in points:
+        if ctx is None:
+            witness = _fallback_witness(table_d, table_e, p)
+        else:
             witness = _decompose_structured_in_context(ctx, p)
-            if oracle is not None and p.as_tuple() not in oracle:
+            if mode == "both" and _smallest_q1(table_d, table_e, p.x, p.y) is None:
                 raise TheoremViolationError(
                     f"structured route decomposed {p} but the exhaustive oracle did not"
                 )
+        if witness is not None:
             witnesses.append(witness)
     decomposed = len(witnesses)
     return SurjectivityReport(

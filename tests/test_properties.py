@@ -300,13 +300,12 @@ def test_cokernel_matches_explicit_pairwise_sums(fde):
 
 
 @st.composite
-def ample_with_gg(draw):
+def ample_on(draw, fan):
     # built, not filtered: random coefficients are rarely ample on blown-up
     # fans, and filtering for them trips Hypothesis's filter health check.
     # D is ample iff its polygon has an edge of lattice length l_i >= 1 with
     # inner normal v_i for every ray, and such lengths close up iff
     # sum l_i v_i = 0.
-    fan = draw(fans())
     rays, n = fan.rays, fan.n
     lengths = [draw(st.integers(1, 3)) for _ in range(n)]
     sx = -sum(l * v.x for l, v in zip(lengths, rays))
@@ -323,8 +322,14 @@ def ample_with_gg(draw):
     for l, v in zip(lengths, rays):  # the edge with inner normal v runs along (v.y, -v.x)
         x, y = x + l * v.y, y - l * v.x
         corners.append((x, y))
-    d = TorusDivisor(tuple(max(-(v.x * cx + v.y * cy) for cx, cy in corners) for v in rays))
-    effective = TorusDivisor(tuple(draw(st.integers(0, 4)) for _ in range(n)))
+    return TorusDivisor(tuple(max(-(v.x * cx + v.y * cy) for cx, cy in corners) for v in rays))
+
+
+@st.composite
+def ample_with_gg(draw):
+    fan = draw(fans())
+    d = draw(ample_on(fan))
+    effective = TorusDivisor(tuple(draw(st.integers(0, 4)) for _ in fan.rays))
     return fan, d, reduce_to_globally_generated(fan, effective).reduced
 
 
@@ -343,3 +348,24 @@ def test_ample_times_gg_surjective_with_valid_witnesses(fde):
     for w in report.witnesses:
         assert w.q1 + w.q2 == w.p
         assert p_d.contains(w.q1) and p_e.contains(w.q2)
+
+
+@st.composite
+def ample_with_translated_effective(draw):
+    # E = c - <m, .> with c effective translates P_c by m, so E has sections
+    fan = draw(fans())
+    mx, my = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    e = TorusDivisor(tuple(draw(st.integers(0, 4)) - v.x * mx - v.y * my for v in fan.rays))
+    return fan, draw(ample_on(fan)), e
+
+
+@given(ample_with_translated_effective())
+@settings(max_examples=60, deadline=None)
+def test_cokernel_is_the_collar_of_the_reduction(fle):
+    # the generalization to any E with sections: L ample x E misses exactly
+    # the lattice points of P_{L+E} outside P_{L+E'}, E' the reduction of E
+    fan, l, e = fle
+    reduced = reduce_to_globally_generated(fan, e).reduced
+    total, inner = _sections(fan, l + e), _sections(fan, l + reduced)
+    sumset = {(x1 + x2, y1 + y2) for x1, y1 in _sections(fan, l) for x2, y2 in _sections(fan, e)}
+    assert total - inner == total - sumset

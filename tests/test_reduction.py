@@ -2,11 +2,12 @@
 
 import multiprocessing
 import os
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from toricmult.errors import PreconditionError
+from toricmult.errors import PreconditionError, TheoremViolationError
 from toricmult.lattice import LatticeVector, PolygonDim, lattice_points
 from toricmult.reduction import (
     edge_lattice_report,
@@ -178,12 +179,40 @@ class TestSweep:
             raise RuntimeError("the pipeline check built a hull")
 
         monkeypatch.setattr("toricmult.reduction.hull", no_hull)
-        sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2, check_pipeline=True)
+        sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2)
         assert sweep.max_coker == 2
+
+    def test_pipeline_check_rejects_a_dropped_missing_point(self, monkeypatch):
+        import toricmult.reduction as reduction
+
+        cokernel = reduction.cokernel_dim
+
+        def drop_first(fan, d, e):
+            report = cokernel(fan, d, e)
+            return replace(report, missing_points=report.missing_points[1:])
+
+        monkeypatch.setattr(reduction, "cokernel_dim", drop_first)
+        # F2 (1,0,1,1) x (0,1,0,0) misses (-1,-1), in the collar of E' = 0
+        with pytest.raises(TheoremViolationError, match=r"collar points \[\(-1, -1\)\] were"):
+            sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
+
+    def test_pipeline_check_rejects_an_extra_missing_point(self, monkeypatch):
+        import toricmult.reduction as reduction
+
+        cokernel = reduction.cokernel_dim
+
+        def add_a_sum(fan, d, e):
+            report = cokernel(fan, d, e)
+            q = lattice_points(polygon_of(fan, d))[0] + lattice_points(polygon_of(fan, e))[0]
+            return replace(report, missing_points=tuple(sorted(report.missing_points + (q,))))
+
+        monkeypatch.setattr(reduction, "cokernel_dim", add_a_sum)
+        with pytest.raises(TheoremViolationError, match=r"missing points \[\(-1, 0\)\] lie"):
+            sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
 
     def test_pipeline_check_lists_no_lattice_point(self, no_point_lists):
         l_div = D((1, 0, 1, 1))
-        args = dict(e_max=8, budget=200, seed=5, check_pipeline=True, keep_reports=True)
+        args = dict(e_max=8, budget=200, seed=5, keep_reports=True)
         sweep = sweep_cokernel(F2, l_div, **args)
         no_point_lists.undo()
         assert sweep == sweep_cokernel(F2, l_div, **args)
