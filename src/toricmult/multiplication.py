@@ -2,17 +2,23 @@
 
 A lattice point p of the sum polygon is certified by a witness q1 + q2 = p
 with q1, q2 lattice points of the two factor polygons.  Witnesses come from
-two independent routes: an exhaustive scan (the oracle) and a structured
+two independent routes: an exhaustive search (the oracle) and a structured
 route whose steps are the cases of the constructive proof on the fiber
-P_E intersect (p - P_D), each plain integer arithmetic on the fan's rays:
+P_E intersect (p - P_D):
 
 (a) vertex: a fiber vertex interior to P_E is p - u for a vertex u of P_D;
 (b) edge: otherwise the fiber meets the boundary of P_E, so look for a
-    lattice point m + k t of an edge of P_E in p - P_D, an interval in k;
+    lattice point m + k t of an edge of P_E in p - P_D;
 (c) triangle regions: reduce an edge to its corner triangle in an adapted
     lattice basis, then split by horizontal/vertical intervals or by
     homothetic triangles;
-(d) fallback: the exhaustive scan, recorded in the witness's path.
+(d) fallback: the exhaustive search, recorded in the witness's path.
+
+Steps (a), (b) and the oracle run per column of the sum polygon: u + P_E,
+q2 + P_D and a column of P_D plus one of P_E each fill a y-interval of a
+column, and each point goes to the first interval, in the proof's order,
+that holds it.  Only the points (a) and (b) leave reach (c) and (d).  A
+single point takes the same route on its one-point range.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import ge
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import (
     BudgetExceededError,
@@ -36,8 +43,11 @@ from .lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
+    _column_pairs,
     _column_table,
     _columns,
+    _first_cover,
+    _translates,
     _primitive_pair,
     ceil_div,
     decompose_interval,
@@ -45,13 +55,19 @@ from .lattice import (
     hull,
     intersect_halfplanes,
     lattice_point_count,
-    lattice_points,
     minkowski_sum,
 )
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
 #: Pairwise-sum scans refuse to touch more than this many pairs.
 PAIR_BUDGET = 10**7
+#: check_surjectivity keeps one witness per lattice point of the sum polygon,
+#: 340-410 bytes each with its new p and q vectors (CPython 3.11), so it
+#: refuses sum polygons with more points than this: about 0.4 GB of witnesses.
+WITNESS_BUDGET = 10**6
+
+#: A polygon's lattice points as {x: (lo, hi)}, from lattice._column_table.
+_Table = dict[int, tuple[int, int]]
 
 
 class DecompositionPath(Enum):
@@ -115,28 +131,36 @@ class TriangleReduction:
     corner_ray_index: int | None
 
 
-def _inside(table: dict[int, tuple[int, int]], x: int, y: int) -> bool:
+def _inside(table: _Table, x: int, y: int) -> bool:
     """Lattice-point membership in a polygon given by its column table."""
     col = table.get(x)
     return col is not None and col[0] <= y <= col[1]
 
 
-def _smallest_q1(
-    table_a: dict[int, tuple[int, int]], table_b: dict[int, tuple[int, int]], x: int, y: int
-) -> tuple[int, int] | None:
-    """The exhaustive search: the lexicographically smallest lattice point q1
-    of A with (x, y) - q1 in B, or None.
+def _pair_witnesses(
+    table_d: _Table, table_e: _Table, x: int, pieces: list[tuple[int, int, tuple[int, int, int]]]
+) -> list[DecompositionWitness]:
+    """The exhaustive search's checked witnesses on column x, by increasing y."""
+    out = []
+    for c0, c1, (x1, lo1, hi2) in sorted(pieces):
+        (dlo, dhi), (elo, ehi) = table_d.get(x1, (1, 0)), table_e.get(x - x1, (1, 0))
+        for y in range(c0, c1 + 1):
+            y1 = max(lo1, y - hi2)
+            if not (dlo <= y1 <= dhi and elo <= y - y1 <= ehi):
+                raise TheoremViolationError(f"witness check failed at ({x}, {y})")
+            out.append(DecompositionWitness(
+                LatticeVector(x, y), LatticeVector(x1, y1), LatticeVector(x - x1, y - y1),
+                DecompositionPath.FALLBACK_SEARCH,
+            ))
+    return out
 
-    Column x1 of A and column x - x1 of B hold (x1, lo1..hi1) and
-    (x - x1, lo2..hi2), whose sums fill (x, lo1+lo2 .. hi1+hi2); so every
-    pair of columns is tried in increasing x1, and in the first that covers y
-    the smallest y1 is max(lo1, y - hi2).
-    """
-    for x1, (lo1, hi1) in table_a.items():
-        col = table_b.get(x - x1)
-        if col is not None and lo1 + col[0] <= y <= hi1 + col[1]:
-            return x1, max(lo1, y - col[1])
-    return None
+
+def _fallback_witness(
+    table_d: _Table, table_e: _Table, p: LatticeVector
+) -> DecompositionWitness | None:
+    """The exhaustive search's witness for p, on the one-point range [p.y, p.y]."""
+    pieces, _ = _first_cover(_column_pairs(table_d, table_e, p.x), [(p.y, p.y)])
+    return next(iter(_pair_witnesses(table_d, table_e, p.x, pieces)), None)
 
 
 def decompose_bruteforce(
@@ -152,17 +176,6 @@ def decompose_bruteforce(
     if p_d.is_empty() or p_e.is_empty():
         raise EmptyInputError("decompose_bruteforce requires nonempty polygons")
     return _fallback_witness(_column_table(p_d), _column_table(p_e), p)
-
-
-def _fallback_witness(
-    table_d: dict[int, tuple[int, int]], table_e: dict[int, tuple[int, int]], p: LatticeVector
-) -> DecompositionWitness | None:
-    """The exhaustive search's witness for p, tagged as the fallback path."""
-    found = _smallest_q1(table_d, table_e, p.x, p.y)
-    if found is None:
-        return None
-    q1 = LatticeVector(*found)
-    return DecompositionWitness(p=p, q1=q1, q2=p - q1, path=DecompositionPath.FALLBACK_SEARCH)
 
 
 # -- triangle reduction ---------------------------------------------------------
@@ -287,23 +300,19 @@ def decompose_homothetic_triangles(
             raise PreconditionError("triangles are not translates of multiples of one triangle")
     if not minkowski_sum(t1, t2).contains(p):
         raise DecompositionRangeError(f"{p} lies outside the sum of the triangles")
-    found = _smallest_q1(_column_table(t1), _column_table(t2), p.x, p.y)
-    if found is None:
+    witness = _fallback_witness(_column_table(t1), _column_table(t2), p)
+    if witness is None:
         raise TheoremViolationError("no lattice split of homothetic triangles; this is a bug")
-    q1 = LatticeVector(*found)
-    return q1, p - q1
+    return witness.q1, witness.q2
 
 
 # -- the structured algorithm ---------------------------------------------------
 
 
 class _StructuredContext:
-    """Precomputed data shared by all points of one (fan, D, E) instance.
-
-    Every polygon involved is cut out by the fan's rays, q in P_F iff
-    <q, v_j> >= -f_j, so each test on a point p compares the n products
-    <p, v_j> with integer thresholds fixed here once per instance.
-    """
+    """Precomputed data shared by all points of one (fan, D, E) instance:
+    the column tables of both factors and the fixed summands of steps (a)
+    and (b), in the order the proof tries them."""
 
     def __init__(self, fan: Fan, d: TorusDivisor, e: TorusDivisor):
         if classify(fan, d) is not PositivityClass.AMPLE:
@@ -317,36 +326,20 @@ class _StructuredContext:
         self.e = e
         self.p_d = polygon_of(fan, d)
         self.p_e = polygon_of(fan, e)
-        self.d_vertices = sorted(self.p_d.lattice_vertices())
         self.table_d = _column_table(self.p_d)
         self.table_e = _column_table(self.p_e)
         self._reductions: dict[int, TriangleReduction | None] = {}
-        self.rays = rays = [(v.x, v.y) for v in fan.rays]
-        # p in P_{D+E} iff <p, v_j> >= -(d_j + e_j)
-        self.sum_floors = tuple(-(a + b) for a, b in zip(d.coeffs, e.coeffs))
-        # (a) p - u in P_E iff <p, v_j> >= <u, v_j> - e_j
-        self.vertex_floors = [
-            (u.x, u.y, tuple(vx * u.x + vy * u.y - b for (vx, vy), b in zip(rays, e.coeffs)))
-            for u in self.d_vertices
-        ]
-        # (b) q2 = m + k t on an edge of P_E; p - q2 in P_D iff
-        # k <t, v_j> <= <p, v_j> + d_j - <m, v_j> for every j
+        # (a) q1 = u, the vertices of P_D in sorted order
+        self.d_vertices = sorted(self.p_d.lattice_vertices())
+        # (b) q2 = m + k t on the edges of P_E, edge by edge and k ascending;
+        # k stops short of the edge's end, the next edge's start (a segment
+        # runs there and back, a point is one edge of length 0)
         verts = self.p_e.lattice_vertices()
-        if self.p_e.dim is PolygonDim.POLYGON:
-            ends = list(zip(verts, verts[1:] + verts[:1]))
-        else:
-            ends = [(verts[0], verts[-1])]  # a segment, or a point as an edge of length 0
-        self.edges = []
-        for m, m_next in ends:
+        self.boundary = []
+        for m, m_next in zip(verts, verts[1:] + verts[:1]):
             g = math.gcd(m_next.x - m.x, m_next.y - m.y)
             tx, ty = ((m_next.x - m.x) // g, (m_next.y - m.y) // g) if g else (0, 0)
-            self.edges.append((
-                m.x, m.y, tx, ty, g,
-                tuple(
-                    (vx * tx + vy * ty, a - vx * m.x - vy * m.y)
-                    for (vx, vy), a in zip(rays, d.coeffs)
-                ),
-            ))
+            self.boundary += [LatticeVector(m.x + k * tx, m.y + k * ty) for k in range(max(g, 1))]
 
     def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
         """Triangle reduction for edge sigma_{j0+1}, cached per instance.
@@ -372,16 +365,6 @@ class _StructuredContext:
         return self._reductions[j0]
 
 
-def _context_witness(
-    ctx: _StructuredContext, p: LatticeVector, q2x: int, q2y: int, path: DecompositionPath
-) -> DecompositionWitness:
-    """Check q1 = p - q2 and q2 against both factor polygons, then certify."""
-    if not _inside(ctx.table_d, p.x - q2x, p.y - q2y) or not _inside(ctx.table_e, q2x, q2y):
-        raise TheoremViolationError(f"witness check failed at {p}")
-    q1 = LatticeVector(p.x - q2x, p.y - q2y)
-    return DecompositionWitness(p=p, q1=q1, q2=LatticeVector(q2x, q2y), path=path)
-
-
 def _try_regions(
     ctx: _StructuredContext, red: TriangleReduction, p: LatticeVector
 ) -> DecompositionWitness | None:
@@ -402,7 +385,7 @@ def _try_regions(
     cp, cp1 = red.c[k0], red.c[(k0 + 1) % fan.n]
 
     pd_frame = hull(
-        [LatticeVector(vk.dot(u) + ad, vk1.dot(u) + bd) for u in ctx.d_vertices]
+        [LatticeVector(vk.dot(u) + ad, vk1.dot(u) + bd) for u in ctx.p_d.lattice_vertices()]
     )
     origin = RationalPoint(0, 0)
     if origin not in pd_frame.vrep:
@@ -418,7 +401,9 @@ def _try_regions(
         q1f: tuple[int, int], q2f: tuple[int, int], path: DecompositionPath
     ) -> DecompositionWitness:
         q2 = from_frame(q2f, cp, cp1)
-        return _context_witness(ctx, p, q2.x, q2.y, path)
+        if not _inside(ctx.table_d, p.x - q2.x, p.y - q2.y) or not _inside(ctx.table_e, q2.x, q2.y):
+            raise TheoremViolationError(f"witness check failed at {p}")
+        return DecompositionWitness(p, p - q2, q2, path)
 
     # horizontal strip: q2 on the base edge of the triangle
     chord = face_in_direction(pd_frame, LatticeVector(0, 1), -py)
@@ -465,39 +450,38 @@ def _try_regions(
     return None
 
 
-def _decompose_structured_in_context(
-    ctx: _StructuredContext, p: LatticeVector
-) -> DecompositionWitness:
-    """Steps (a)-(d) of the module docstring; the first that succeeds wins."""
-    px, py = p.x, p.y
-    pv = [vx * px + vy * py for vx, vy in ctx.rays]
-    # (a) vertex: the first vertex u of P_D, in sorted order, with p - u in P_E
-    for ux, uy, floors in ctx.vertex_floors:
-        if all(map(ge, pv, floors)):
-            return _context_witness(ctx, p, px - ux, py - uy, DecompositionPath.INTERIOR_VERTEX)
-    # (b) edge: the smallest k in [0, g] with p - (m + k t) in P_D
-    for mx, my, tx, ty, g, cons in ctx.edges:
-        lo, hi = 0, g
-        for a, (s, c) in zip(pv, cons):
-            r = a + c  # need k * s <= r
-            if s > 0:
-                if r < s * hi:
-                    hi = r // s
-            elif s < 0:
-                if r < s * lo:
-                    lo = -(r // -s)
-            elif r < 0:
-                hi = -1
-            if lo > hi:
-                break
-        else:
-            return _context_witness(
-                ctx, p, mx + lo * tx, my + lo * ty, DecompositionPath.BOUNDARY_LATTICE
-            )
-    # a witness from (a) or (b) puts p in P_D + P_E, so only now can p be out of range
-    if not all(map(ge, pv, ctx.sum_floors)):
-        raise DecompositionRangeError(f"{p} lies outside the sum polygon")
-    # (c) triangle regions on the corner triangle of each edge of P_E
+def _structured_column(
+    ctx: _StructuredContext, x: int, lo: int, hi: int
+) -> list[DecompositionWitness]:
+    """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, by increasing y:
+    (a) gives y to the first vertex u of P_D with (x, y) in u + P_E, (b) to
+    the first boundary point q2 of P_E with (x, y) in q2 + P_D."""
+    table_d, table_e = ctx.table_d, ctx.table_e
+    found, gaps = _first_cover(_translates(ctx.d_vertices, table_e, x), [(lo, hi)])
+    spans = [(c0, c1, u, DecompositionPath.INTERIOR_VERTEX) for c0, c1, u in found]
+    if gaps:
+        found, gaps = _first_cover(_translates(ctx.boundary, table_d, x), gaps)
+        spans += [(c0, c1, q2, DecompositionPath.BOUNDARY_LATTICE) for c0, c1, q2 in found]
+        spans += [(y, y, LatticeVector(x, y), None) for g0, g1 in gaps for y in range(g0, g1 + 1)]
+    out: list[DecompositionWitness] = []
+    for c0, c1, q, path in sorted(spans, key=itemgetter(0)):
+        if path is None:
+            out.append(_regions_or_fallback(ctx, q))
+            continue
+        vertex = path is DecompositionPath.INTERIOR_VERTEX  # q is q1, else q2
+        x1 = q.x if vertex else x - q.x
+        (dlo, dhi), (elo, ehi) = table_d.get(x1, (1, 0)), table_e.get(x - x1, (1, 0))
+        for y in range(c0, c1 + 1):
+            r = LatticeVector(x - q.x, y - q.y)
+            q1, q2 = (q, r) if vertex else (r, q)
+            if not (dlo <= q1.y <= dhi and elo <= q2.y <= ehi):
+                raise TheoremViolationError(f"witness check failed at ({x}, {y})")
+            out.append(DecompositionWitness(LatticeVector(x, y), q1, q2, path))
+    return out
+
+
+def _regions_or_fallback(ctx: _StructuredContext, p: LatticeVector) -> DecompositionWitness:
+    """Steps (c) and (d) for a point of the sum polygon."""
     if ctx.p_e.dim is PolygonDim.POLYGON:
         for j0 in range(ctx.fan.n):
             red = ctx.reduction_for_edge(j0)
@@ -506,13 +490,21 @@ def _decompose_structured_in_context(
             witness = _try_regions(ctx, red, p)
             if witness is not None:
                 return witness
-    # (d) counted fallback: the exhaustive scan
     witness = _fallback_witness(ctx.table_d, ctx.table_e, p)
     if witness is None:
         raise TheoremViolationError(
             f"no decomposition for {p} under ample x globally generated hypotheses"
         )
     return witness
+
+
+def _decompose_structured_in_context(
+    ctx: _StructuredContext, p: LatticeVector
+) -> DecompositionWitness:
+    """Steps (a)-(d) on the one-point range [p.y, p.y] of column p.x."""
+    if any(v.dot(p) < -(a + b) for v, a, b in zip(ctx.fan.rays, ctx.d.coeffs, ctx.e.coeffs)):
+        raise DecompositionRangeError(f"{p} lies outside the sum polygon")
+    return _structured_column(ctx, p.x, p.y, p.y)[0]
 
 
 def decompose_structured(
@@ -546,41 +538,41 @@ def check_surjectivity(
     """
     if mode not in ("structured", "brute", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    p_d = polygon_of(fan, d)
-    p_e = polygon_of(fan, e)
+    p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
+    # refuse an over-budget instance before any table or point is built
     if mode != "structured":
-        # the oracle refuses an over-budget instance before any point is listed
         _refuse_over_budget(p_d, (p_e,), pair_budget, "pairwise sums")
-    if mode == "brute":
-        ctx = None
-        table_d, table_e = _column_table(p_d), _column_table(p_e)
-        if not table_d or not table_e:
-            raise PreconditionError("brute mode requires sections on both factors")
-    else:
-        ctx = _StructuredContext(fan, d, e)
-        table_d, table_e = ctx.table_d, ctx.table_e
-    points = lattice_points(polygon_of(fan, d + e))
+    if _box_bound(p_sum) > WITNESS_BUDGET and any(  # by columns only up to the budget
+        n > WITNESS_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
+    ):
+        raise BudgetExceededError(f"the sum polygon has over {WITNESS_BUDGET} lattice points")
+    ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
+    table_d, table_e = (ctx.table_d, ctx.table_e) if ctx else map(_column_table, (p_d, p_e))
+    if not table_d or not table_e:
+        raise PreconditionError("brute mode requires sections on both factors")
+    total = 0
     witnesses: list[DecompositionWitness] = []
-    for p in points:
+    for x, lo, hi in _columns(p_sum):
+        total += hi - lo + 1
+        if ctx is not None:
+            witnesses += _structured_column(ctx, x, lo, hi)
+        if mode == "structured":
+            continue
+        pieces, gaps = _first_cover(_column_pairs(table_d, table_e, x), [(lo, hi)])
         if ctx is None:
-            witness = _fallback_witness(table_d, table_e, p)
-        else:
-            witness = _decompose_structured_in_context(ctx, p)
-            if mode == "both" and _smallest_q1(table_d, table_e, p.x, p.y) is None:
-                raise TheoremViolationError(
-                    f"structured route decomposed {p} but the exhaustive oracle did not"
-                )
-        if witness is not None:
-            witnesses.append(witness)
+            witnesses += _pair_witnesses(table_d, table_e, x, pieces)
+        elif gaps:
+            raise TheoremViolationError(
+                f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
+                "but the exhaustive oracle did not"
+            )
     decomposed = len(witnesses)
     return SurjectivityReport(
-        total_points=len(points),
+        total_points=total,
         decomposed=decomposed,
         witnesses=tuple(witnesses),
-        surjective=decomposed == len(points),
-        structured_fallbacks=sum(
-            1 for w in witnesses if w.path is DecompositionPath.FALLBACK_SEARCH
-        ),
+        surjective=decomposed == total,
+        structured_fallbacks=sum(w.path is DecompositionPath.FALLBACK_SEARCH for w in witnesses),
     )
 
 
@@ -624,6 +616,13 @@ def cokernel_dim(
     lattice point.  Both divisors must have sections; an instance with
     h0(D+E) x min(h0(D), h0(E)) over pair_budget is refused.
     """
+    return _cokernel_with_columns(fan, d, e, pair_budget)[0]
+
+
+def _cokernel_with_columns(
+    fan: Fan, d: TorusDivisor, e: TorusDivisor, pair_budget: int = PAIR_BUDGET
+) -> tuple[CokernelReport, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """cokernel_dim's report and the columns (x, lo, hi) of P_E and P_{D+E} it read."""
     p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
     _refuse_over_budget(p_sum, (p_d, p_e), pair_budget, "membership tests")
     cols_d, cols_e = list(_columns(p_d)), list(_columns(p_e))
@@ -633,10 +632,9 @@ def cokernel_dim(
     for x1, lo1, hi1 in cols_d:
         for x2, lo2, hi2 in cols_e:
             covered.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
-    h0_sum = 0
+    cols_sum = list(_columns(p_sum))
     missing: list[LatticeVector] = []
-    for x, ylo, yhi in _columns(p_sum):
-        h0_sum += yhi - ylo + 1
+    for x, ylo, yhi in cols_sum:
         y = ylo  # the lowest y of the column that no interval so far covers
         for lo, hi in sorted(covered.get(x, ())):
             if lo > y:
@@ -644,7 +642,8 @@ def cokernel_dim(
             if hi >= y:
                 y = hi + 1
         missing += [LatticeVector(x, m) for m in range(y, yhi + 1)]
-    return CokernelReport(
+    h0_sum = sum(hi - lo + 1 for _, lo, hi in cols_sum)
+    report = CokernelReport(
         h0_D=sum(hi - lo + 1 for _, lo, hi in cols_d),
         h0_E=sum(hi - lo + 1 for _, lo, hi in cols_e),
         h0_sum=h0_sum,
@@ -652,3 +651,4 @@ def cokernel_dim(
         coker_dim=len(missing),
         missing_points=tuple(missing),
     )
+    return report, cols_e, cols_sum

@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from .lattice import ConvexLatticePolygon, LatticeVector, _column_table, _columns, face_in_direction, hull
-from .multiplication import CokernelReport, cokernel_dim
+from .multiplication import CokernelReport, _cokernel_with_columns
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
@@ -57,21 +57,19 @@ class SweepResult:
     reports: tuple[CokernelReport, ...] | None = None
 
 
-def _rounded(fan: Fan, d: TorusDivisor) -> tuple[list[tuple[int, int, int]], TorusDivisor]:
-    """The columns (x, lo, hi) of d's polygon and d with each coefficient
-    rounded to max -<s, v> over the sections s.
+def _rounded(fan: Fan, cols: list[tuple[int, int, int]]) -> TorusDivisor:
+    """The divisor whose polygon has the columns (x, lo, hi), with each
+    coefficient rounded to max -<s, v> over the sections s.
 
     Along a column -<s, v> is linear in y, so its maximum there sits at one
     end of the column: O(columns x rays), with no section listed.
     """
-    cols = list(_columns(polygon_of(fan, d)))
     if not cols:
         raise PreconditionError("reduction requires a divisor with sections")
-    reduced = TorusDivisor(tuple(
+    return TorusDivisor(tuple(
         max(-(v.x * x + v.y * (lo if v.y > 0 else hi)) for x, lo, hi in cols)
         for v in fan.rays
     ))
-    return cols, reduced
 
 
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
@@ -83,7 +81,8 @@ def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
     two ends of its column, so that hull is built from the column ends
     alone: the cost follows the width of the polygon, not its h0.
     """
-    cols, reduced = _rounded(fan, d)
+    cols = list(_columns(polygon_of(fan, d)))
+    reduced = _rounded(fan, cols)
     moved = frozenset(
         i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a
     )
@@ -172,7 +171,12 @@ def _family_instances(filter_pattern: str, n: int, e_max: int) -> list[tuple[int
 
 
 def _check_pipeline(
-    fan: Fan, fixed_l: TorusDivisor, e: TorusDivisor, report: CokernelReport
+    fan: Fan,
+    fixed_l: TorusDivisor,
+    e: TorusDivisor,
+    report: CokernelReport,
+    cols_e: list[tuple[int, int, int]],
+    cols_sum: list[tuple[int, int, int]],
 ) -> None:
     """The reduction pipeline behind the boundedness statement.
 
@@ -180,12 +184,13 @@ def _check_pipeline(
     the collar: the lattice points of P_{L+E} outside P_{L+E'}, read column
     by column.  P_E and P_E' have the same lattice points, so this says both
     that L x E' is surjective and that every missing point lies in the
-    collar the reduction shaved off.
+    collar the reduction shaved off.  cols_e and cols_sum are the columns
+    (x, lo, hi) of P_E and P_{L+E} that the report was read from.
     """
-    _, reduced = _rounded(fan, e)
+    reduced = _rounded(fan, cols_e)
     inner = _column_table(polygon_of(fan, fixed_l + reduced))
     collar: list[tuple[int, int]] = []
-    for x, lo, hi in _columns(polygon_of(fan, fixed_l + e)):
+    for x, lo, hi in cols_sum:
         ilo, ihi = inner.get(x, (hi + 1, hi))
         collar += [(x, y) for y in range(lo, min(hi, ilo - 1) + 1)]
         collar += [(x, y) for y in range(max(lo, ihi + 1), hi + 1)]
@@ -211,8 +216,8 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     e = TorusDivisor(coeffs)
     if next(_columns(polygon_of(fan, e)), None) is None:
         return None
-    report = cokernel_dim(fan, fixed_l, e)
-    _check_pipeline(fan, fixed_l, e, report)
+    report, cols_e, cols_sum = _cokernel_with_columns(fan, fixed_l, e)
+    _check_pipeline(fan, fixed_l, e, report, cols_e, cols_sum)
     return report
 
 

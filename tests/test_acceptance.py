@@ -28,7 +28,7 @@ from toricmult.multiplication import (
     DecompositionPath,
     _StructuredContext,
     _decompose_structured_in_context,
-    _smallest_q1,
+    _fallback_witness,
     check_surjectivity,
     cokernel_dim,
 )
@@ -182,7 +182,7 @@ def test_criterion_2_oracle_equivalence(divisor_classes):
             assert witness.q1 + witness.q2 == p
             assert ctx.p_d.contains(witness.q1) and ctx.p_e.contains(witness.q2)
             # the exhaustive search on the context's column tables, built once per pair
-            assert _smallest_q1(ctx.table_d, ctx.table_e, p.x, p.y) is not None
+            assert _fallback_witness(ctx.table_d, ctx.table_e, p) is not None
             paths[witness.path] += 1
         fallback_rate = paths[DecompositionPath.FALLBACK_SEARCH] / total
         assert fallback_rate < 1.0

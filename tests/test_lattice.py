@@ -18,6 +18,9 @@ from toricmult.lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
+    _column_pairs,
+    _column_table,
+    _first_cover,
     decompose_interval,
     face_in_direction,
     hull,
@@ -186,6 +189,35 @@ class TestLatticePoints:
         # y = 0, 0 <= 2x <= 1: only x = 0 integral
         p = intersect_halfplanes(planes)
         assert [(q.x, q.y) for q in lattice_points(p)] == [(0, 0)]
+
+
+class TestColumnCovers:
+    def test_first_cover_gives_each_y_its_first_interval(self):
+        def intervals():
+            yield "a", 2, 4
+            yield "b", 0, 9
+            raise AssertionError("read past the interval that covered the rest")
+
+        pieces, gaps = _first_cover(intervals(), [(0, 3), (5, 7)])
+        assert sorted(pieces) == [(0, 1, "b"), (2, 3, "a"), (5, 7, "b")]
+        assert gaps == []
+
+    def test_first_cover_leaves_uncovered_ranges_in_order(self):
+        pieces, gaps = _first_cover([("a", 3, 3), ("b", 9, 12)], [(0, 5), (8, 10)])
+        assert pieces == [(3, 3, "a"), (9, 10, "b")]
+        assert gaps == [(0, 2), (4, 5), (8, 8)]
+
+    def test_column_pairs_are_the_sumset_columns(self):
+        # against every pairwise sum of two polygons' lattice points
+        a = hull([V(0, 0), V(3, 1), V(1, 3)])
+        b = hull([V(-1, 0), V(1, -1), V(0, 2)])
+        table_a, table_b = _column_table(a), _column_table(b)
+        sums = {p + q for p in lattice_points(a) for q in lattice_points(b)}
+        for x in range(-3, 7):
+            pairs = list(_column_pairs(table_a, table_b, x))
+            assert [key[0] for key, _, _ in pairs] == sorted(key[0] for key, _, _ in pairs)
+            covered = {V(x, y) for _, lo, hi in pairs for y in range(lo, hi + 1)}
+            assert covered == {p for p in sums if p.x == x}
 
 
 class TestPickCount:

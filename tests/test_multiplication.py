@@ -1,5 +1,7 @@
 """Witness search, triangle reduction, structured decomposition, cokernels."""
 
+import time
+
 import pytest
 
 from toricmult.errors import (
@@ -277,7 +279,7 @@ class TestTriangleRegions:
         ]
         for e, expected in cases:
             ctx = _StructuredContext(F2, d, e)
-            ctx.vertex_floors, ctx.edges = [], []  # steps (a) and (b) find nothing
+            ctx.d_vertices, ctx.boundary = [], []  # steps (a) and (b) find nothing
             seen = {}
             for p in lattice_points(polygon_of(F2, d + e)):
                 w = _decompose_structured_in_context(ctx, p)
@@ -335,13 +337,21 @@ class TestCheckSurjectivity:
     def test_both_mode_raises_when_oracle_lacks_a_point(self, monkeypatch):
         import toricmult.multiplication as mult
 
-        search = mult._smallest_q1
+        pairs = mult._column_pairs
         first = lattice_points(polygon_of(P2, D((0, 0, 2))))[0]
 
-        def search_missing_first_point(table_a, table_b, x, y):
-            return None if (x, y) == first.as_tuple() else search(table_a, table_b, x, y)
+        def pairs_missing_first_point(table_a, table_b, x):
+            # every interval of the exhaustive search, with the first point cut out
+            for key, a, b in pairs(table_a, table_b, x):
+                if x != first.x or not a <= first.y <= b:
+                    yield key, a, b
+                    continue
+                if a < first.y:
+                    yield key, a, first.y - 1
+                if first.y < b:
+                    yield key, first.y + 1, b
 
-        monkeypatch.setattr(mult, "_smallest_q1", search_missing_first_point)
+        monkeypatch.setattr(mult, "_column_pairs", pairs_missing_first_point)
         with pytest.raises(TheoremViolationError, match=rf"decomposed \({first.x}, {first.y}\)"):
             check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
 
@@ -357,6 +367,44 @@ class TestCheckSurjectivity:
         assert check_surjectivity(P2, d, e, mode="brute", pair_budget=18).surjective
         with pytest.raises(BudgetExceededError, match=r"^3 x 6 pairwise sums exceed the budget of 17$"):
             check_surjectivity(P2, d, e, mode="brute", pair_budget=17)
+
+    @pytest.mark.parametrize("mode", ["structured", "brute", "both"])
+    def test_lists_no_lattice_point(self, no_point_lists, mode):
+        # every mode walks the columns of the sum polygon, never a list of its points
+        report = check_surjectivity(F2, D((1, 0, 1, 1)), D((1, 1, 1, 1)), mode=mode)
+        assert report.surjective and report.total_points == report.decomposed == 24
+        paths = {w.path for w in report.witnesses}
+        if mode == "brute":
+            assert paths == {DecompositionPath.FALLBACK_SEARCH}
+            short = check_surjectivity(F2, D((1, 0, 1, 1)), D((0, 1, 0, 0)), mode=mode)
+            assert (short.total_points, short.decomposed) == (9, 8)
+        else:
+            assert {p.value for p in paths} == {"interior_vertex", "boundary_lattice"}
+
+    def test_witness_budget_refuses_before_any_point(self, no_point_lists):
+        # P2 (10^4,10^4,10^4)^2 has about 1.8e9 points; counting stops at the budget
+        d = D((10**4,) * 3)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"over 1000000 lattice points"):
+            check_surjectivity(P2, d, d, mode="structured")
+        assert time.perf_counter() - start < 0.1
+
+    def test_witness_budget_counts_exactly_when_the_box_exceeds_it(self, monkeypatch):
+        import toricmult.multiplication as mult
+
+        # P2 (0,0,1) + (0,0,2) has 10 lattice points; its bounding box has 16
+        d, e = D((0, 0, 1)), D((0, 0, 2))
+        monkeypatch.setattr(mult, "WITNESS_BUDGET", 10)
+        assert check_surjectivity(P2, d, e, mode="structured").total_points == 10
+        monkeypatch.setattr(mult, "WITNESS_BUDGET", 9)
+        for mode in ("structured", "brute", "both"):
+            with pytest.raises(BudgetExceededError, match=r"over 9 lattice points"):
+                check_surjectivity(P2, d, e, mode=mode)
+
+    def test_large_instance_within_witness_budget(self):
+        d = D((100, 100, 100))
+        report = check_surjectivity(P2, d, d, mode="structured")
+        assert report.surjective and report.total_points == 180_901
 
     def test_brute_mode_requires_sections(self, no_point_lists):
         with pytest.raises(PreconditionError, match="sections"):
@@ -433,11 +481,7 @@ class TestCokernelDim:
         with pytest.raises(BudgetExceededError, match=r"^10 x 3 membership tests exceed the budget of 29$"):
             cokernel_dim(P2, d, e, pair_budget=29)
 
-    def test_over_budget_refused_before_enumeration(self, monkeypatch):
-        def no_points(poly):
-            raise RuntimeError("lattice points were materialized")
-
-        monkeypatch.setattr("toricmult.multiplication.lattice_points", no_points)
+    def test_over_budget_refused_before_enumeration(self, no_point_lists):
         d = D((150, 150, 150))
         with pytest.raises(BudgetExceededError, match=r"^406351 x 101926 membership tests"):
             cokernel_dim(P2, d, d)

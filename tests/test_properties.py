@@ -369,3 +369,43 @@ def test_cokernel_is_the_collar_of_the_reduction(fle):
     total, inner = _sections(fan, l + e), _sections(fan, l + reduced)
     sumset = {(x1 + x2, y1 + y2) for x1, y1 in _sections(fan, l) for x2, y2 in _sections(fan, e)}
     assert total - inner == total - sumset
+
+
+@given(ample_with_gg())
+@settings(max_examples=60, deadline=None)
+def test_route_tie_breaks_match_literal_scans(fde):
+    # mode "structured" against a reference written here: (a) the first vertex u
+    # of P_D, sorted, with p - u in P_E; else (b) the first edge of P_E and on it
+    # the smallest k, scanning its lattice points; modes "brute" and "both"
+    # against the smallest q1 of the literal pairwise scan
+    fan, d, e = fde
+    p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
+    pts_d, pts_e = lattice_points(p_d), lattice_points(p_e)
+    verts = p_e.lattice_vertices()  # a point is an edge of length 0
+    edges = zip(verts, verts[1:] + verts[:1]) if len(verts) > 2 else [(verts[0], verts[-1])]
+    boundary = []
+    for m, m_next in edges:
+        t = m_next - m
+        on_edge = [q for q in pts_e if (q - m).cross(t) == 0 and 0 <= (q - m).dot(t) <= t.dot(t)]
+        boundary += sorted(on_edge, key=lambda q: (q - m).dot(t))
+    report = check_surjectivity(fan, d, e, mode="structured")
+    assert [w.p for w in report.witnesses] == lattice_points(polygon_of(fan, d + e))
+    for w in report.witnesses:
+        p = w.p
+        u = next((u for u in sorted(p_d.lattice_vertices()) if p - u in pts_e), None)
+        q2 = next((q for q in boundary if p - q in pts_d), None)
+        if u is not None:
+            assert (w.q1, w.q2, w.path.value) == (u, p - u, "interior_vertex")
+        elif q2 is not None:
+            assert (w.q1, w.q2, w.path.value) == (p - q2, q2, "boundary_lattice")
+        else:
+            assert w.path.value not in ("interior_vertex", "boundary_lattice")
+    smallest = {}
+    for q1 in pts_d:  # ascending
+        for q2 in pts_e:
+            smallest.setdefault(q1 + q2, q1)
+    brute = check_surjectivity(fan, d, e, mode="brute")
+    assert [(w.p, w.q1, w.q2) for w in brute.witnesses] == [
+        (p, q1, p - q1) for p, q1 in sorted(smallest.items())
+    ]
+    assert check_surjectivity(fan, d, e, mode="both") == report

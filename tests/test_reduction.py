@@ -185,13 +185,13 @@ class TestSweep:
     def test_pipeline_check_rejects_a_dropped_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
 
-        cokernel = reduction.cokernel_dim
+        cokernel = reduction._cokernel_with_columns
 
         def drop_first(fan, d, e):
-            report = cokernel(fan, d, e)
-            return replace(report, missing_points=report.missing_points[1:])
+            report, cols_e, cols_sum = cokernel(fan, d, e)
+            return replace(report, missing_points=report.missing_points[1:]), cols_e, cols_sum
 
-        monkeypatch.setattr(reduction, "cokernel_dim", drop_first)
+        monkeypatch.setattr(reduction, "_cokernel_with_columns", drop_first)
         # F2 (1,0,1,1) x (0,1,0,0) misses (-1,-1), in the collar of E' = 0
         with pytest.raises(TheoremViolationError, match=r"collar points \[\(-1, -1\)\] were"):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
@@ -199,14 +199,15 @@ class TestSweep:
     def test_pipeline_check_rejects_an_extra_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
 
-        cokernel = reduction.cokernel_dim
+        cokernel = reduction._cokernel_with_columns
 
         def add_a_sum(fan, d, e):
-            report = cokernel(fan, d, e)
+            report, cols_e, cols_sum = cokernel(fan, d, e)
             q = lattice_points(polygon_of(fan, d))[0] + lattice_points(polygon_of(fan, e))[0]
-            return replace(report, missing_points=tuple(sorted(report.missing_points + (q,))))
+            missing = tuple(sorted(report.missing_points + (q,)))
+            return replace(report, missing_points=missing), cols_e, cols_sum
 
-        monkeypatch.setattr(reduction, "cokernel_dim", add_a_sum)
+        monkeypatch.setattr(reduction, "_cokernel_with_columns", add_a_sum)
         with pytest.raises(TheoremViolationError, match=r"missing points \[\(-1, 0\)\] lie"):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
 
