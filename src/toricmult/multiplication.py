@@ -19,6 +19,17 @@ q2 + P_D and a column of P_D plus one of P_E each fill a y-interval of a
 column, and each point goes to the first interval, in the proof's order,
 that holds it.  Only the points (a) and (b) leave reach (c) and (d).  A
 single point takes the same route on its one-point range.
+
+A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
+and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
+intersect (p - P_D).  A vertex of F inside P_E is p - u for a vertex u of
+P_D, so if (a) fails, F meets the boundary of P_E.  On an edge m + k t of P_E
+with inward normal v_j, each ray v_a with <t, v_a> != 0 bounds k from one
+side, by an integer when |det(v_j, v_a)| = 1, and the edge's ends are
+integers.  So (b) fails only if both ends of every piece of F on the
+boundary are set by cuts with |det| >= 2, one on each side of the line
+R v_j: never on a fan where every ray has only unimodular rays on some side
+of its line, such as P2, P1 x P1, every F_a, BlP2 and BlBlP2.
 """
 
 from __future__ import annotations
@@ -59,7 +70,8 @@ from .lattice import (
 )
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
-#: Pairwise-sum scans refuse to touch more than this many pairs.
+#: The exhaustive search refuses more pairs of factor columns than this, and
+#: cokernel_dim a larger product h0(D+E) x min(h0(D), h0(E)).
 PAIR_BUDGET = 10**7
 #: check_surjectivity keeps one witness per lattice point of the sum polygon,
 #: 340-410 bytes each with its new p and q vectors (CPython 3.11), so it
@@ -300,10 +312,12 @@ def decompose_homothetic_triangles(
             raise PreconditionError("triangles are not translates of multiples of one triangle")
     if not minkowski_sum(t1, t2).contains(p):
         raise DecompositionRangeError(f"{p} lies outside the sum of the triangles")
-    witness = _fallback_witness(_column_table(t1), _column_table(t2), p)
-    if witness is None:
+    pieces, _ = _first_cover(_column_pairs(_column_table(t1), _column_table(t2), p.x), [(p.y, p.y)])
+    if not pieces:
         raise TheoremViolationError("no lattice split of homothetic triangles; this is a bug")
-    return witness.q1, witness.q2
+    x1, lo1, hi2 = pieces[0][2]
+    q1 = LatticeVector(x1, max(lo1, p.y - hi2))
+    return q1, p - q1
 
 
 # -- the structured algorithm ---------------------------------------------------
@@ -524,31 +538,28 @@ def decompose_structured(
 
 
 def check_surjectivity(
-    fan: Fan,
-    d: TorusDivisor,
-    e: TorusDivisor,
-    mode: str = "both",
-    pair_budget: int = PAIR_BUDGET,
+    fan: Fan, d: TorusDivisor, e: TorusDivisor, mode: str = "both"
 ) -> SurjectivityReport:
     """Decide surjectivity over every lattice point of the sum polygon.
 
     mode "brute" accepts any divisors with sections; "structured" and "both"
     require d ample and e globally generated.  In mode "both" the two routes
-    must agree on existence for every point.
+    must agree on existence for every point.  The exhaustive search of modes
+    "brute" and "both" walks pairs of factor columns, at most PAIR_BUDGET.
     """
     if mode not in ("structured", "brute", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
     # refuse an over-budget instance before any table or point is built
-    if mode != "structured":
-        _refuse_over_budget(p_d, (p_e,), pair_budget, "pairwise sums")
-    if _box_bound(p_sum) > WITNESS_BUDGET and any(  # by columns only up to the budget
+    if math.prod(_box(p_sum)) > WITNESS_BUDGET and any(  # by columns only up to the budget
         n > WITNESS_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
     ):
         raise BudgetExceededError(f"the sum polygon has over {WITNESS_BUDGET} lattice points")
+    if mode != "structured" and _box(p_d)[0] * _box(p_e)[0] > PAIR_BUDGET:
+        _refuse_over_budget(*(sum(1 for _ in _columns(p)) for p in (p_d, p_e)), "column pairs")
     ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
     table_d, table_e = (ctx.table_d, ctx.table_e) if ctx else map(_column_table, (p_d, p_e))
-    if not table_d or not table_e:
+    if ctx is None and not (table_d and table_e):
         raise PreconditionError("brute mode requires sections on both factors")
     total = 0
     witnesses: list[DecompositionWitness] = []
@@ -576,36 +587,27 @@ def check_surjectivity(
     )
 
 
-def _box_bound(poly: ConvexLatticePolygon) -> int:
-    """Lattice points of the bounding box: an upper bound on those of poly."""
+def _box(poly: ConvexLatticePolygon) -> tuple[int, int]:
+    """Integer columns and rows of the bounding box: bounds on poly's lattice ones."""
     if poly.is_empty():
-        return 0
+        return 0, 0
     vrep = poly.vrep
     width = max(v.x_num // v.den for v in vrep) - min(ceil_div(v.x_num, v.den) for v in vrep) + 1
     height = max(v.y_num // v.den for v in vrep) - min(ceil_div(v.y_num, v.den) for v in vrep) + 1
-    return max(width, 0) * max(height, 0)
+    return max(width, 0), max(height, 0)
 
 
-def _refuse_over_budget(
-    big: ConvexLatticePolygon, small: tuple[ConvexLatticePolygon, ...], budget: int, what: str
-) -> None:
-    """Refuse when h0(big) x min h0(small) exceeds the budget, listing no point.
+def _refuse_over_budget(a: int, b: int, what: str) -> None:
+    """Refuse a pair of counts whose product exceeds PAIR_BUDGET.
 
-    Bounding boxes bound the counts in O(n); counting exactly costs a column
-    sweep, so it runs only when the boxes could exceed the budget.
+    Callers count exactly, a column sweep listing no point, only when bounds
+    from the bounding boxes, O(n), could exceed the budget.
     """
-    if _box_bound(big) * min(map(_box_bound, small)) > budget:
-        h_big, h_small = lattice_point_count(big), min(map(lattice_point_count, small))
-        if h_big * h_small > budget:
-            raise BudgetExceededError(f"{h_big} x {h_small} {what} exceed the budget of {budget}")
+    if a * b > PAIR_BUDGET:
+        raise BudgetExceededError(f"{a} x {b} {what} exceed the budget of {PAIR_BUDGET}")
 
 
-def cokernel_dim(
-    fan: Fan,
-    d: TorusDivisor,
-    e: TorusDivisor,
-    pair_budget: int = PAIR_BUDGET,
-) -> CokernelReport:
+def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     """Count the lattice points of the sum polygon missed by the sumset.
 
     Exact, from column intervals: the lattice points (x1, lo1..hi1) of a
@@ -614,17 +616,19 @@ def cokernel_dim(
     the gaps these intervals leave in the columns of P_{D+E}, found in order
     in O(w_D w_E + columns) for column counts w_D, w_E without listing any
     lattice point.  Both divisors must have sections; an instance with
-    h0(D+E) x min(h0(D), h0(E)) over pair_budget is refused.
+    h0(D+E) x min(h0(D), h0(E)) over PAIR_BUDGET is refused.
     """
-    return _cokernel_with_columns(fan, d, e, pair_budget)[0]
+    return _cokernel_with_columns(fan, d, e)[0]
 
 
 def _cokernel_with_columns(
-    fan: Fan, d: TorusDivisor, e: TorusDivisor, pair_budget: int = PAIR_BUDGET
+    fan: Fan, d: TorusDivisor, e: TorusDivisor
 ) -> tuple[CokernelReport, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """cokernel_dim's report and the columns (x, lo, hi) of P_E and P_{D+E} it read."""
     p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
-    _refuse_over_budget(p_sum, (p_d, p_e), pair_budget, "membership tests")
+    if math.prod(_box(p_sum)) * min(math.prod(_box(p)) for p in (p_d, p_e)) > PAIR_BUDGET:
+        h_small = min(map(lattice_point_count, (p_d, p_e)))
+        _refuse_over_budget(lattice_point_count(p_sum), h_small, "membership tests")
     cols_d, cols_e = list(_columns(p_d)), list(_columns(p_e))
     if not cols_d or not cols_e:
         raise PreconditionError("cokernel requires sections on both factors")

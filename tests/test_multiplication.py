@@ -1,6 +1,7 @@
 """Witness search, triangle reduction, structured decomposition, cokernels."""
 
 import time
+from itertools import product
 
 import pytest
 
@@ -28,12 +29,15 @@ from toricmult.multiplication import (
     triangle_reduce,
 )
 from toricmult.surface import (
+    PositivityClass,
     TorusDivisor,
+    blowup,
     classify,
     hirzebruch,
     polygon_of,
     product_p1_p1,
     projective_plane,
+    validate_fan,
 )
 
 V = LatticeVector
@@ -41,6 +45,9 @@ D = TorusDivisor
 
 P2 = projective_plane()
 F2 = hirzebruch(2)
+P1xP1 = product_p1_p1()
+#: a smooth fan whose ray (1, 0) has a ray with |det| = 2 on each side of its line
+STEEP8 = validate_fan([(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1)])
 UNIT = hull([V(0, 0), V(1, 0), V(0, 1)])
 
 
@@ -234,6 +241,44 @@ class TestStructuredSteps:
         assert_valid(w, p_d, p_e)
 
 
+def _one_sided(fan):
+    """Every ray v_j has only rays v_a with |det(v_j, v_a)| = 1 on at least
+    one side of its line: the one-sided-cut condition of the module docstring."""
+    for vj in fan.rays:
+        dets = [vj.cross(va) for va in fan.rays]
+        if any(d > 1 for d in dets) and any(d < -1 for d in dets):
+            return False
+    return True
+
+
+class TestOneSidedCut:
+    """Where every ray has only unimodular rays on one side, a piece of the
+    fiber on an edge of P_E has an integer end, so steps (a) and (b) suffice."""
+
+    def test_condition_holds_on_criterion_fans_and_every_hirzebruch(self):
+        bl = blowup(P2, 1)
+        fans = [P2, P1xP1, bl, blowup(bl, 4)] + [hirzebruch(a) for a in range(11)]
+        assert all(_one_sided(fan) for fan in fans)
+
+    def test_condition_fails_on_a_steep_fan(self):
+        assert not _one_sided(STEEP8)
+
+    @pytest.mark.parametrize("a", range(4, 9))
+    def test_hirzebruch_needs_only_vertex_and_edge_steps(self, a):
+        fan = hirzebruch(a)
+        grid = [D(c) for c in product(range(3), repeat=4)]
+        ample = [d for d in grid if classify(fan, d) is PositivityClass.AMPLE]
+        gg = [e for e in grid if classify(fan, e).is_globally_generated()]
+        assert ample and gg
+        paths = set()
+        for d in ample:
+            for e in gg:
+                report = check_surjectivity(fan, d, e, mode="structured")
+                assert report.surjective
+                paths |= {w.path.value for w in report.witnesses}
+        assert paths == {"interior_vertex", "boundary_lattice"}
+
+
 class TestTriangleRegions:
     """The adapted-frame region machinery, driven directly.
 
@@ -357,16 +402,36 @@ class TestCheckSurjectivity:
 
     @pytest.mark.parametrize("mode", ["both", "brute"])
     def test_over_budget_refused_before_enumeration(self, no_point_lists, mode):
-        d = D((150, 150, 150))
-        with pytest.raises(BudgetExceededError, match=r"^101926 x 101926 pairwise sums"):
-            check_surjectivity(P2, d, d, mode=mode)
+        # two segments of 5001 columns each; their sum has only 10,001 points
+        d = D((0, 0, 5000, 0))
+        with pytest.raises(BudgetExceededError, match=r"^5001 x 5001 column pairs"):
+            check_surjectivity(P1xP1, d, d, mode=mode)
 
-    def test_brute_budget_counts_exactly_when_boxes_exceed_it(self):
-        # 3 x 6 pairwise sums; the bounding boxes allow 4 x 9
+    def test_brute_budget_counts_exactly_when_boxes_exceed_it(self, monkeypatch):
+        import toricmult.multiplication as mult
+
+        # 2 x 3 column pairs
         d, e = D((0, 0, 1)), D((0, 0, 2))
-        assert check_surjectivity(P2, d, e, mode="brute", pair_budget=18).surjective
-        with pytest.raises(BudgetExceededError, match=r"^3 x 6 pairwise sums exceed the budget of 17$"):
-            check_surjectivity(P2, d, e, mode="brute", pair_budget=17)
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 6)
+        assert check_surjectivity(P2, d, e, mode="brute").surjective
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match=r"^2 x 3 column pairs exceed the budget of 5$"):
+            check_surjectivity(P2, d, e, mode="brute")
+        # a column of the bounding box without a lattice point is not walked:
+        # this triangle's box spans x = 0..2, its lattice points only x = 0, 1
+        h = D((0, 6, 5, 4, 2, 1, -1, 5))
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 4)
+        report = check_surjectivity(STEEP8, h, h, mode="brute")
+        assert report.total_points == len(lattice_points(polygon_of(STEEP8, h + h)))
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 3)
+        with pytest.raises(BudgetExceededError, match=r"^2 x 2 column pairs exceed the budget of 3$"):
+            check_surjectivity(STEEP8, h, h, mode="brute")
+
+    def test_pair_budget_admits_what_the_search_can_walk(self):
+        # 11,476 x 11,476 sections, but only 151 x 151 column pairs
+        d = D((50, 50, 50))
+        report = check_surjectivity(P2, d, d, mode="both")
+        assert report.surjective and report.total_points == 45_451
 
     @pytest.mark.parametrize("mode", ["structured", "brute", "both"])
     def test_lists_no_lattice_point(self, no_point_lists, mode):
@@ -384,10 +449,11 @@ class TestCheckSurjectivity:
     def test_witness_budget_refuses_before_any_point(self, no_point_lists):
         # P2 (10^4,10^4,10^4)^2 has about 1.8e9 points; counting stops at the budget
         d = D((10**4,) * 3)
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceededError, match=r"over 1000000 lattice points"):
-            check_surjectivity(P2, d, d, mode="structured")
-        assert time.perf_counter() - start < 0.1
+        for mode in ("structured", "brute", "both"):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError, match=r"over 1000000 lattice points"):
+                check_surjectivity(P2, d, d, mode=mode)
+            assert time.perf_counter() - start < 0.1
 
     def test_witness_budget_counts_exactly_when_the_box_exceeds_it(self, monkeypatch):
         import toricmult.multiplication as mult
@@ -474,12 +540,16 @@ class TestCokernelDim:
         with pytest.raises(PreconditionError):
             cokernel_dim(P2, D((0, 0, 1)), D((0, 0, -1)))
 
-    def test_budget_counts_exactly_when_boxes_exceed_it(self):
+    def test_budget_counts_exactly_when_boxes_exceed_it(self, monkeypatch):
+        import toricmult.multiplication as mult
+
         # 10 x 3 membership tests; the bounding boxes allow 16 x 4
         d, e = D((0, 0, 1)), D((0, 0, 2))
-        assert cokernel_dim(P2, d, e, pair_budget=30).coker_dim == 0
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 30)
+        assert cokernel_dim(P2, d, e).coker_dim == 0
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 29)
         with pytest.raises(BudgetExceededError, match=r"^10 x 3 membership tests exceed the budget of 29$"):
-            cokernel_dim(P2, d, e, pair_budget=29)
+            cokernel_dim(P2, d, e)
 
     def test_over_budget_refused_before_enumeration(self, no_point_lists):
         d = D((150, 150, 150))

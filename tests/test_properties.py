@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 
 from toricmult.lattice import (
     ConvexLatticePolygon,
+    FaceKind,
     LatticeVector,
     decompose_interval,
     face_in_direction,
@@ -323,6 +324,48 @@ def ample_on(draw, fan):
         x, y = x + l * v.y, y - l * v.x
         corners.append((x, y))
     return TorusDivisor(tuple(max(-(v.x * cx + v.y * cy) for cx, cy in corners) for v in rays))
+
+
+def _classify_reference(fan, d):
+    """Positivity by the support-value definition: every offset a_i is the
+    minimum of <u, v_i> over the polygon, the vertices are lattice points,
+    and for ample each ray's face is an edge."""
+    poly = polygon_of(fan, d)
+    if poly.is_empty():
+        return PositivityClass.NO_SECTIONS
+    tight = all(poly.support_min(v) == -a for v, a in zip(fan.rays, d.coeffs))
+    if tight and poly.has_lattice_vertices():
+        faces = [face_in_direction(poly, v, a) for v, a in zip(fan.rays, d.coeffs)]
+        if all(f.kind is FaceKind.EDGE for f in faces):
+            return PositivityClass.AMPLE
+        return PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
+    if lattice_points(poly):
+        return PositivityClass.EFFECTIVE_SECTIONS_ONLY
+    return PositivityClass.NO_SECTIONS
+
+
+@st.composite
+def translated_divisor(draw):
+    # a random divisor (rational vertices, no sections), a reduced one
+    # (globally generated) or an ample one, translated by m: a_i - <m, v_i>
+    fan = draw(fans())
+    kind = draw(st.sampled_from(["random", "reduced", "ample"]))
+    if kind == "ample":
+        coeffs = draw(ample_on(fan)).coeffs
+    else:
+        coeffs = tuple(draw(st.integers(-3, 5)) for _ in fan.rays)
+        if kind == "reduced":
+            coeffs = tuple(max(a, 0) for a in coeffs)
+            coeffs = reduce_to_globally_generated(fan, TorusDivisor(coeffs)).reduced.coeffs
+    mx, my = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    return fan, TorusDivisor(tuple(a - v.x * mx - v.y * my for a, v in zip(coeffs, fan.rays)))
+
+
+@given(translated_divisor())
+@settings(max_examples=300, deadline=None)
+def test_classify_by_vertex_incidence_matches_support_definition(fd):
+    fan, d = fd
+    assert classify(fan, d) is _classify_reference(fan, d)
 
 
 @st.composite

@@ -175,6 +175,27 @@ class TestClassify:
             is PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
         )
 
+    def test_decided_by_vertex_incidence_alone(self, monkeypatch):
+        import toricmult.lattice
+        import toricmult.surface
+
+        def refuse(*args):
+            raise RuntimeError("classify asked for a face or a support value")
+
+        monkeypatch.setattr(toricmult.surface, "face_in_direction", refuse, raising=False)
+        monkeypatch.setattr(toricmult.lattice, "face_in_direction", refuse)
+        for name in ("support_min", "has_lattice_vertices"):
+            monkeypatch.setattr(toricmult.lattice.ConvexLatticePolygon, name, refuse)
+        f2 = hirzebruch(2)
+        cases = {
+            PositivityClass.AMPLE: D((1, 0, 1, 1)),
+            PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE: D((1, 1, 1, 1)),
+            PositivityClass.EFFECTIVE_SECTIONS_ONLY: D((0, 1, 0, 0)),
+            PositivityClass.NO_SECTIONS: D((-1, 0, 0, 0)),
+        }
+        for cls, d in cases.items():
+            assert classify(f2, d) is cls
+
 
 class TestFamilies:
     def test_hirzebruch_two_rays(self):
