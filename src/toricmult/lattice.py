@@ -233,6 +233,12 @@ def _primitive_pair(x: int, y: int) -> tuple[int, int]:
     return (x // g, y // g) if g else (0, 0)
 
 
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den >= 1."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def _hom_from_fractions(x: Fraction, y: Fraction) -> tuple[int, int, int]:
     den = (x.denominator * y.denominator) // math.gcd(x.denominator, y.denominator)
     return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den)
@@ -300,30 +306,28 @@ class ConvexLatticePolygon:
         """
         if self.hrep:
             return [(h.normal.x, h.normal.y, -h.offset, 1) for h in self.hrep]
-        cons: list[tuple[int, int, int, int]] = []
         if self.dim is PolygonDim.POINT:
             p = self.vrep[0]
-            cons.append((1, 0, p.x_num, p.den))
-            cons.append((-1, 0, -p.x_num, p.den))
-            cons.append((0, 1, p.y_num, p.den))
-            cons.append((0, -1, -p.y_num, p.den))
-            return cons
+            return [
+                (1, 0, p.x_num, p.den), (-1, 0, -p.x_num, p.den),
+                (0, 1, p.y_num, p.den), (0, -1, -p.y_num, p.den),
+            ]
+        cons: list[tuple[int, int, int, int]] = []
         for p, q in self._edges():
-            dxf, dyf = q.x - p.x, q.y - p.y
             dx, dy = _primitive_pair(
-                dxf.numerator * dyf.denominator, dyf.numerator * dxf.denominator
+                q.x_num * p.den - p.x_num * q.den, q.y_num * p.den - p.y_num * q.den
             )
             nx, ny = -dy, dx  # inward normal for a CCW edge
-            bound = nx * p.x + ny * p.y  # Fraction
-            cons.append((nx, ny, bound.numerator, bound.denominator))
+            num, den = _lowest(nx * p.x_num + ny * p.y_num, p.den)
+            cons.append((nx, ny, num, den))
             if self.dim is PolygonDim.SEGMENT:
-                cons.append((-nx, -ny, -bound.numerator, bound.denominator))
-                lo = dx * p.x + dy * p.y
-                hi = dx * q.x + dy * q.y
-                if lo > hi:
+                cons.append((-nx, -ny, -num, den))
+                lo = _lowest(dx * p.x_num + dy * p.y_num, p.den)
+                hi = _lowest(dx * q.x_num + dy * q.y_num, q.den)
+                if lo[0] * hi[1] > hi[0] * lo[1]:
                     lo, hi = hi, lo
-                cons.append((dx, dy, lo.numerator, lo.denominator))
-                cons.append((-dx, -dy, -hi.numerator, hi.denominator))
+                cons.append((dx, dy, lo[0], lo[1]))
+                cons.append((-dx, -dy, -hi[0], hi[1]))
         return cons
 
     def contains(self, p: RationalPoint | LatticeVector) -> bool:
@@ -695,11 +699,10 @@ def face_in_direction(poly: ConvexLatticePolygon, v: LatticeVector, c: int) -> F
             pts.append((a.x_num, a.y_num, a.den))
         if lb == 0:
             pts.append((b.x_num, b.y_num, b.den))
-        if la * lb < 0:
-            la_f = Fraction(la, a.den)
-            lb_f = Fraction(lb, b.den)
-            t = la_f / (la_f - lb_f)
-            pts.append(_hom_from_fractions(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+        if la * lb < 0:  # level is linear in (x_num, y_num, den): lb a - la b is on the line
+            pts.append(
+                (lb * a.x_num - la * b.x_num, lb * a.y_num - la * b.y_num, lb * a.den - la * b.den)
+            )
     uniq = sorted({_hom_normalize(p) for p in pts}, key=_hom_lex_key)
     if not uniq:
         return Face.empty()

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import itemgetter
+from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
@@ -65,18 +66,17 @@ from .lattice import (
     face_in_direction,
     hull,
     intersect_halfplanes,
-    lattice_point_count,
     minkowski_sum,
 )
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
-#: The exhaustive search refuses more pairs of factor columns than this, and
-#: cokernel_dim a larger product h0(D+E) x min(h0(D), h0(E)).
+#: The exhaustive search, cokernel_dim and the sweep refuse more pairs of
+#: lattice columns w_D x w_E of the two factors than this.
 PAIR_BUDGET = 10**7
-#: check_surjectivity keeps one witness per lattice point of the sum polygon,
-#: 340-410 bytes each with its new p and q vectors (CPython 3.11), so it
-#: refuses sum polygons with more points than this: about 0.4 GB of witnesses.
-WITNESS_BUDGET = 10**6
+#: The most points one report keeps: a witness per point of the sum polygon
+#: (340-410 bytes with its p and q vectors, CPython 3.11: about 0.4 GB), or
+#: a vector per missing point.
+POINT_BUDGET = 10**6
 
 #: A polygon's lattice points as {x: (lo, hi)}, from lattice._column_table.
 _Table = dict[int, tuple[int, int]]
@@ -312,12 +312,10 @@ def decompose_homothetic_triangles(
             raise PreconditionError("triangles are not translates of multiples of one triangle")
     if not minkowski_sum(t1, t2).contains(p):
         raise DecompositionRangeError(f"{p} lies outside the sum of the triangles")
-    pieces, _ = _first_cover(_column_pairs(_column_table(t1), _column_table(t2), p.x), [(p.y, p.y)])
-    if not pieces:
+    witness = _fallback_witness(_column_table(t1), _column_table(t2), p)
+    if witness is None:
         raise TheoremViolationError("no lattice split of homothetic triangles; this is a bug")
-    x1, lo1, hi2 = pieces[0][2]
-    q1 = LatticeVector(x1, max(lo1, p.y - hi2))
-    return q1, p - q1
+    return witness.q1, witness.q2
 
 
 # -- the structured algorithm ---------------------------------------------------
@@ -544,19 +542,20 @@ def check_surjectivity(
 
     mode "brute" accepts any divisors with sections; "structured" and "both"
     require d ample and e globally generated.  In mode "both" the two routes
-    must agree on existence for every point.  The exhaustive search of modes
-    "brute" and "both" walks pairs of factor columns, at most PAIR_BUDGET.
+    must agree on existence for every point: no column of the sumset may have
+    a gap.  Modes "brute" and "both" refuse more than PAIR_BUDGET column pairs,
+    every mode a sum polygon with more than POINT_BUDGET lattice points.
     """
     if mode not in ("structured", "brute", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
     # refuse an over-budget instance before any table or point is built
-    if math.prod(_box(p_sum)) > WITNESS_BUDGET and any(  # by columns only up to the budget
-        n > WITNESS_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
+    if math.prod(_box(p_sum)) > POINT_BUDGET and any(  # by columns only up to the budget
+        n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
     ):
-        raise BudgetExceededError(f"the sum polygon has over {WITNESS_BUDGET} lattice points")
-    if mode != "structured" and _box(p_d)[0] * _box(p_e)[0] > PAIR_BUDGET:
-        _refuse_over_budget(*(sum(1 for _ in _columns(p)) for p in (p_d, p_e)), "column pairs")
+        raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
+    if mode != "structured":
+        _refuse_over_pair_budget(p_d, p_e)
     ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
     table_d, table_e = (ctx.table_d, ctx.table_e) if ctx else map(_column_table, (p_d, p_e))
     if ctx is None and not (table_d and table_e):
@@ -565,14 +564,12 @@ def check_surjectivity(
     witnesses: list[DecompositionWitness] = []
     for x, lo, hi in _columns(p_sum):
         total += hi - lo + 1
-        if ctx is not None:
-            witnesses += _structured_column(ctx, x, lo, hi)
-        if mode == "structured":
-            continue
-        pieces, gaps = _first_cover(_column_pairs(table_d, table_e, x), [(lo, hi)])
         if ctx is None:
+            pieces, _ = _first_cover(_column_pairs(table_d, table_e, x), [(lo, hi)])
             witnesses += _pair_witnesses(table_d, table_e, x, pieces)
-        elif gaps:
+            continue
+        witnesses += _structured_column(ctx, x, lo, hi)
+        if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
             raise TheoremViolationError(
                 f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
                 "but the exhaustive oracle did not"
@@ -597,14 +594,59 @@ def _box(poly: ConvexLatticePolygon) -> tuple[int, int]:
     return max(width, 0), max(height, 0)
 
 
-def _refuse_over_budget(a: int, b: int, what: str) -> None:
-    """Refuse a pair of counts whose product exceeds PAIR_BUDGET.
+def _refuse_over_pair_budget(p_d: ConvexLatticePolygon, p_e: ConvexLatticePolygon) -> None:
+    """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E, counted
+    exactly (a sweep listing no point) only when the bounding boxes exceed it."""
+    if _box(p_d)[0] * _box(p_e)[0] > PAIR_BUDGET:
+        w_d, w_e = (sum(1 for _ in _columns(p)) for p in (p_d, p_e))
+        if w_d * w_e > PAIR_BUDGET:
+            raise BudgetExceededError(
+                f"{w_d} x {w_e} column pairs exceed the budget of {PAIR_BUDGET}"
+            )
 
-    Callers count exactly, a column sweep listing no point, only when bounds
-    from the bounding boxes, O(n), could exceed the budget.
-    """
-    if a * b > PAIR_BUDGET:
-        raise BudgetExceededError(f"{a} x {b} {what} exceed the budget of {PAIR_BUDGET}")
+
+def _sumset_gaps(
+    table_a: _Table, table_b: _Table, x: int, lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """The y-ranges of lo..hi, column x of a region holding the sumset of A and B,
+    that no column x1 of A plus column x - x1 of B covers, in increasing y;
+    the narrower table is walked and the partner column looked up."""
+    if len(table_b) < len(table_a):
+        table_a, table_b = table_b, table_a
+    partner = table_b.get
+    spans = []
+    for x1, (lo1, hi1) in table_a.items():
+        col = partner(x - x1)
+        if col is not None:
+            spans.append((lo1 + col[0], hi1 + col[1]))
+    spans.sort()
+    gaps = []
+    y = lo  # the lowest y that no span so far covers
+    for a, b in spans:
+        if a > y:
+            gaps.append((y, a - 1))
+        if b >= y:
+            y = b + 1
+    return gaps + [(y, hi)] if y <= hi else gaps
+
+
+def _cokernel_report(
+    table_d: _Table, table_e: _Table, cols_sum: Iterable[tuple[int, int, int]]
+) -> CokernelReport:
+    """cokernel_dim's report from the factors' column tables and the columns (x, lo, hi)
+    of P_{D+E}; over POINT_BUDGET missing points are refused before any is listed."""
+    h0_sum = n_missing = 0
+    gaps: list[tuple[int, int, int]] = []
+    for x, lo, hi in cols_sum:
+        h0_sum += hi - lo + 1
+        for g0, g1 in _sumset_gaps(table_d, table_e, x, lo, hi):
+            gaps.append((x, g0, g1))
+            n_missing += g1 - g0 + 1
+        if n_missing > POINT_BUDGET:
+            raise BudgetExceededError(f"over {POINT_BUDGET} missing points")
+    missing = tuple(LatticeVector(x, y) for x, g0, g1 in gaps for y in range(g0, g1 + 1))
+    h0_d, h0_e = (sum(hi - lo + 1 for lo, hi in t.values()) for t in (table_d, table_e))
+    return CokernelReport(h0_d, h0_e, h0_sum, h0_sum - n_missing, n_missing, missing)
 
 
 def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
@@ -613,46 +655,14 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     Exact, from column intervals: the lattice points (x1, lo1..hi1) of a
     column of P_D plus those (x2, lo2..hi2) of a column of P_E fill the
     interval [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are
-    the gaps these intervals leave in the columns of P_{D+E}, found in order
-    in O(w_D w_E + columns) for column counts w_D, w_E without listing any
-    lattice point.  Both divisors must have sections; an instance with
-    h0(D+E) x min(h0(D), h0(E)) over PAIR_BUDGET is refused.
+    the gaps these intervals leave in the columns of P_{D+E}, merged one
+    column at a time in O(w_D w_E) time and O(min(w_D, w_E)) memory for
+    column counts w_D, w_E.  Both divisors must have sections; more than
+    PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused.
     """
-    return _cokernel_with_columns(fan, d, e)[0]
-
-
-def _cokernel_with_columns(
-    fan: Fan, d: TorusDivisor, e: TorusDivisor
-) -> tuple[CokernelReport, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """cokernel_dim's report and the columns (x, lo, hi) of P_E and P_{D+E} it read."""
-    p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
-    if math.prod(_box(p_sum)) * min(math.prod(_box(p)) for p in (p_d, p_e)) > PAIR_BUDGET:
-        h_small = min(map(lattice_point_count, (p_d, p_e)))
-        _refuse_over_budget(lattice_point_count(p_sum), h_small, "membership tests")
-    cols_d, cols_e = list(_columns(p_d)), list(_columns(p_e))
-    if not cols_d or not cols_e:
+    p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
+    _refuse_over_pair_budget(p_d, p_e)
+    table_d, table_e = _column_table(p_d), _column_table(p_e)
+    if not table_d or not table_e:
         raise PreconditionError("cokernel requires sections on both factors")
-    covered: dict[int, list[tuple[int, int]]] = {}
-    for x1, lo1, hi1 in cols_d:
-        for x2, lo2, hi2 in cols_e:
-            covered.setdefault(x1 + x2, []).append((lo1 + lo2, hi1 + hi2))
-    cols_sum = list(_columns(p_sum))
-    missing: list[LatticeVector] = []
-    for x, ylo, yhi in cols_sum:
-        y = ylo  # the lowest y of the column that no interval so far covers
-        for lo, hi in sorted(covered.get(x, ())):
-            if lo > y:
-                missing += [LatticeVector(x, m) for m in range(y, lo)]
-            if hi >= y:
-                y = hi + 1
-        missing += [LatticeVector(x, m) for m in range(y, yhi + 1)]
-    h0_sum = sum(hi - lo + 1 for _, lo, hi in cols_sum)
-    report = CokernelReport(
-        h0_D=sum(hi - lo + 1 for _, lo, hi in cols_d),
-        h0_E=sum(hi - lo + 1 for _, lo, hi in cols_e),
-        h0_sum=h0_sum,
-        sumset_size=h0_sum - len(missing),
-        coker_dim=len(missing),
-        missing_points=tuple(missing),
-    )
-    return report, cols_e, cols_sum
+    return _cokernel_report(table_d, table_e, _columns(polygon_of(fan, d + e)))

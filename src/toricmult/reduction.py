@@ -19,7 +19,7 @@ from itertools import product
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from .lattice import ConvexLatticePolygon, LatticeVector, _column_table, _columns, face_in_direction, hull
-from .multiplication import CokernelReport, _cokernel_with_columns
+from .multiplication import CokernelReport, _cokernel_report, _refuse_over_pair_budget
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
@@ -164,29 +164,37 @@ def _family_instances(filter_pattern: str, n: int, e_max: int) -> list[tuple[int
             fixed.append(int(p))
         else:
             raise PreconditionError(f"bad filter entry {p!r}")
-    out = []
-    for k in range(1, e_max + 1):
-        out.append(tuple(k if f is None else f for f in fixed))
-    return out
+    return [tuple(k if f is None else f for f in fixed) for k in range(1, e_max + 1)]
 
 
-def _check_pipeline(
-    fan: Fan,
-    fixed_l: TorusDivisor,
-    e: TorusDivisor,
-    report: CokernelReport,
-    cols_e: list[tuple[int, int, int]],
-    cols_sum: list[tuple[int, int, int]],
-) -> None:
-    """The reduction pipeline behind the boundedness statement.
+_WORKER: dict[str, object] = {}
+
+
+def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
+    """Sweep the fixed P_L once per process, for every instance."""
+    p_l = polygon_of(fan, fixed_l)
+    _WORKER["args"] = (fan, fixed_l, p_l, {x: (lo, hi) for x, lo, hi in _columns(p_l)})
+
+
+def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
+    """cokernel_dim(L, E), or None when E has no sections, checked against the
+    reduction pipeline behind the boundedness statement.
 
     With E' the reduced divisor of E, the missing points must be exactly
     the collar: the lattice points of P_{L+E} outside P_{L+E'}, read column
     by column.  P_E and P_E' have the same lattice points, so this says both
     that L x E' is surjective and that every missing point lies in the
-    collar the reduction shaved off.  cols_e and cols_sum are the columns
-    (x, lo, hi) of P_E and P_{L+E} that the report was read from.
+    collar the reduction shaved off.  P_E and P_{L+E} are swept once each.
     """
+    fan, fixed_l, p_l, table_l = _WORKER["args"]  # type: ignore[misc]
+    e = TorusDivisor(coeffs)
+    p_e = polygon_of(fan, e)
+    _refuse_over_pair_budget(p_l, p_e)
+    cols_e = list(_columns(p_e))
+    if not cols_e:
+        return None
+    cols_sum = list(_columns(polygon_of(fan, fixed_l + e)))
+    report = _cokernel_report(table_l, {x: (lo, hi) for x, lo, hi in cols_e}, cols_sum)
     reduced = _rounded(fan, cols_e)
     inner = _column_table(polygon_of(fan, fixed_l + reduced))
     collar: list[tuple[int, int]] = []
@@ -202,22 +210,6 @@ def _check_pipeline(
             f"sum polygon of {reduced}: missing points {extra} lie inside it, "
             f"collar points {lost} were decomposed"
         )
-
-
-_WORKER: dict[str, object] = {}
-
-
-def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
-    _WORKER["args"] = (fan, fixed_l)
-
-
-def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
-    fan, fixed_l = _WORKER["args"]  # type: ignore[misc]
-    e = TorusDivisor(coeffs)
-    if next(_columns(polygon_of(fan, e)), None) is None:
-        return None
-    report, cols_e, cols_sum = _cokernel_with_columns(fan, fixed_l, e)
-    _check_pipeline(fan, fixed_l, e, report, cols_e, cols_sum)
     return report
 
 
@@ -236,8 +228,10 @@ def sweep_cokernel(
     Enumerates the full grid in graded lexicographic order when it fits in
     the budget; otherwise falls back to seeded stratified sampling (a seed is
     then required).  Every instance's missing points are checked against the
-    collar of the reduction (see _check_pipeline).  jobs > 1 fans instances out
-    to worker processes, never more than the instances or the CPUs; the
+    collar of the reduction (see _sweep_instance), under cokernel_dim's
+    budgets.  stabilization_coeff is 0 when no bound up to e_max reaches
+    max_coker.  jobs > 1 fans instances out to worker processes, never more
+    than the instances or the CPUs; the
     result is assembled in canonical order either way, so output does not
     depend on scheduling.
     """
@@ -286,21 +280,13 @@ def sweep_cokernel(
     if not instances:
         raise PreconditionError("sweep produced no instances with sections")
     max_coker = max(c for _, c in instances)
-    stabilization = 0
-    running = -1
-    for bound in range(e_max + 1):
-        running = max(
-            (c for e, c in instances if max(e.coeffs, default=0) <= bound),
-            default=-1,
-        )
-        if running == max_coker:
-            stabilization = bound
-            break
+    # the smallest bound on the entries that already reaches max_coker
+    reached = min(max(e.coeffs) for e, c in instances if c == max_coker)
     return SweepResult(
         fixed_L=fixed_l,
         instances=tuple(instances),
         max_coker=max_coker,
-        stabilization_coeff=stabilization,
+        stabilization_coeff=reached if reached <= e_max else 0,
         sampled=sampled,
         seed=seed,
         reports=tuple(reports) if keep_reports else None,

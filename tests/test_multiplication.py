@@ -1,6 +1,7 @@
 """Witness search, triangle reduction, structured decomposition, cokernels."""
 
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -382,21 +383,14 @@ class TestCheckSurjectivity:
     def test_both_mode_raises_when_oracle_lacks_a_point(self, monkeypatch):
         import toricmult.multiplication as mult
 
-        pairs = mult._column_pairs
+        gaps = mult._sumset_gaps
         first = lattice_points(polygon_of(P2, D((0, 0, 2))))[0]
 
-        def pairs_missing_first_point(table_a, table_b, x):
-            # every interval of the exhaustive search, with the first point cut out
-            for key, a, b in pairs(table_a, table_b, x):
-                if x != first.x or not a <= first.y <= b:
-                    yield key, a, b
-                    continue
-                if a < first.y:
-                    yield key, a, first.y - 1
-                if first.y < b:
-                    yield key, first.y + 1, b
+        def gaps_without_first_column(table_a, table_b, x, lo, hi):
+            # the exhaustive check with the first column of the second factor cut out
+            return gaps(table_a, dict(list(table_b.items())[1:]), x, lo, hi)
 
-        monkeypatch.setattr(mult, "_column_pairs", pairs_missing_first_point)
+        monkeypatch.setattr(mult, "_sumset_gaps", gaps_without_first_column)
         with pytest.raises(TheoremViolationError, match=rf"decomposed \({first.x}, {first.y}\)"):
             check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
 
@@ -460,9 +454,9 @@ class TestCheckSurjectivity:
 
         # P2 (0,0,1) + (0,0,2) has 10 lattice points; its bounding box has 16
         d, e = D((0, 0, 1)), D((0, 0, 2))
-        monkeypatch.setattr(mult, "WITNESS_BUDGET", 10)
+        monkeypatch.setattr(mult, "POINT_BUDGET", 10)
         assert check_surjectivity(P2, d, e, mode="structured").total_points == 10
-        monkeypatch.setattr(mult, "WITNESS_BUDGET", 9)
+        monkeypatch.setattr(mult, "POINT_BUDGET", 9)
         for mode in ("structured", "brute", "both"):
             with pytest.raises(BudgetExceededError, match=r"over 9 lattice points"):
                 check_surjectivity(P2, d, e, mode=mode)
@@ -543,18 +537,57 @@ class TestCokernelDim:
     def test_budget_counts_exactly_when_boxes_exceed_it(self, monkeypatch):
         import toricmult.multiplication as mult
 
-        # 10 x 3 membership tests; the bounding boxes allow 16 x 4
-        d, e = D((0, 0, 1)), D((0, 0, 2))
-        monkeypatch.setattr(mult, "PAIR_BUDGET", 30)
-        assert cokernel_dim(P2, d, e).coker_dim == 0
-        monkeypatch.setattr(mult, "PAIR_BUDGET", 29)
-        with pytest.raises(BudgetExceededError, match=r"^10 x 3 membership tests exceed the budget of 29$"):
-            cokernel_dim(P2, d, e)
+        # this triangle's box spans x = 0..2, its lattice points only x = 0, 1
+        h = D((0, 6, 5, 4, 2, 1, -1, 5))
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 4)
+        report = cokernel_dim(STEEP8, h, h)
+        assert report.h0_sum == len(lattice_points(polygon_of(STEEP8, h + h)))
+        monkeypatch.setattr(mult, "PAIR_BUDGET", 3)
+        with pytest.raises(BudgetExceededError, match=r"^2 x 2 column pairs exceed the budget of 3$"):
+            cokernel_dim(STEEP8, h, h)
 
     def test_over_budget_refused_before_enumeration(self, no_point_lists):
-        d = D((150, 150, 150))
-        with pytest.raises(BudgetExceededError, match=r"^406351 x 101926 membership tests"):
+        # two segments of 5001 columns each; their sum has only 10,001 points
+        d = D((0, 0, 5000, 0))
+        with pytest.raises(BudgetExceededError, match=r"^5001 x 5001 column pairs"):
+            cokernel_dim(P1xP1, d, d)
+
+    def test_huge_instance_refused_quickly(self, no_point_lists):
+        # P2 (10^4,10^4,10^4)^2: 30,001 x 30,001 column pairs
+        d = D((10**4,) * 3)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"^30001 x 30001 column pairs"):
             cokernel_dim(P2, d, d)
+        assert time.perf_counter() - start < 0.5
+
+    def test_pair_budget_admits_what_the_merge_can_walk(self, no_point_lists):
+        # 406,351 x 101,926 sections, but only 451 x 451 column pairs
+        d = D((150, 150, 150))
+        report = cokernel_dim(P2, d, d)
+        assert (report.coker_dim, report.h0_sum) == (0, 406_351)
+
+    def test_point_budget_bounds_the_missing_points(self, monkeypatch):
+        import toricmult.multiplication as mult
+
+        d, e = D((1, 0, 1, 1)), D((0, 1, 0, 0))  # one missing point
+        monkeypatch.setattr(mult, "POINT_BUDGET", 1)
+        assert cokernel_dim(F2, d, e).missing_points == (V(-1, -1),)
+        monkeypatch.setattr(mult, "POINT_BUDGET", 0)
+        with pytest.raises(BudgetExceededError, match=r"^over 0 missing points$"):
+            cokernel_dim(F2, d, e)
+
+    def test_merge_memory_follows_the_columns(self):
+        # 300 x 300 column pairs, merged one column of the sum at a time
+        d = D((0, 0, 299, 0))
+        polygon_of(P1xP1, d), polygon_of(P1xP1, d + d)  # warm the polygon cache
+        tracemalloc.start()
+        try:
+            report = cokernel_dim(P1xP1, d, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.coker_dim == 0 and report.h0_sum == 599
+        assert peak < 10**6
 
     def test_lists_no_lattice_point(self, no_point_lists):
         report = cokernel_dim(F2, D((1, 0, 1, 1)), D((0, 1, 0, 0)))

@@ -185,13 +185,13 @@ class TestSweep:
     def test_pipeline_check_rejects_a_dropped_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
 
-        cokernel = reduction._cokernel_with_columns
+        cokernel = reduction._cokernel_report
 
-        def drop_first(fan, d, e):
-            report, cols_e, cols_sum = cokernel(fan, d, e)
-            return replace(report, missing_points=report.missing_points[1:]), cols_e, cols_sum
+        def drop_first(table_l, table_e, cols_sum):
+            report = cokernel(table_l, table_e, cols_sum)
+            return replace(report, missing_points=report.missing_points[1:])
 
-        monkeypatch.setattr(reduction, "_cokernel_with_columns", drop_first)
+        monkeypatch.setattr(reduction, "_cokernel_report", drop_first)
         # F2 (1,0,1,1) x (0,1,0,0) misses (-1,-1), in the collar of E' = 0
         with pytest.raises(TheoremViolationError, match=r"collar points \[\(-1, -1\)\] were"):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
@@ -199,17 +199,42 @@ class TestSweep:
     def test_pipeline_check_rejects_an_extra_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
 
-        cokernel = reduction._cokernel_with_columns
+        cokernel = reduction._cokernel_report
 
-        def add_a_sum(fan, d, e):
-            report, cols_e, cols_sum = cokernel(fan, d, e)
-            q = lattice_points(polygon_of(fan, d))[0] + lattice_points(polygon_of(fan, e))[0]
-            missing = tuple(sorted(report.missing_points + (q,)))
-            return replace(report, missing_points=missing), cols_e, cols_sum
+        def add_a_sum(table_l, table_e, cols_sum):
+            report = cokernel(table_l, table_e, cols_sum)
+            (x1, (y1, _)), (x2, (y2, _)) = next(iter(table_l.items())), next(iter(table_e.items()))
+            missing = tuple(sorted(report.missing_points + (V(x1 + x2, y1 + y2),)))
+            return replace(report, missing_points=missing)
 
-        monkeypatch.setattr(reduction, "_cokernel_with_columns", add_a_sum)
+        monkeypatch.setattr(reduction, "_cokernel_report", add_a_sum)
         with pytest.raises(TheoremViolationError, match=r"missing points \[\(-1, 0\)\] lie"):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
+
+    def test_sweep_reads_each_polygon_once(self, monkeypatch):
+        import toricmult.reduction as reduction
+
+        swept = []
+        columns = reduction._columns
+
+        def counted(poly):
+            swept.append(poly)
+            return columns(poly)
+
+        monkeypatch.setattr(reduction, "_columns", counted)
+        l_div = D((1, 0, 1, 1))
+        sweep = sweep_cokernel(F2, l_div, e_max=3, filter_pattern="0,k,1,0")
+        # P_L once for the whole sweep, then P_E and P_{L+E} once per instance
+        expected = [polygon_of(F2, l_div)]
+        for e, _ in sweep.instances:
+            expected += [polygon_of(F2, e), polygon_of(F2, l_div + e)]
+        assert len(sweep.instances) == 3 and swept == expected
+
+    def test_stabilization_beyond_e_max_is_zero(self):
+        # every instance has the fixed entry 9 > e_max, so no bound up to 3 is reached
+        sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=3, filter_pattern="9,k,0,0")
+        assert len(sweep.instances) == 3
+        assert sweep.stabilization_coeff == 0
 
     def test_pipeline_check_lists_no_lattice_point(self, no_point_lists):
         l_div = D((1, 0, 1, 1))

@@ -40,3 +40,18 @@ def test_no_floats_outside_svg():
             if is_float_call or is_float_literal:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"floats outside svg.py: {found}"
+
+
+def test_at_most_one_functools_cache():
+    # every cache is sized to its traffic; a second one needs its own sizing
+    caches = ("cache", "lru_cache", "cached_property")
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in caches:
+                    found.append(f"{path.name}:{dec.lineno}")
+    assert len(found) <= 1, f"functools caches in the package: {found}"
