@@ -21,8 +21,6 @@ from .errors import (
 )
 from .lattice import (
     ConvexLatticePolygon,
-    Face,
-    FaceKind,
     HalfPlane,
     LatticeVector,
     PolygonDim,

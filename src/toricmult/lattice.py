@@ -239,18 +239,14 @@ def _lowest(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _hom_from_fractions(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    den = (x.denominator * y.denominator) // math.gcd(x.denominator, y.denominator)
-    return (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den)
-
-
 @dataclass(frozen=True)
 class ConvexLatticePolygon:
     """Canonical convex region: vrep CCW from the lexicographic minimum.
 
     Two polygons describe the same region iff their vrep tuples are equal;
-    hrep is carried along for face queries by index and is excluded from
-    equality.  Use :func:`hull` or :func:`intersect_halfplanes` to build one.
+    hrep, when present, gives the column sweep integer constraints (see
+    :meth:`support_constraints`) and is excluded from equality.  Use
+    :func:`hull` or :func:`intersect_halfplanes` to build one.
     """
 
     vrep: tuple[RationalPoint, ...]
@@ -439,9 +435,10 @@ def _directions_positively_span(normals: Sequence[LatticeVector]) -> bool:
 def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
     """Intersection of closed half-planes as a canonical polygon.
 
-    The input hrep is stored verbatim (including redundant planes) so faces
-    can later be queried by index.  An empty intersection yields the empty
-    polygon; an unbounded one raises :class:`UnboundedRegionError`.
+    The input planes are stored verbatim as the hrep, redundant ones
+    included: they are the integer constraints the column sweep reads.  An
+    empty intersection yields the empty polygon; an unbounded one raises
+    :class:`UnboundedRegionError`.
     """
     planes = list(planes)
     if not planes:
@@ -625,144 +622,68 @@ def pick_count(poly: ConvexLatticePolygon) -> int:
     return (twice_area + boundary) // 2 + 1
 
 
-class FaceKind(Enum):
-    EMPTY = "empty"
-    VERTEX = "vertex"
-    EDGE = "edge"
-
-
-@dataclass(frozen=True)
-class Face:
-    """Intersection of a polygon with a line: nothing, one point, or a segment."""
-
-    kind: FaceKind
-    endpoints: tuple[RationalPoint, ...]
-
-    @classmethod
-    def empty(cls) -> "Face":
-        return cls(FaceKind.EMPTY, ())
-
-    def is_empty(self) -> bool:
-        return self.kind is FaceKind.EMPTY
-
-    def lattice_count(self) -> int:
-        """Number of lattice points on the face."""
-        if self.kind is FaceKind.EMPTY:
-            return 0
-        if self.kind is FaceKind.VERTEX:
-            return 1 if self.endpoints[0].den == 1 else 0
-        a, b = self.endpoints
-        if a.den == 1 and b.den == 1:
-            dx, dy = b.x_num - a.x_num, b.y_num - a.y_num
-            return math.gcd(abs(dx), abs(dy)) + 1
-        return lattice_point_count(ConvexLatticePolygon((a, b), PolygonDim.SEGMENT, ()))
-
-    def sum_with(self, other: "Face") -> "Face":
-        """Minkowski sum of two faces (face additivity lives at this level)."""
-        if self.is_empty() or other.is_empty():
-            return Face.empty()
-        hom = [
-            (p.x_num * q.den + q.x_num * p.den, p.y_num * q.den + q.y_num * p.den, p.den * q.den)
-            for p in self.endpoints
-            for q in other.endpoints
-        ]
-        pts = _hull_hom([_hom_normalize(h) for h in hom])
-        eps = tuple(RationalPoint(x, y, w) for (x, y, w) in pts)
-        kind = FaceKind.VERTEX if len(eps) == 1 else FaceKind.EDGE
-        return Face(kind, eps)
-
-
-def face_in_direction(poly: ConvexLatticePolygon, v: LatticeVector, c: int) -> Face:
-    """The set P intersect { u : <u, v> = -c }, exactly.
+def face_in_direction(
+    poly: ConvexLatticePolygon, v: LatticeVector, c: int
+) -> ConvexLatticePolygon:
+    """The region P intersect { u : <u, v> = -c }, exactly.
 
     Empty when the line misses P; a single (possibly rational) point when it
     touches a vertex or crosses at one point; otherwise the chord segment.
     """
     if not v.is_primitive():
         raise PreconditionError("direction must be primitive")
-    if poly.is_empty():
-        return Face.empty()
 
-    def level(p: RationalPoint) -> int:
-        # sign of <p, v> + c, scaled by the positive denominator
-        return v.x * p.x_num + v.y * p.y_num + c * p.den
-
-    verts = poly.vrep
-    if poly.dim is PolygonDim.POINT:
-        if level(verts[0]) == 0:
-            return Face(FaceKind.VERTEX, (verts[0],))
-        return Face.empty()
-    pts: list[tuple[int, int, int]] = []
-    for a, b in poly._edges():
-        la, lb = level(a), level(b)
-        if la == 0:
-            pts.append((a.x_num, a.y_num, a.den))
-        if lb == 0:
-            pts.append((b.x_num, b.y_num, b.den))
+    # each vertex with its level: the sign of <p, v> + c, scaled by the positive denominator
+    ends = [(p, v.x * p.x_num + v.y * p.y_num + c * p.den) for p in poly.vrep]
+    pts = [(p.x_num, p.y_num, p.den) for p, level in ends if level == 0]
+    # cyclic vertex pairs: a segment's edge comes twice, a point pairs with itself
+    for (a, la), (b, lb) in zip(ends, ends[1:] + ends[:1]):
         if la * lb < 0:  # level is linear in (x_num, y_num, den): lb a - la b is on the line
             pts.append(
                 (lb * a.x_num - la * b.x_num, lb * a.y_num - la * b.y_num, lb * a.den - la * b.den)
             )
-    uniq = sorted({_hom_normalize(p) for p in pts}, key=_hom_lex_key)
-    if not uniq:
-        return Face.empty()
-    if len(uniq) == 1:
-        return Face(FaceKind.VERTEX, (RationalPoint(*uniq[0]),))
-    return Face(FaceKind.EDGE, (RationalPoint(*uniq[0]), RationalPoint(*uniq[-1])))
+    return ConvexLatticePolygon._from_hom_vertices(pts, ())
 
 
 # -- Minkowski sums ------------------------------------------------------------
 
 
 def _edge_vectors(
-    poly: ConvexLatticePolygon,
-) -> tuple[RationalPoint, list[tuple[Fraction, Fraction]]]:
-    """Start vertex (lowest, then leftmost) and CCW edge vectors from it."""
-    verts = list(poly.vrep)
-    start = min(range(len(verts)), key=lambda i: (verts[i].y, verts[i].x))
-    if poly.dim is PolygonDim.SEGMENT:
-        a, b = verts[start], verts[1 - start]
-        d = (b.x - a.x, b.y - a.y)
-        return verts[start], [d, (-d[0], -d[1])]
-    n = len(verts)
-    order = [verts[(start + i) % n] for i in range(n)]
-    edges = []
-    for i in range(n):
-        p, q = order[i], order[(i + 1) % n]
-        edges.append((q.x - p.x, q.y - p.y))
-    return verts[start], edges
+    poly: ConvexLatticePolygon, w: int
+) -> tuple[tuple[int, int], list[tuple[int, int]]]:
+    """Start vertex (lowest, then leftmost) and CCW edge vectors from it, of
+    the region scaled by w, a multiple of every vertex denominator."""
+    verts = [(p.x_num * (w // p.den), p.y_num * (w // p.den)) for p in poly.vrep]
+    start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
+    order = verts[start:] + verts[:start]
+    if len(order) == 1:
+        return order[0], []
+    # a segment runs there and back: d and -d
+    return order[0], [(q[0] - p[0], q[1] - p[1]) for p, q in zip(order, order[1:] + order[:1])]
 
 
-def _angle_lt(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> bool:
+def _angle_lt(a: Sequence[int], b: Sequence[int]) -> bool:
     """Exact order of nonzero directions by angle from the positive x-axis."""
-    ha, hb = (0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1 for d in (a, b))
-    if ha != hb:
-        return ha < hb
+    upper_a = a[1] > 0 or (a[1] == 0 and a[0] > 0)  # angle in [0, pi)
+    upper_b = b[1] > 0 or (b[1] == 0 and b[0] > 0)
+    if upper_a != upper_b:
+        return upper_a
     return a[0] * b[1] - a[1] * b[0] > 0
 
 
 def minkowski_sum(a: ConvexLatticePolygon, b: ConvexLatticePolygon) -> ConvexLatticePolygon:
-    """A + B by merging edge vectors in angular order.
+    """A + B by merging integer edge vectors in angular order.
 
-    Degenerate summands reduce to translations.  Always equals the hull of
-    pairwise vertex sums; that identity is checked in tests, not here.
+    Both summands are scaled by the lcm w of their vertex denominators, so
+    rational regions of any dimension add in integers.  Always equals the
+    hull of pairwise vertex sums; that identity is checked in tests, not here.
     """
     if a.is_empty() or b.is_empty():
         raise EmptyInputError("minkowski_sum requires nonempty polygons")
-    if a.dim is PolygonDim.POINT or b.dim is PolygonDim.POINT:
-        pt, other = (a.vrep[0], b) if a.dim is PolygonDim.POINT else (b.vrep[0], a)
-        hom = [
-            (
-                p.x_num * pt.den + pt.x_num * p.den,
-                p.y_num * pt.den + pt.y_num * p.den,
-                p.den * pt.den,
-            )
-            for p in other.vrep
-        ]
-        return ConvexLatticePolygon._from_hom_vertices(hom, ())
-    sa, ea = _edge_vectors(a)
-    sb, eb = _edge_vectors(b)
-    merged: list[tuple[Fraction, Fraction]] = []
+    w = math.lcm(*(p.den for p in a.vrep + b.vrep))
+    sa, ea = _edge_vectors(a, w)
+    sb, eb = _edge_vectors(b, w)
+    merged: list[tuple[int, int]] = []
     i = j = 0
     while i < len(ea) and j < len(eb):
         if _angle_lt(ea[i], eb[j]):
@@ -777,12 +698,11 @@ def minkowski_sum(a: ConvexLatticePolygon, b: ConvexLatticePolygon) -> ConvexLat
             j += 1
     merged.extend(ea[i:])
     merged.extend(eb[j:])
-    x = sa.x + sb.x
-    y = sa.y + sb.y
-    hom = [_hom_from_fractions(x, y)]
+    x, y = sa[0] + sb[0], sa[1] + sb[1]
+    hom = [(x, y, w)]
     for dx, dy in merged[:-1]:
         x, y = x + dx, y + dy
-        hom.append(_hom_from_fractions(x, y))
+        hom.append((x, y, w))
     return ConvexLatticePolygon._from_hom_vertices(hom, ())
 
 

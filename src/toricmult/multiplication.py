@@ -50,7 +50,6 @@ from .errors import (
 )
 from .lattice import (
     ConvexLatticePolygon,
-    FaceKind,
     HalfPlane,
     LatticeVector,
     PolygonDim,
@@ -247,14 +246,13 @@ def triangle_reduce(
     p_e = polygon_of(fan, e)
     j = edge_index - 1
     face = face_in_direction(p_e, fan.rays[j], e.coeffs[j])
-    if face.kind is not FaceKind.EDGE:
+    if face.dim is not PolygonDim.SEGMENT:
         raise PreconditionError(f"sigma_{edge_index} is not a nondegenerate edge")
-    end_a, end_b = face.endpoints
-    if end_a.den != 1 or end_b.den != 1:
+    end_a, end_b = face.vrep
+    if not face.has_lattice_vertices():
         raise PreconditionError("edge endpoints are not lattice points")
     m1, m2 = end_a.to_lattice(), end_b.to_lattice()
-    seg = ConvexLatticePolygon((end_a, end_b), PolygonDim.SEGMENT, ())
-    if not seg.contains(q) or q == end_a or q == end_b:
+    if not face.contains(q) or q in face.vrep:
         raise PreconditionError(f"{q} is not interior to edge sigma_{edge_index}")
     c = tuple(max(-m1.dot(v), -m2.dot(v)) for v in fan.rays)
     triangle = intersect_halfplanes([HalfPlane(v, ci) for v, ci in zip(fan.rays, c)])
@@ -362,8 +360,8 @@ class _StructuredContext:
         if j0 not in self._reductions:
             face = face_in_direction(self.p_e, self.fan.rays[j0], self.e.coeffs[j0])
             red: TriangleReduction | None = None
-            if face.kind is FaceKind.EDGE:
-                a, b = face.endpoints
+            if face.dim is PolygonDim.SEGMENT:
+                a, b = face.vrep
                 mid = RationalPoint(
                     a.x_num * b.den + b.x_num * a.den,
                     a.y_num * b.den + b.y_num * a.den,
@@ -420,7 +418,7 @@ def _try_regions(
     # horizontal strip: q2 on the base edge of the triangle
     chord = face_in_direction(pd_frame, LatticeVector(0, 1), -py)
     if not chord.is_empty():
-        xs = [e.x for e in chord.endpoints]
+        xs = [e.x for e in chord.vrep]
         try:
             c1, c2 = decompose_interval((min(xs), max(xs)), (0, a_leg), px)
         except (PreconditionError, DecompositionRangeError):
@@ -430,7 +428,7 @@ def _try_regions(
     # vertical strip: q2 on the upright edge
     chord = face_in_direction(pd_frame, LatticeVector(1, 0), -px)
     if not chord.is_empty():
-        ys = [e.y for e in chord.endpoints]
+        ys = [e.y for e in chord.vrep]
         try:
             c1, c2 = decompose_interval((min(ys), max(ys)), (0, b_leg), py)
         except (PreconditionError, DecompositionRangeError):

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .lattice import ConvexLatticePolygon, LatticeVector, _column_table, _columns, face_in_direction, hull
+from .lattice import (
+    ConvexLatticePolygon,
+    LatticeVector,
+    _column_table,
+    _columns,
+    face_in_direction,
+    hull,
+    pick_count,
+)
 from .multiplication import CokernelReport, _cokernel_report, _refuse_over_pair_budget
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
@@ -42,10 +50,11 @@ class SweepResult:
     """Cokernel dimensions of one ample divisor against a divisor family.
 
     instances are sorted by (coefficient sum, coefficients); max_coker is
-    their maximum and stabilization_coeff the smallest coefficient bound at
-    which the running maximum stops growing.  sampled marks runs that used
-    seeded stratified sampling instead of the full grid.  reports carries the
-    full per-instance accounting when requested.
+    their maximum and stabilization_coeff the smallest bound on the entries
+    that reaches it (above e_max when a filter fixes a larger entry).
+    sampled marks runs that used seeded stratified sampling instead of the
+    full grid.  reports carries the full per-instance accounting when
+    requested.
     """
 
     fixed_L: TorusDivisor
@@ -94,14 +103,15 @@ def edge_lattice_report(fan: Fan, result: ReductionResult) -> list[tuple[int, in
     """Lattice-point counts of the reduced polygon's faces on the moved rays.
 
     Returns (1-based ray index, count) for each j in J; a vertex face counts
-    as one point.
+    as one point.  Each reduced offset is attained on the lattice hull, so
+    every face has lattice ends and Pick's count applies.
     """
     out: list[tuple[int, int]] = []
     for j in sorted(result.J):
         face = face_in_direction(
             result.hull_polygon, fan.rays[j - 1], result.reduced.coeffs[j - 1]
         )
-        out.append((j, face.lattice_count()))
+        out.append((j, pick_count(face)))
     return out
 
 
@@ -229,11 +239,10 @@ def sweep_cokernel(
     the budget; otherwise falls back to seeded stratified sampling (a seed is
     then required).  Every instance's missing points are checked against the
     collar of the reduction (see _sweep_instance), under cokernel_dim's
-    budgets.  stabilization_coeff is 0 when no bound up to e_max reaches
-    max_coker.  jobs > 1 fans instances out to worker processes, never more
-    than the instances or the CPUs; the
-    result is assembled in canonical order either way, so output does not
-    depend on scheduling.
+    budgets.  stabilization_coeff is not clamped to e_max.  jobs > 1 fans
+    instances out to worker processes, never more than the instances or the
+    CPUs; the result is assembled in canonical order either way, so output
+    does not depend on scheduling.
     """
     if classify(fan, fixed_l) is not PositivityClass.AMPLE:
         raise PreconditionError("sweep requires an ample fixed divisor")
@@ -280,13 +289,11 @@ def sweep_cokernel(
     if not instances:
         raise PreconditionError("sweep produced no instances with sections")
     max_coker = max(c for _, c in instances)
-    # the smallest bound on the entries that already reaches max_coker
-    reached = min(max(e.coeffs) for e, c in instances if c == max_coker)
     return SweepResult(
         fixed_L=fixed_l,
         instances=tuple(instances),
         max_coker=max_coker,
-        stabilization_coeff=reached if reached <= e_max else 0,
+        stabilization_coeff=min(max(e.coeffs) for e, c in instances if c == max_coker),
         sampled=sampled,
         seed=seed,
         reports=tuple(reports) if keep_reports else None,

@@ -208,10 +208,10 @@ def hirzebruch(a: int) -> Fan:
     return validate_fan([(1, 0), (0, 1), (-1, a), (0, -1)])
 
 
-def blowup(fan: Fan, corner: int, max_rays: int = MAX_GENERATED_RAYS) -> Fan:
+def blowup(fan: Fan, corner: int) -> Fan:
     """Insert v_i + v_{i+1} between rays i and i+1 (1-based corner index)."""
-    if fan.n + 1 > max_rays:
-        raise FanSizeError(f"blowup would exceed {max_rays} rays")
+    if fan.n + 1 > MAX_GENERATED_RAYS:
+        raise FanSizeError(f"blowup would exceed {MAX_GENERATED_RAYS} rays")
     if not (1 <= corner <= fan.n):
         raise PreconditionError(f"corner index must be in [1, {fan.n}]")
     i = corner - 1
@@ -229,7 +229,7 @@ _FAMILY_NAMES = {
 }
 
 
-def generate_family(descriptor: str, max_rays: int = MAX_GENERATED_RAYS) -> Fan:
+def generate_family(descriptor: str) -> Fan:
     """Build a fan from a textual descriptor.
 
     Grammar: ``p2``, ``p1xp1``, ``f<a>`` or ``hirzebruch(<a>)`` for the
@@ -259,33 +259,29 @@ def generate_family(descriptor: str, max_rays: int = MAX_GENERATED_RAYS) -> Fan:
                 split_at = i
         if split_at < 0:
             raise PreconditionError(f"blowup descriptor needs a corner index: {descriptor!r}")
-        base = generate_family(inner[:split_at], max_rays)
+        base = generate_family(inner[:split_at])
         corner_text = inner[split_at + 1 :].strip()
         if not corner_text.lstrip("-").isdigit():
             raise PreconditionError(f"bad corner index {corner_text!r}")
-        return blowup(base, int(corner_text), max_rays)
+        return blowup(base, int(corner_text))
     raise PreconditionError(f"unknown family descriptor {descriptor!r}")
 
 
 def random_divisor(
-    fan: Fan,
-    positivity: PositivityClass,
-    max_coeff: int,
-    seed: int,
-    budget: int = SAMPLING_BUDGET,
+    fan: Fan, positivity: PositivityClass, max_coeff: int, seed: int
 ) -> TorusDivisor:
     """Rejection-sample a divisor of the requested class, coefficients in [0, max_coeff].
 
     Deterministic in the seed; raises :class:`SamplingBudgetError` when the
-    class is not hit within the draw budget.
+    class is not hit within SAMPLING_BUDGET draws.
     """
     if max_coeff < 1:
         raise PreconditionError("max_coeff must be >= 1")
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(SAMPLING_BUDGET):
         d = TorusDivisor(tuple(rng.randint(0, max_coeff) for _ in range(fan.n)))
         if classify(fan, d) is positivity:
             return d
     raise SamplingBudgetError(
-        f"no {positivity.value} divisor with coefficients <= {max_coeff} found in {budget} draws"
+        f"no {positivity.value} divisor with coefficients <= {max_coeff} found in {SAMPLING_BUDGET} draws"
     )

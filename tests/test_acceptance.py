@@ -103,7 +103,7 @@ def _verify_pair(job):
     p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
     faces_ok = all(
         face_in_direction(p_sum, v, a + b)
-        == face_in_direction(p_d, v, a).sum_with(face_in_direction(p_e, v, b))
+        == minkowski_sum(face_in_direction(p_d, v, a), face_in_direction(p_e, v, b))
         for v, a, b in zip(fan.rays, d.coeffs, e.coeffs)
     )
     return report.surjective, report.total_points, report.structured_fallbacks, faces_ok

@@ -13,7 +13,6 @@ from toricmult.errors import (
 )
 from toricmult.lattice import (
     ConvexLatticePolygon,
-    FaceKind,
     HalfPlane,
     LatticeVector,
     PolygonDim,
@@ -25,6 +24,7 @@ from toricmult.lattice import (
     face_in_direction,
     hull,
     intersect_halfplanes,
+    lattice_point_count,
     lattice_points,
     minkowski_sum,
     pick_count,
@@ -250,16 +250,16 @@ class TestFaceInDirection:
     def test_left_edge(self):
         p = intersect_halfplanes(UNIT_TRIANGLE_PLANES)
         f = face_in_direction(p, V(1, 0), 0)
-        assert f.kind is FaceKind.EDGE
-        assert [(e.x_num, e.y_num) for e in f.endpoints] == [(0, 0), (0, 1)]
+        assert f.dim is PolygonDim.SEGMENT
+        assert [(e.x_num, e.y_num) for e in f.vrep] == [(0, 0), (0, 1)]
 
     def test_hypotenuse(self):
         # the hypotenuse is <u, (-1,-1)> = -1, i.e. the offset of the third
         # plane of the unit simplex (c = +1)
         p = intersect_halfplanes(UNIT_TRIANGLE_PLANES)
         f = face_in_direction(p, V(-1, -1), 1)
-        assert f.kind is FaceKind.EDGE
-        assert [(e.x_num, e.y_num) for e in f.endpoints] == [(0, 1), (1, 0)]
+        assert f.dim is PolygonDim.SEGMENT
+        assert [(e.x_num, e.y_num) for e in f.vrep] == [(0, 1), (1, 0)]
 
     def test_line_misses(self):
         p = intersect_halfplanes(UNIT_TRIANGLE_PLANES)
@@ -268,19 +268,19 @@ class TestFaceInDirection:
     def test_vertex_face(self):
         p = intersect_halfplanes(UNIT_TRIANGLE_PLANES)
         f = face_in_direction(p, V(-1, 0), 1)  # max x = 1 attained at (1, 0)
-        assert f.kind is FaceKind.VERTEX
-        assert f.endpoints[0] == RP(1, 0)
+        assert f.dim is PolygonDim.POINT
+        assert f.vrep[0] == RP(1, 0)
 
     def test_interior_chord(self):
         p = hull([V(0, 0), V(2, 0), V(0, 2)])
         f = face_in_direction(p, V(1, 0), -1)  # the line x = 1
-        assert f.kind is FaceKind.EDGE
-        assert [e.sort_key() for e in f.endpoints] == [(1, 0), (1, 1)]
+        assert f.dim is PolygonDim.SEGMENT
+        assert [e.sort_key() for e in f.vrep] == [(1, 0), (1, 1)]
 
     def test_face_lattice_count(self):
         p = hull([V(0, 0), V(4, 0), V(0, 4)])
-        assert face_in_direction(p, V(0, 1), 0).lattice_count() == 5
-        assert face_in_direction(p, V(-1, -1), 4).lattice_count() == 5
+        assert lattice_point_count(face_in_direction(p, V(0, 1), 0)) == 5
+        assert lattice_point_count(face_in_direction(p, V(-1, -1), 4)) == 5
 
 
 class TestMinkowskiSum:

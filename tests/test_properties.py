@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 
 from toricmult.lattice import (
     ConvexLatticePolygon,
-    FaceKind,
     LatticeVector,
+    PolygonDim,
     decompose_interval,
     face_in_direction,
     hull,
@@ -123,12 +123,22 @@ def test_lattice_points_of_rational_regions(hom):
     assert_column_sweep(ConvexLatticePolygon._from_hom_vertices(hom, ()))
 
 
-@given(lattice_polys, lattice_polys)
-@settings(max_examples=150, deadline=None)
+rational_regions = st.lists(rational_coords, min_size=1, max_size=5).map(
+    lambda hom: ConvexLatticePolygon._from_hom_vertices(hom, ())
+)
+
+
+@given(st.one_of(lattice_polys, rational_regions), st.one_of(lattice_polys, rational_regions))
+@settings(max_examples=200, deadline=None)
 def test_minkowski_equals_hull_of_vertex_sums(a, b):
+    # rational points, segments and polygons take the lcm-scaled integer merge
     merged = minkowski_sum(a, b)
-    sums = [V(p.x_num + q.x_num, p.y_num + q.y_num) for p in a.vrep for q in b.vrep]
-    assert merged == hull(sums)
+    sums = [
+        (p.x_num * q.den + q.x_num * p.den, p.y_num * q.den + q.y_num * p.den, p.den * q.den)
+        for p in a.vrep
+        for q in b.vrep
+    ]
+    assert merged == ConvexLatticePolygon._from_hom_vertices(sums, ())
 
 
 @given(lattice_polys, lattice_polys)
@@ -164,7 +174,26 @@ def test_face_additivity_at_minimal_offsets(a, b, direction):
     fa = face_in_direction(a, v, int(ca))
     fb = face_in_direction(b, v, int(cb))
     fsum = face_in_direction(minkowski_sum(a, b), v, int(ca + cb))
-    assert fsum == fa.sum_with(fb)
+    assert fsum == minkowski_sum(fa, fb)
+
+
+@given(fan_with_divisor(lo=-3, hi=4))
+@settings(max_examples=150, deadline=None)
+@example((generate_family("f2"), TorusDivisor((-2, -1, -1, 2))))  # rational vertex
+@example((blowup(generate_family("p2"), 1), TorusDivisor((-2, -2, 1, 2))))  # segment
+def test_face_in_direction_is_the_polygon_on_the_line(fan_divisor):
+    fan, d = fan_divisor
+    poly = polygon_of(fan, d)
+    pts = lattice_points(poly)
+    for v, a in zip(fan.rays, d.coeffs):
+        tight = a if poly.is_empty() else math.floor(-poly.support_min(v))
+        for c in range(tight - 2, tight + 3):
+            face = face_in_direction(poly, v, c)
+            assert face.dim is not PolygonDim.POLYGON
+            assert lattice_points(face) == [p for p in pts if p.dot(v) == -c]
+            for q in face.vrep:
+                assert v.x * q.x_num + v.y * q.y_num == -c * q.den
+                assert poly.contains(q)
 
 
 @given(
@@ -336,7 +365,7 @@ def _classify_reference(fan, d):
     tight = all(poly.support_min(v) == -a for v, a in zip(fan.rays, d.coeffs))
     if tight and poly.has_lattice_vertices():
         faces = [face_in_direction(poly, v, a) for v, a in zip(fan.rays, d.coeffs)]
-        if all(f.kind is FaceKind.EDGE for f in faces):
+        if all(f.dim is PolygonDim.SEGMENT for f in faces):
             return PositivityClass.AMPLE
         return PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
     if lattice_points(poly):

@@ -230,11 +230,12 @@ class TestSweep:
             expected += [polygon_of(F2, e), polygon_of(F2, l_div + e)]
         assert len(sweep.instances) == 3 and swept == expected
 
-    def test_stabilization_beyond_e_max_is_zero(self):
-        # every instance has the fixed entry 9 > e_max, so no bound up to 3 is reached
+    def test_stabilization_beyond_e_max_is_reported_unclamped(self):
+        # every instance has the fixed entry 9 > e_max, so the least bound reaching
+        # max_coker is 9, not a value that reads like a stable grid
         sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=3, filter_pattern="9,k,0,0")
         assert len(sweep.instances) == 3
-        assert sweep.stabilization_coeff == 0
+        assert sweep.stabilization_coeff == 9
 
     def test_pipeline_check_lists_no_lattice_point(self, no_point_lists):
         l_div = D((1, 0, 1, 1))

@@ -55,3 +55,23 @@ def test_at_most_one_functools_cache():
                 if name in caches:
                     found.append(f"{path.name}:{dec.lineno}")
     assert len(found) <= 1, f"functools caches in the package: {found}"
+
+
+def test_fractions_only_in_lattice_and_svg():
+    # integer data stay in integers: only the exact geometry layer and the
+    # SVG writer may reach for Fraction
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("lattice.py", "svg.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"fractions imported outside lattice.py and svg.py: {found}"

@@ -265,11 +265,14 @@ class TestRandomDivisor:
         d = random_divisor(fan, PositivityClass.EFFECTIVE_SECTIONS_ONLY, 5, seed=7)
         assert classify(fan, d) is PositivityClass.EFFECTIVE_SECTIONS_ONLY
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        import toricmult.surface
+
         # no_sections is unreachable with non-negative coefficients
+        monkeypatch.setattr(toricmult.surface, "SAMPLING_BUDGET", 200)
         fan = projective_plane()
-        with pytest.raises(SamplingBudgetError):
-            random_divisor(fan, PositivityClass.NO_SECTIONS, 2, seed=1, budget=200)
+        with pytest.raises(SamplingBudgetError, match="in 200 draws"):
+            random_divisor(fan, PositivityClass.NO_SECTIONS, 2, seed=1)
 
     def test_max_coeff_precondition(self):
         with pytest.raises(PreconditionError):
