@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from typing import Sequence
 
 from .errors import ToricError
@@ -118,9 +117,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"total points: {report.total_points}")
     print(f"decomposed: {report.decomposed}")
     print(f"structured fallbacks: {report.structured_fallbacks}")
-    paths = Counter(w.path for w in report.witnesses)
     for path in DecompositionPath:
-        print(f"path {path.value}: {paths[path]}")
+        print(f"path {path.value}: {report.path_counts[path]}")
     return 0
 
 

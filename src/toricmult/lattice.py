@@ -98,20 +98,18 @@ class RationalPoint:
     def __post_init__(self) -> None:
         if self.den == 0:
             raise ZeroDivisionError("denominator must be nonzero")
-        xn, yn, d = self.x_num, self.y_num, self.den
-        if d < 0:
-            xn, yn, d = -xn, -yn, -d
-        g = math.gcd(math.gcd(abs(xn), abs(yn)), d)
-        if g > 1:
-            xn, yn, d = xn // g, yn // g, d // g
-        object.__setattr__(self, "x_num", xn)
-        object.__setattr__(self, "y_num", yn)
-        object.__setattr__(self, "den", d)
+        self._set(*_hom_normalize((self.x_num, self.y_num, self.den)))
 
     @classmethod
-    def from_fractions(cls, x: Fraction, y: Fraction) -> "RationalPoint":
-        den = (x.denominator * y.denominator) // math.gcd(x.denominator, y.denominator)
-        return cls(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den)
+    def _from_normalized(cls, x_num: int, y_num: int, den: int) -> "RationalPoint":
+        """The point of numbers already in lowest form, as _hom_normalize gives them."""
+        return object.__new__(cls)._set(x_num, y_num, den)
+
+    def _set(self, x_num: int, y_num: int, den: int) -> "RationalPoint":
+        object.__setattr__(self, "x_num", x_num)
+        object.__setattr__(self, "y_num", y_num)
+        object.__setattr__(self, "den", den)
+        return self
 
     @classmethod
     def from_lattice(cls, v: LatticeVector) -> "RationalPoint":
@@ -129,9 +127,6 @@ class RationalPoint:
         if self.den != 1:
             raise PreconditionError(f"{self} is not a lattice point")
         return LatticeVector(self.x_num, self.y_num)
-
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
 
     def __str__(self) -> str:
         if self.den == 1:
@@ -191,7 +186,7 @@ def _hom_normalize(p: tuple[int, int, int]) -> tuple[int, int, int]:
     x, y, w = p
     if w < 0:
         x, y, w = -x, -y, -w
-    g = math.gcd(math.gcd(abs(x), abs(y)), w)
+    g = math.gcd(x, y, w)
     if g > 1:
         x, y, w = x // g, y // g, w // g
     return (x, y, w)
@@ -260,7 +255,7 @@ class ConvexLatticePolygon:
         hom: Sequence[tuple[int, int, int]], hrep: tuple[HalfPlane, ...]
     ) -> "ConvexLatticePolygon":
         hull_pts = _hull_hom([_hom_normalize(p) for p in hom])
-        verts = tuple(RationalPoint(x, y, w) for (x, y, w) in hull_pts)
+        verts = tuple(RationalPoint._from_normalized(*p) for p in hull_pts)
         if not verts:
             dim = PolygonDim.EMPTY
         elif len(verts) == 1:
@@ -349,43 +344,12 @@ class ConvexLatticePolygon:
                 return False
         return True
 
-    def contains_in_interior(self, p: RationalPoint | LatticeVector) -> bool:
-        """Topological-interior membership; always False for dim < 2."""
-        if isinstance(p, LatticeVector):
-            p = RationalPoint.from_lattice(p)
-        if self.dim is not PolygonDim.POLYGON:
-            return False
-        hp = (p.x_num, p.y_num, p.den)
-        n = len(self.vrep)
-        for i in range(n):
-            a = self.vrep[i]
-            b = self.vrep[(i + 1) % n]
-            if _hom_cross_sign((a.x_num, a.y_num, a.den), (b.x_num, b.y_num, b.den), hp) <= 0:
-                return False
-        return True
-
-    def contains_on_boundary(self, p: RationalPoint | LatticeVector) -> bool:
-        return self.contains(p) and not self.contains_in_interior(p)
-
-    def support_min(self, v: LatticeVector) -> Fraction:
-        """min over the region of <u, v>; the region must be nonempty."""
-        if self.is_empty():
-            raise EmptyInputError("support of an empty region is undefined")
-        return min(Fraction(v.x * p.x_num + v.y * p.y_num, p.den) for p in self.vrep)
-
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self.is_empty():
             raise EmptyInputError("empty region has no bounding box")
         xs = [p.x for p in self.vrep]
         ys = [p.y for p in self.vrep]
         return (min(xs), min(ys), max(xs), max(ys))
-
-    def translate(self, t: LatticeVector) -> "ConvexLatticePolygon":
-        verts = tuple(
-            RationalPoint(p.x_num + t.x * p.den, p.y_num + t.y * p.den, p.den) for p in self.vrep
-        )
-        hrep = tuple(HalfPlane(h.normal, h.offset - h.normal.dot(t)) for h in self.hrep)
-        return ConvexLatticePolygon(verts, self.dim, hrep)
 
     def __str__(self) -> str:
         return f"{self.dim.value}[{', '.join(str(v) for v in self.vrep)}]"

@@ -20,6 +20,11 @@ column, and each point goes to the first interval, in the proof's order,
 that holds it.  Only the points (a) and (b) leave reach (c) and (d).  A
 single point takes the same route on its one-point range.
 
+Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
+c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
+Step (a)'s vertex u gives (u.x, u.y, c1 - u.y), step (b)'s q2 gives (x - q2.x,
+c0 - q2.y, q2.y), and steps (c) and (d) one-point spans.
+
 A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
 and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
 intersect (p - P_D).  A vertex of F inside P_E is p - u for a vertex u of
@@ -35,11 +40,12 @@ of its line, such as P2, P1 x P1, every F_a, BlP2 and BlBlP2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -72,9 +78,9 @@ from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 #: The exhaustive search, cokernel_dim and the sweep refuse more pairs of
 #: lattice columns w_D x w_E of the two factors than this.
 PAIR_BUDGET = 10**7
-#: The most points one report keeps: a witness per point of the sum polygon
-#: (340-410 bytes with its p and q vectors, CPython 3.11: about 0.4 GB), or
-#: a vector per missing point.
+#: The most points one report answers for: the points of the sum polygon, kept
+#: as spans, a few per column, or a vector per missing point.  Reading a report's
+#: witnesses builds 340-410 bytes per point (CPython 3.11: about 0.4 GB).
 POINT_BUDGET = 10**6
 
 #: A polygon's lattice points as {x: (lo, hi)}, from lattice._column_table.
@@ -88,6 +94,8 @@ class DecompositionPath(Enum):
     TRIANGLE_REGION_B = "triangle_region_B"
     TRIANGLE_REGION_C = "triangle_region_C"
     FALLBACK_SEARCH = "fallback_search"
+
+    __hash__ = object.__hash__  # members are singletons: hashed in C, for path_counts
 
 
 @dataclass(frozen=True)
@@ -105,13 +113,25 @@ class DecompositionWitness:
             raise TheoremViolationError(f"witness does not sum: {q1} + {q2} != {p}")
 
 
+#: (x, c0, c1, x1, lo1, hi2, path), as in the module docstring.
+Span = tuple[int, int, int, int, int, int, DecompositionPath]
+
+
 @dataclass(frozen=True)
 class SurjectivityReport:
+    """The lattice points of P_{D+E} that split, as checked spans in (x, y) order,
+    and their count per path; witnesses expands the spans anew on each read."""
+
     total_points: int
     decomposed: int
-    witnesses: tuple[DecompositionWitness, ...]
     surjective: bool
     structured_fallbacks: int
+    path_counts: Counter[DecompositionPath] = field(compare=False)  # read off the spans
+    spans: tuple[Span, ...]
+
+    @property
+    def witnesses(self) -> tuple[DecompositionWitness, ...]:
+        return tuple(_span_witnesses(self.spans))
 
 
 @dataclass(frozen=True)
@@ -148,30 +168,52 @@ def _inside(table: _Table, x: int, y: int) -> bool:
     return col is not None and col[0] <= y <= col[1]
 
 
-def _pair_witnesses(
-    table_d: _Table, table_e: _Table, x: int, pieces: list[tuple[int, int, tuple[int, int, int]]]
-) -> list[DecompositionWitness]:
-    """The exhaustive search's checked witnesses on column x, by increasing y."""
-    out = []
-    for c0, c1, (x1, lo1, hi2) in sorted(pieces):
-        (dlo, dhi), (elo, ehi) = table_d.get(x1, (1, 0)), table_e.get(x - x1, (1, 0))
+def _span_witnesses(spans: Iterable[Span]) -> Iterator[DecompositionWitness]:
+    """One witness per point of the spans, in their order; each point of a factor
+    polygon is built once."""
+    factor_points: dict[tuple[int, int], LatticeVector] = {}
+
+    def point(x: int, y: int) -> LatticeVector:
+        q = factor_points.get((x, y))
+        if q is None:
+            q = factor_points[x, y] = LatticeVector(x, y)
+        return q
+
+    for x, c0, c1, x1, lo1, hi2, path in spans:
         for y in range(c0, c1 + 1):
             y1 = max(lo1, y - hi2)
-            if not (dlo <= y1 <= dhi and elo <= y - y1 <= ehi):
-                raise TheoremViolationError(f"witness check failed at ({x}, {y})")
-            out.append(DecompositionWitness(
-                LatticeVector(x, y), LatticeVector(x1, y1), LatticeVector(x - x1, y - y1),
-                DecompositionPath.FALLBACK_SEARCH,
-            ))
-    return out
+            q1, q2 = point(x1, y1), point(x - x1, y - y1)
+            yield DecompositionWitness(LatticeVector(x, y), q1, q2, path)
+
+
+def _check_span(table_d: _Table, table_e: _Table, span: Span) -> None:
+    """Raise at the first point of span whose witness leaves a factor.  q1.y and
+    q2.y never decrease along a span, so its ends decide; a failing span is scanned."""
+    x, c0, c1, x1, lo1, hi2, _ = span
+    (dlo, dhi), (elo, ehi) = table_d.get(x1, (1, 0)), table_e.get(x - x1, (1, 0))
+    y1_first, y1_last = max(lo1, c0 - hi2), max(lo1, c1 - hi2)
+    if dlo <= y1_first and y1_last <= dhi and elo <= c0 - y1_first and c1 - y1_last <= ehi:
+        return
+    for y in range(c0, c1 + 1):
+        y1 = max(lo1, y - hi2)
+        if not (dlo <= y1 <= dhi and elo <= y - y1 <= ehi):
+            raise TheoremViolationError(f"witness check failed at ({x}, {y})")
+
+
+def _oracle_column(table_d: _Table, table_e: _Table, x: int, lo: int, hi: int) -> list[Span]:
+    """The exhaustive search's checked spans on the points (x, lo..hi), by increasing y."""
+    pieces, _ = _first_cover(_column_pairs(table_d, table_e, x), [(lo, hi)])
+    spans = sorted((x, c0, c1, *key, DecompositionPath.FALLBACK_SEARCH) for c0, c1, key in pieces)
+    for span in spans:
+        _check_span(table_d, table_e, span)
+    return spans
 
 
 def _fallback_witness(
     table_d: _Table, table_e: _Table, p: LatticeVector
 ) -> DecompositionWitness | None:
     """The exhaustive search's witness for p, on the one-point range [p.y, p.y]."""
-    pieces, _ = _first_cover(_column_pairs(table_d, table_e, p.x), [(p.y, p.y)])
-    return next(iter(_pair_witnesses(table_d, table_e, p.x, pieces)), None)
+    return next(_span_witnesses(_oracle_column(table_d, table_e, p.x, p.y, p.y)), None)
 
 
 def decompose_bruteforce(
@@ -331,25 +373,26 @@ class _StructuredContext:
             raise PreconditionError(
                 "structured decomposition requires a globally generated second divisor"
             )
-        self.fan = fan
-        self.d = d
-        self.e = e
-        self.p_d = polygon_of(fan, d)
-        self.p_e = polygon_of(fan, e)
-        self.table_d = _column_table(self.p_d)
-        self.table_e = _column_table(self.p_e)
+        self.fan, self.d, self.e = fan, d, e
+        self.p_d, self.p_e = polygon_of(fan, d), polygon_of(fan, e)
+        self.table_d, self.table_e = _column_table(self.p_d), _column_table(self.p_e)
         self._reductions: dict[int, TriangleReduction | None] = {}
         # (a) q1 = u, the vertices of P_D in sorted order
         self.d_vertices = sorted(self.p_d.lattice_vertices())
-        # (b) q2 = m + k t on the edges of P_E, edge by edge and k ascending;
-        # k stops short of the edge's end, the next edge's start (a segment
-        # runs there and back, a point is one edge of length 0)
-        verts = self.p_e.lattice_vertices()
-        self.boundary = []
-        for m, m_next in zip(verts, verts[1:] + verts[:1]):
-            g = math.gcd(m_next.x - m.x, m_next.y - m.y)
-            tx, ty = ((m_next.x - m.x) // g, (m_next.y - m.y) // g) if g else (0, 0)
-            self.boundary += [LatticeVector(m.x + k * tx, m.y + k * ty) for k in range(max(g, 1))]
+        # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
+        self.boundary: list[LatticeVector] | None = None
+
+    def boundary_points(self) -> list[LatticeVector]:
+        """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending; k stops
+        short of the next edge's start (a segment runs there and back, a point is one edge)."""
+        if self.boundary is None:
+            verts, boundary = self.p_e.lattice_vertices(), []
+            for m, m_next in zip(verts, verts[1:] + verts[:1]):
+                dx, dy = m_next.x - m.x, m_next.y - m.y
+                g = math.gcd(dx, dy) or 1
+                boundary += [LatticeVector(m.x + k * dx // g, m.y + k * dy // g) for k in range(g)]
+            self.boundary = boundary
+        return self.boundary
 
     def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
         """Triangle reduction for edge sigma_{j0+1}, cached per instance.
@@ -460,52 +503,41 @@ def _try_regions(
     return None
 
 
-def _structured_column(
-    ctx: _StructuredContext, x: int, lo: int, hi: int
-) -> list[DecompositionWitness]:
-    """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, by increasing y:
-    (a) gives y to the first vertex u of P_D with (x, y) in u + P_E, (b) to
-    the first boundary point q2 of P_E with (x, y) in q2 + P_D."""
-    table_d, table_e = ctx.table_d, ctx.table_e
-    found, gaps = _first_cover(_translates(ctx.d_vertices, table_e, x), [(lo, hi)])
-    spans = [(c0, c1, u, DecompositionPath.INTERIOR_VERTEX) for c0, c1, u in found]
+def _structured_column(ctx: _StructuredContext, x: int, lo: int, hi: int) -> list[Span]:
+    """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as checked
+    spans by increasing y: (a) gives y to the first vertex u of P_D with (x, y)
+    in u + P_E, (b) to the first boundary point q2 of P_E with (x, y) in
+    q2 + P_D, and (c) and (d) take each point left on its own."""
+    found, gaps = _first_cover(_translates(ctx.d_vertices, ctx.table_e, x), [(lo, hi)])
+    path = DecompositionPath.INTERIOR_VERTEX
+    spans = [(x, c0, c1, u.x, u.y, c1 - u.y, path) for c0, c1, u in found]
     if gaps:
-        found, gaps = _first_cover(_translates(ctx.boundary, table_d, x), gaps)
-        spans += [(c0, c1, q2, DecompositionPath.BOUNDARY_LATTICE) for c0, c1, q2 in found]
-        spans += [(y, y, LatticeVector(x, y), None) for g0, g1 in gaps for y in range(g0, g1 + 1)]
-    out: list[DecompositionWitness] = []
-    for c0, c1, q, path in sorted(spans, key=itemgetter(0)):
-        if path is None:
-            out.append(_regions_or_fallback(ctx, q))
-            continue
-        vertex = path is DecompositionPath.INTERIOR_VERTEX  # q is q1, else q2
-        x1 = q.x if vertex else x - q.x
-        (dlo, dhi), (elo, ehi) = table_d.get(x1, (1, 0)), table_e.get(x - x1, (1, 0))
-        for y in range(c0, c1 + 1):
-            r = LatticeVector(x - q.x, y - q.y)
-            q1, q2 = (q, r) if vertex else (r, q)
-            if not (dlo <= q1.y <= dhi and elo <= q2.y <= ehi):
-                raise TheoremViolationError(f"witness check failed at ({x}, {y})")
-            out.append(DecompositionWitness(LatticeVector(x, y), q1, q2, path))
-    return out
+        found, gaps = _first_cover(_translates(ctx.boundary_points(), ctx.table_d, x), gaps)
+        path = DecompositionPath.BOUNDARY_LATTICE
+        spans += [(x, c0, c1, x - q2.x, c0 - q2.y, q2.y, path) for c0, c1, q2 in found]
+        spans += [_regions_or_fallback(ctx, x, y) for g0, g1 in gaps for y in range(g0, g1 + 1)]
+    spans.sort(key=itemgetter(1))
+    for span in spans:
+        _check_span(ctx.table_d, ctx.table_e, span)
+    return spans
 
 
-def _regions_or_fallback(ctx: _StructuredContext, p: LatticeVector) -> DecompositionWitness:
-    """Steps (c) and (d) for a point of the sum polygon."""
+def _regions_or_fallback(ctx: _StructuredContext, x: int, y: int) -> Span:
+    """Steps (c) and (d) for the point (x, y) of the sum polygon, as a span."""
     if ctx.p_e.dim is PolygonDim.POLYGON:
         for j0 in range(ctx.fan.n):
             red = ctx.reduction_for_edge(j0)
             if red is None or red.triangle.dim is not PolygonDim.POLYGON:
                 continue  # a segment reduction adds nothing beyond step (b)
-            witness = _try_regions(ctx, red, p)
-            if witness is not None:
-                return witness
-    witness = _fallback_witness(ctx.table_d, ctx.table_e, p)
-    if witness is None:
+            w = _try_regions(ctx, red, LatticeVector(x, y))
+            if w is not None:
+                return (x, y, y, w.q1.x, w.q1.y, w.q2.y, w.path)
+    spans = _oracle_column(ctx.table_d, ctx.table_e, x, y, y)
+    if not spans:
         raise TheoremViolationError(
-            f"no decomposition for {p} under ample x globally generated hypotheses"
+            f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"
         )
-    return witness
+    return spans[0]
 
 
 def _decompose_structured_in_context(
@@ -514,7 +546,7 @@ def _decompose_structured_in_context(
     """Steps (a)-(d) on the one-point range [p.y, p.y] of column p.x."""
     if any(v.dot(p) < -(a + b) for v, a, b in zip(ctx.fan.rays, ctx.d.coeffs, ctx.e.coeffs)):
         raise DecompositionRangeError(f"{p} lies outside the sum polygon")
-    return _structured_column(ctx, p.x, p.y, p.y)[0]
+    return next(_span_witnesses(_structured_column(ctx, p.x, p.y, p.y)))
 
 
 def decompose_structured(
@@ -546,39 +578,45 @@ def check_surjectivity(
     """
     if mode not in ("structured", "brute", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    p_d, p_e, p_sum = polygon_of(fan, d), polygon_of(fan, e), polygon_of(fan, d + e)
+    p_sum = polygon_of(fan, d + e)
     # refuse an over-budget instance before any table or point is built
     if math.prod(_box(p_sum)) > POINT_BUDGET and any(  # by columns only up to the budget
         n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
     ):
         raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
-    if mode != "structured":
-        _refuse_over_pair_budget(p_d, p_e)
+    if mode != "structured":  # before the context checks the hypotheses
+        _refuse_over_pair_budget(polygon_of(fan, d), polygon_of(fan, e))
     ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
-    table_d, table_e = (ctx.table_d, ctx.table_e) if ctx else map(_column_table, (p_d, p_e))
-    if ctx is None and not (table_d and table_e):
-        raise PreconditionError("brute mode requires sections on both factors")
+    if ctx is None:
+        table_d, table_e = _column_table(polygon_of(fan, d)), _column_table(polygon_of(fan, e))
+        if not (table_d and table_e):
+            raise PreconditionError("brute mode requires sections on both factors")
+    else:
+        table_d, table_e = ctx.table_d, ctx.table_e
     total = 0
-    witnesses: list[DecompositionWitness] = []
+    spans: list[Span] = []
     for x, lo, hi in _columns(p_sum):
         total += hi - lo + 1
         if ctx is None:
-            pieces, _ = _first_cover(_column_pairs(table_d, table_e, x), [(lo, hi)])
-            witnesses += _pair_witnesses(table_d, table_e, x, pieces)
+            spans += _oracle_column(table_d, table_e, x, lo, hi)
             continue
-        witnesses += _structured_column(ctx, x, lo, hi)
+        spans += _structured_column(ctx, x, lo, hi)
         if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
             raise TheoremViolationError(
                 f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
                 "but the exhaustive oracle did not"
             )
-    decomposed = len(witnesses)
+    path_counts: Counter[DecompositionPath] = Counter()
+    for _, c0, c1, _, _, _, path in spans:
+        path_counts[path] += c1 - c0 + 1
+    decomposed = path_counts.total()
     return SurjectivityReport(
         total_points=total,
         decomposed=decomposed,
-        witnesses=tuple(witnesses),
         surjective=decomposed == total,
-        structured_fallbacks=sum(w.path is DecompositionPath.FALLBACK_SEARCH for w in witnesses),
+        structured_fallbacks=path_counts[DecompositionPath.FALLBACK_SEARCH],
+        path_counts=path_counts,
+        spans=tuple(spans),
     )
 
 

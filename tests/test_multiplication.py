@@ -16,6 +16,7 @@ from toricmult.lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
+    _column_table,
     hull,
     lattice_points,
 )
@@ -484,6 +485,121 @@ class TestCheckSurjectivity:
             check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="fast")
 
 
+class TestSpans:
+    """check_surjectivity keeps checked spans and builds witnesses only when read."""
+
+    @pytest.mark.parametrize("mode", ["structured", "brute", "both"])
+    def test_builds_no_witness_until_read(self, monkeypatch, mode):
+        import toricmult.multiplication as mult
+
+        built = []
+
+        class CountingWitness(mult.DecompositionWitness):
+            def __post_init__(self):
+                built.append(self.p)
+                super().__post_init__()
+
+        monkeypatch.setattr(mult, "DecompositionWitness", CountingWitness)
+        report = check_surjectivity(F2, D((1, 0, 1, 1)), D((1, 1, 1, 1)), mode=mode)
+        assert built == [] and report.decomposed == 24
+        witnesses = report.witnesses
+        assert len(built) == len(witnesses) == report.decomposed
+        assert built == [w.p for w in witnesses]
+        assert built == lattice_points(polygon_of(F2, D((2, 1, 2, 2))))
+
+    def test_reports_compare_and_hash_by_their_spans(self):
+        args = (F2, D((1, 0, 1, 1)), D((1, 1, 1, 1)))
+        a, b = check_surjectivity(*args), check_surjectivity(*args)
+        assert a == b and hash(a) == hash(b) and a.spans == b.spans
+
+    def test_span_check_names_the_first_failing_point(self):
+        # narrow one column of a factor's table by 1 or 2 at either end: the end
+        # check of each span, with a scan where it fails, must name the point that
+        # the per-point check of the expanded witnesses, in order, names first
+        from toricmult.multiplication import _check_span, _inside
+
+        d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
+        tables = (_column_table(polygon_of(F2, d)), _column_table(polygon_of(F2, e)))
+        inside_spans = 0
+        for mode in ("structured", "brute"):
+            report = check_surjectivity(F2, d, e, mode=mode)
+            for which, table in enumerate(tables):
+                for x1, (lo, hi) in table.items():
+                    for col in ((lo + 1, hi), (lo + 2, hi), (lo, hi - 1), (lo, hi - 2)):
+                        bad = [dict(t) for t in tables]
+                        bad[which][x1] = col
+                        first = next((w.p for w in report.witnesses if not (
+                            _inside(bad[0], *w.q1.as_tuple()) and _inside(bad[1], *w.q2.as_tuple())
+                        )), None)
+                        try:
+                            for span in report.spans:
+                                _check_span(bad[0], bad[1], span)
+                        except TheoremViolationError as exc:
+                            assert str(exc) == f"witness check failed at {first}"
+                            inside_spans += any(
+                                x == first.x and c0 < first.y < c1
+                                for x, c0, c1, *_ in report.spans
+                            )
+                        else:
+                            assert first is None
+        assert inside_spans > 0  # some spans fail between their ends, found by the scan
+
+    def test_steps_c_and_d_give_one_point_spans(self, monkeypatch):
+        # with steps (a) and (b) finding nothing, each point is a span of its own,
+        # expanded to the witness of the single-point route on the same context
+        import toricmult.multiplication as mult
+
+        init = mult._StructuredContext.__init__
+
+        def bare(self, *args):
+            init(self, *args)
+            self.d_vertices, self.boundary = [], []
+
+        monkeypatch.setattr(mult._StructuredContext, "__init__", bare)
+        d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
+        report = check_surjectivity(F2, d, e, mode="structured")
+        assert all(c0 == c1 for _, c0, c1, *_ in report.spans) and len(report.spans) == 48
+        ctx = mult._StructuredContext(F2, d, e)
+        singles = [mult._decompose_structured_in_context(ctx, w.p) for w in report.witnesses]
+        assert singles == list(report.witnesses)
+        assert {p.value: n for p, n in report.path_counts.items()} == {
+            "triangle_region_A": 24, "triangle_region_B": 18, "triangle_region_C": 6
+        }
+
+    def test_boundary_listed_only_after_a_gap(self, monkeypatch):
+        # step (b)'s boundary points of P_E are built on the first column that
+        # step (a) leaves a gap in, and not at all when step (a) covers every point
+        import toricmult.multiplication as mult
+
+        contexts = []
+        init = mult._StructuredContext.__init__
+
+        def keep(self, *args):
+            init(self, *args)
+            contexts.append(self)
+
+        monkeypatch.setattr(mult._StructuredContext, "__init__", keep)
+        report = check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 2)), mode="both")
+        assert report.path_counts == {DecompositionPath.INTERIOR_VERTEX: 10}
+        assert contexts[-1].boundary is None
+        report = check_surjectivity(F2, D((1, 0, 1, 1)), D((1, 1, 1, 1)), mode="both")
+        assert report.path_counts[DecompositionPath.BOUNDARY_LATTICE] == 1
+        assert contexts[-1].boundary  # listed once step (a) left a gap
+
+    def test_memory_follows_the_spans(self):
+        # 180,901 points in about 45,000 spans; a witness per point took about 63 MB
+        d = D((100, 100, 100))
+        polygon_of(P2, d), polygon_of(P2, d + d)  # warm the polygon cache
+        tracemalloc.start()
+        try:
+            report = check_surjectivity(P2, d, d, mode="both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.surjective and report.decomposed == 180_901
+        assert peak < 16 * 10**6
+
+
 class TestCokernelDim:
     def test_p2_surjective_case(self):
         report = cokernel_dim(P2, D((0, 0, 1)), D((0, 0, 2)))
@@ -617,7 +733,8 @@ class TestWitnessInvariants:
         d, e = D((1, 0, 1, 1)), D((1, 1, 1, 1))
         m = V(2, -1)
         d_shift = D(tuple(a + m.dot(v) for a, v in zip(d.coeffs, F2.rays)))
-        assert polygon_of(F2, d_shift) == polygon_of(F2, d).translate(-m)
+        shifted_vertices = [u - m for u in polygon_of(F2, d).lattice_vertices()]
+        assert polygon_of(F2, d_shift).lattice_vertices() == shifted_vertices
         base = check_surjectivity(F2, d, e, mode="brute")
         shifted = check_surjectivity(F2, d_shift, e, mode="brute")
         assert shifted.surjective == base.surjective

@@ -1,6 +1,7 @@
 """Property-based invariants across the geometry and surface layers."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -18,7 +19,13 @@ from toricmult.lattice import (
     minkowski_sum,
     pick_count,
 )
-from toricmult.multiplication import check_surjectivity, cokernel_dim, decompose_bruteforce
+from toricmult.multiplication import (
+    DecompositionPath,
+    check_surjectivity,
+    cokernel_dim,
+    decompose_bruteforce,
+    decompose_structured,
+)
 from toricmult.reduction import reduce_to_globally_generated
 from toricmult.surface import (
     PositivityClass,
@@ -164,12 +171,17 @@ def test_sumset_contained_in_sum_polygon(a, b):
             assert p + q in sum_points
 
 
+def _support_min(poly, v):
+    """min of <u, v> over a nonempty region, at its vertices."""
+    return min(Fraction(v.x * p.x_num + v.y * p.y_num, p.den) for p in poly.vrep)
+
+
 @given(lattice_polys, lattice_polys, st.sampled_from([(1, 0), (0, 1), (-1, -1), (1, 2), (-2, 1), (0, -1)]))
 @settings(max_examples=150, deadline=None)
 def test_face_additivity_at_minimal_offsets(a, b, direction):
     v = V(*direction)
-    ca = -a.support_min(v)
-    cb = -b.support_min(v)
+    ca = -_support_min(a, v)
+    cb = -_support_min(b, v)
     assert ca.denominator == 1 and cb.denominator == 1
     fa = face_in_direction(a, v, int(ca))
     fb = face_in_direction(b, v, int(cb))
@@ -186,7 +198,7 @@ def test_face_in_direction_is_the_polygon_on_the_line(fan_divisor):
     poly = polygon_of(fan, d)
     pts = lattice_points(poly)
     for v, a in zip(fan.rays, d.coeffs):
-        tight = a if poly.is_empty() else math.floor(-poly.support_min(v))
+        tight = a if poly.is_empty() else math.floor(-_support_min(poly, v))
         for c in range(tight - 2, tight + 3):
             face = face_in_direction(poly, v, c)
             assert face.dim is not PolygonDim.POLYGON
@@ -362,7 +374,7 @@ def _classify_reference(fan, d):
     poly = polygon_of(fan, d)
     if poly.is_empty():
         return PositivityClass.NO_SECTIONS
-    tight = all(poly.support_min(v) == -a for v, a in zip(fan.rays, d.coeffs))
+    tight = all(_support_min(poly, v) == -a for v, a in zip(fan.rays, d.coeffs))
     if tight and poly.has_lattice_vertices():
         faces = [face_in_direction(poly, v, a) for v, a in zip(fan.rays, d.coeffs)]
         if all(f.dim is PolygonDim.SEGMENT for f in faces):
@@ -420,6 +432,27 @@ def test_ample_times_gg_surjective_with_valid_witnesses(fde):
     for w in report.witnesses:
         assert w.q1 + w.q2 == w.p
         assert p_d.contains(w.q1) and p_e.contains(w.q2)
+
+
+@given(ample_with_gg())
+@settings(max_examples=60, deadline=None)
+def test_expanded_spans_are_the_single_point_routes(fde):
+    # a report keeps spans; expanded, they give each point the witness of the
+    # single-point route (decompose_structured for mode "structured",
+    # decompose_bruteforce for mode "brute"), and path_counts counts their paths
+    fan, d, e = fde
+    p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
+    routes = {
+        "structured": lambda p: decompose_structured(fan, d, e, p),
+        "brute": lambda p: decompose_bruteforce(p_d, p_e, p),
+    }
+    for mode, single in routes.items():
+        report = check_surjectivity(fan, d, e, mode=mode)
+        witnesses = report.witnesses
+        assert report.decomposed == len(witnesses) == report.total_points
+        assert list(witnesses) == [single(w.p) for w in witnesses]
+        assert report.path_counts == Counter(w.path for w in witnesses)
+        assert report.structured_fallbacks == report.path_counts[DecompositionPath.FALLBACK_SEARCH]
 
 
 @st.composite

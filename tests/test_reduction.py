@@ -35,7 +35,7 @@ class TestReduce:
         assert res.reduced == D((0, 0, 0, 0))
         assert res.J == frozenset({2})
         assert res.hull_polygon.dim is PolygonDim.POINT
-        assert res.hull_polygon.vrep[0].sort_key() == (0, 0)
+        assert res.hull_polygon.vrep[0].to_lattice() == V(0, 0)
 
     def test_idempotent_on_globally_generated(self):
         d = D((0, 0, 1))
