@@ -11,7 +11,12 @@ import sys
 from typing import Sequence
 
 from .errors import ToricError
-from .multiplication import DecompositionPath, check_surjectivity, cokernel_dim
+from .multiplication import (
+    DecompositionPath,
+    _refuse_over_point_budget,
+    check_surjectivity,
+    cokernel_dim,
+)
 from .reduction import SWEEP_BUDGET, edge_lattice_report, reduce_to_globally_generated, sweep_cokernel
 from .serialization import (
     fan_json,
@@ -22,7 +27,7 @@ from .serialization import (
     write_divisor,
     write_fan,
 )
-from .surface import classify, generate_family, h0
+from .surface import classify, generate_family, h0, polygon_of
 from .svg import emit_svg
 
 
@@ -170,6 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     fan = load_fan(args.fan)
     l_div, e_div = load_divisor(args.L), load_divisor(args.E)
+    _refuse_over_point_budget(polygon_of(fan, l_div + e_div))  # before the cokernel's sweep
     report = cokernel_dim(fan, l_div, e_div)
     emit_svg(fan, (l_div, e_div), report, args.out)
     print(f"wrote {args.out}")

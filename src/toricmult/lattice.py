@@ -256,6 +256,27 @@ class ConvexLatticePolygon:
     ) -> "ConvexLatticePolygon":
         hull_pts = _hull_hom([_hom_normalize(p) for p in hom])
         verts = tuple(RationalPoint._from_normalized(*p) for p in hull_pts)
+        return ConvexLatticePolygon._of_vertices(verts, hrep)
+
+    @staticmethod
+    def _from_lattice_ring(
+        ring: Sequence[tuple[int, int]], hrep: tuple[HalfPlane, ...]
+    ) -> "ConvexLatticePolygon":
+        """The polygon whose vertices are ring's integer points, listed once
+        around CCW, repeats allowed: drop each point equal to the next and
+        start at the lexicographic minimum."""
+        verts = [p for p, q in zip(ring, ring[1:] + ring[:1]) if p != q] or [ring[0]]
+        start = verts.index(min(verts))
+        verts = verts[start:] + verts[:start]
+        return ConvexLatticePolygon._of_vertices(
+            tuple(RationalPoint._from_normalized(x, y, 1) for x, y in verts), hrep
+        )
+
+    @staticmethod
+    def _of_vertices(
+        verts: tuple[RationalPoint, ...], hrep: tuple[HalfPlane, ...]
+    ) -> "ConvexLatticePolygon":
+        """The polygon of vertices already in canonical order."""
         if not verts:
             dim = PolygonDim.EMPTY
         elif len(verts) == 1:
@@ -514,14 +535,14 @@ def _column_pairs(
 
 
 def _translates(
-    keys: list[LatticeVector], table: dict[int, tuple[int, int]], x: int
-) -> Iterator[tuple[LatticeVector, int, int]]:
-    """Column x of the translates q + A, as intervals: (q, lo + q.y, hi + q.y)
-    for each q of keys, in order, whose column x - q.x of A is lo..hi."""
+    keys: list[tuple[int, int]], table: dict[int, tuple[int, int]], x: int
+) -> Iterator[tuple[tuple[int, int], int, int]]:
+    """Column x of the translates q + A, as intervals: (q, lo + qy, hi + qy)
+    for each q = (qx, qy) of keys, in order, whose column x - qx of A is lo..hi."""
     for q in keys:
-        col = table.get(x - q.x)
+        col = table.get(x - q[0])
         if col is not None:
-            yield q, col[0] + q.y, col[1] + q.y
+            yield q, col[0] + q[1], col[1] + q[1]
 
 
 K = TypeVar("K")

@@ -377,20 +377,20 @@ class _StructuredContext:
         self.p_d, self.p_e = polygon_of(fan, d), polygon_of(fan, e)
         self.table_d, self.table_e = _column_table(self.p_d), _column_table(self.p_e)
         self._reductions: dict[int, TriangleReduction | None] = {}
-        # (a) q1 = u, the vertices of P_D in sorted order
-        self.d_vertices = sorted(self.p_d.lattice_vertices())
+        # (a) q1 = u, the vertices (x, y) of P_D in sorted order
+        self.d_vertices = sorted((v.x_num, v.y_num) for v in self.p_d.vrep)
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
-        self.boundary: list[LatticeVector] | None = None
+        self.boundary: list[tuple[int, int]] | None = None
 
-    def boundary_points(self) -> list[LatticeVector]:
+    def boundary_points(self) -> list[tuple[int, int]]:
         """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending; k stops
         short of the next edge's start (a segment runs there and back, a point is one edge)."""
         if self.boundary is None:
-            verts, boundary = self.p_e.lattice_vertices(), []
-            for m, m_next in zip(verts, verts[1:] + verts[:1]):
-                dx, dy = m_next.x - m.x, m_next.y - m.y
+            verts, boundary = [(v.x_num, v.y_num) for v in self.p_e.vrep], []
+            for (mx, my), (nx, ny) in zip(verts, verts[1:] + verts[:1]):
+                dx, dy = nx - mx, ny - my
                 g = math.gcd(dx, dy) or 1
-                boundary += [LatticeVector(m.x + k * dx // g, m.y + k * dy // g) for k in range(g)]
+                boundary += [(mx + k * dx // g, my + k * dy // g) for k in range(g)]
             self.boundary = boundary
         return self.boundary
 
@@ -510,11 +510,11 @@ def _structured_column(ctx: _StructuredContext, x: int, lo: int, hi: int) -> lis
     q2 + P_D, and (c) and (d) take each point left on its own."""
     found, gaps = _first_cover(_translates(ctx.d_vertices, ctx.table_e, x), [(lo, hi)])
     path = DecompositionPath.INTERIOR_VERTEX
-    spans = [(x, c0, c1, u.x, u.y, c1 - u.y, path) for c0, c1, u in found]
+    spans = [(x, c0, c1, ux, uy, c1 - uy, path) for c0, c1, (ux, uy) in found]
     if gaps:
         found, gaps = _first_cover(_translates(ctx.boundary_points(), ctx.table_d, x), gaps)
         path = DecompositionPath.BOUNDARY_LATTICE
-        spans += [(x, c0, c1, x - q2.x, c0 - q2.y, q2.y, path) for c0, c1, q2 in found]
+        spans += [(x, c0, c1, x - qx, c0 - qy, qy, path) for c0, c1, (qx, qy) in found]
         spans += [_regions_or_fallback(ctx, x, y) for g0, g1 in gaps for y in range(g0, g1 + 1)]
     spans.sort(key=itemgetter(1))
     for span in spans:
@@ -579,11 +579,7 @@ def check_surjectivity(
     if mode not in ("structured", "brute", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
     p_sum = polygon_of(fan, d + e)
-    # refuse an over-budget instance before any table or point is built
-    if math.prod(_box(p_sum)) > POINT_BUDGET and any(  # by columns only up to the budget
-        n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
-    ):
-        raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
+    _refuse_over_point_budget(p_sum)  # before any table or point is built
     if mode != "structured":  # before the context checks the hypotheses
         _refuse_over_pair_budget(polygon_of(fan, d), polygon_of(fan, e))
     ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
@@ -625,9 +621,21 @@ def _box(poly: ConvexLatticePolygon) -> tuple[int, int]:
     if poly.is_empty():
         return 0, 0
     vrep = poly.vrep
+    if all(v.den == 1 for v in vrep):  # lattice vertices: the box is theirs
+        xs, ys = [v.x_num for v in vrep], [v.y_num for v in vrep]
+        return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
     width = max(v.x_num // v.den for v in vrep) - min(ceil_div(v.x_num, v.den) for v in vrep) + 1
     height = max(v.y_num // v.den for v in vrep) - min(ceil_div(v.y_num, v.den) for v in vrep) + 1
     return max(width, 0), max(height, 0)
+
+
+def _refuse_over_point_budget(p_sum: ConvexLatticePolygon) -> None:
+    """Refuse a sum polygon with more than POINT_BUDGET lattice points, counted
+    by columns, only up to the budget and only when its bounding box exceeds it."""
+    if math.prod(_box(p_sum)) > POINT_BUDGET and any(
+        n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
+    ):
+        raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
 
 
 def _refuse_over_pair_budget(p_d: ConvexLatticePolygon, p_e: ConvexLatticePolygon) -> None:

@@ -15,16 +15,16 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from typing import Iterable
 
 from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
 from .lattice import (
     ConvexLatticePolygon,
-    LatticeVector,
     _column_table,
     _columns,
+    check_input_coord,
     face_in_direction,
-    hull,
     pick_count,
 )
 from .multiplication import CokernelReport, _cokernel_report, _refuse_over_pair_budget
@@ -66,19 +66,30 @@ class SweepResult:
     reports: tuple[CokernelReport, ...] | None = None
 
 
-def _rounded(fan: Fan, cols: list[tuple[int, int, int]]) -> TorusDivisor:
+#: Columns the rounding holds at once: a chunk per ray keeps the per-column
+#: work in one generator, as fast as a pass over a list, in bounded memory.
+_ROUNDING_CHUNK = 128
+
+
+def _rounded(fan: Fan, cols: Iterable[tuple[int, int, int]]) -> TorusDivisor:
     """The divisor whose polygon has the columns (x, lo, hi), with each
     coefficient rounded to max -<s, v> over the sections s.
 
     Along a column -<s, v> is linear in y, so its maximum there sits at one
-    end of the column: O(columns x rays), with no section listed.
+    end of the column: one pass over the columns, _ROUNDING_CHUNK at a time,
+    in O(columns x rays) time and O(rays) memory, with no section listed.
     """
-    if not cols:
+    rays = [(v.x, v.y) for v in fan.rays]
+    best: list[int] | None = None
+    cols = iter(cols)
+    while chunk := list(islice(cols, _ROUNDING_CHUNK)):
+        here = [
+            max(-(vx * x + vy * (lo if vy > 0 else hi)) for x, lo, hi in chunk) for vx, vy in rays
+        ]
+        best = here if best is None else list(map(max, best, here))
+    if best is None:
         raise PreconditionError("reduction requires a divisor with sections")
-    return TorusDivisor(tuple(
-        max(-(v.x * x + v.y * (lo if v.y > 0 else hi)) for x, lo, hi in cols)
-        for v in fan.rays
-    ))
+    return TorusDivisor(tuple(best))
 
 
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
@@ -86,17 +97,18 @@ def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
 
     Requires at least one section.  The reduced divisor is globally
     generated, has the same sections, and its polygon is the hull of the
-    original polygon's lattice points.  Every lattice point lies between the
-    two ends of its column, so that hull is built from the column ends
-    alone: the cost follows the width of the polygon, not its h0.
+    original polygon's lattice points: that hull is polygon_of(fan, reduced),
+    read off its corners.  The rounding streams the columns once, so the
+    time follows the width of the polygon, not its h0, and the memory stays
+    bounded.
     """
-    cols = list(_columns(polygon_of(fan, d)))
-    reduced = _rounded(fan, cols)
+    reduced = _rounded(fan, _columns(polygon_of(fan, d)))
     moved = frozenset(
         i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a
     )
-    ends = hull(LatticeVector(x, y) for x, lo, hi in cols for y in (lo, hi))
-    return ReductionResult(original=d, reduced=reduced, J=moved, hull_polygon=ends)
+    return ReductionResult(
+        original=d, reduced=reduced, J=moved, hull_polygon=polygon_of(fan, reduced)
+    )
 
 
 def edge_lattice_report(fan: Fan, result: ReductionResult) -> list[tuple[int, int]]:
@@ -157,8 +169,11 @@ def _stratified_sample(
     return sorted(chosen, key=_graded_key)
 
 
-def _family_instances(filter_pattern: str, n: int, e_max: int) -> list[tuple[int, ...]]:
-    """Instances for a pattern like "0,k,0,0": k runs over [1, e_max]."""
+def _family_instances(
+    filter_pattern: str, n: int, e_max: int, budget: int
+) -> list[tuple[int, ...]]:
+    """Instances for a pattern like "0,k,0,0": k runs over [1, e_max]; more
+    than budget are refused before any is built."""
     parts = [p.strip() for p in filter_pattern.split(",")]
     if len(parts) != n:
         raise PreconditionError(
@@ -174,6 +189,8 @@ def _family_instances(filter_pattern: str, n: int, e_max: int) -> list[tuple[int
             fixed.append(int(p))
         else:
             raise PreconditionError(f"bad filter entry {p!r}")
+    if e_max > budget:
+        raise BudgetExceededError(f"{e_max} family instances exceed {budget}")
     return [tuple(k if f is None else f for f in fixed) for k in range(1, e_max + 1)]
 
 
@@ -237,25 +254,26 @@ def sweep_cokernel(
 
     Enumerates the full grid in graded lexicographic order when it fits in
     the budget; otherwise falls back to seeded stratified sampling (a seed is
-    then required).  Every instance's missing points are checked against the
-    collar of the reduction (see _sweep_instance), under cokernel_dim's
-    budgets.  stabilization_coeff is not clamped to e_max.  jobs > 1 fans
-    instances out to worker processes, never more than the instances or the
-    CPUs; the result is assembled in canonical order either way, so output
-    does not depend on scheduling.
+    then required).  An e_max above INPUT_COORD_BOUND, or a family of more
+    than budget instances, is refused before any instance is built.  Every
+    instance's missing points are checked against the collar of the
+    reduction (see _sweep_instance), under cokernel_dim's budgets.
+    stabilization_coeff is not clamped to e_max.  jobs > 1 fans instances
+    out to worker processes, never more than the instances or the CPUs; the
+    result is assembled in canonical order either way, so output does not
+    depend on scheduling.
     """
     if classify(fan, fixed_l) is not PositivityClass.AMPLE:
         raise PreconditionError("sweep requires an ample fixed divisor")
     if e_max < 1:
         raise PreconditionError("e_max must be >= 1")
+    check_input_coord(e_max, "maximum coefficient")
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     n = fan.n
     sampled = False
     if filter_pattern is not None:
-        vectors = _family_instances(filter_pattern, n, e_max)
-        if len(vectors) > budget:
-            raise BudgetExceededError(f"{len(vectors)} family instances exceed {budget}")
+        vectors = _family_instances(filter_pattern, n, e_max, budget)
     elif (e_max + 1) ** n <= budget:
         vectors = sorted(product(range(e_max + 1), repeat=n), key=_graded_key)
     else:

@@ -142,7 +142,20 @@ def validate_fan(rays: Sequence[LatticeVector | tuple[int, int]]) -> Fan:
 
 
 def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
-    """The section polygon { u : <u, v_i> >= -a_i }; bounded by completeness."""
+    """The section polygon { u : <u, v_i> >= -a_i }; bounded by completeness.
+
+    Each 2-cone (v_i, v_{i+1}) has the corner m_i with <m_i, v_i> = -a_i and
+    <m_i, v_{i+1}> = -a_{i+1}, an integer point since det(v_i, v_{i+1}) = 1.
+    d is globally generated exactly when every corner satisfies every
+    half-plane, and the polygon is then conv(m_i) (Fulton, Introduction to
+    Toric Varieties, 3.4).  m_{i+1} - m_i is l_i times v_{i+1} turned by -90
+    degrees, with l_i = <m_i, v_{i+2}> + a_{i+2}.  When every l_i >= 0 the
+    ring of corners turns once CCW, and along it each <m, v_k> + a_k first
+    grows from 0, then falls back to 0: every corner satisfies every
+    half-plane, and the vertices are the corners in cyclic order, repeats
+    dropped.  Any other divisor goes through :func:`intersect_halfplanes`.
+    Either way hrep is the n half-planes.
+    """
     if len(d.coeffs) != fan.n:
         raise PreconditionError(
             f"divisor has {len(d.coeffs)} coefficients for a fan with {fan.n} rays"
@@ -158,7 +171,13 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
 def _polygon_of_cached(
     rays: tuple[LatticeVector, ...], coeffs: tuple[int, ...]
 ) -> ConvexLatticePolygon:
-    return intersect_halfplanes([HalfPlane(v, a) for v, a in zip(rays, coeffs)])
+    planes = [HalfPlane(v, a) for v, a in zip(rays, coeffs)]
+    cones = zip(rays, coeffs, rays[1:] + rays[:1], coeffs[1:] + coeffs[:1])
+    corners = [(b * v.y - a * w.y, a * w.x - b * v.x) for v, a, w, b in cones]  # m_i of cone i
+    after_next = zip(corners, rays[2:] + rays[:2], coeffs[2:] + coeffs[:2])
+    if all(v.x * x + v.y * y >= -a for (x, y), v, a in after_next):  # every l_i >= 0
+        return ConvexLatticePolygon._from_lattice_ring(corners, tuple(planes))
+    return intersect_halfplanes(planes)
 
 
 def h0(fan: Fan, d: TorusDivisor) -> int:

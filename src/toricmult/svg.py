@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import EmptyInputError
 from .lattice import ConvexLatticePolygon, lattice_points
-from .multiplication import CokernelReport
+from .multiplication import CokernelReport, _refuse_over_point_budget
 from .surface import Fan, TorusDivisor, polygon_of
 
 SCALE = 32
@@ -62,7 +62,8 @@ def emit_svg(
     """Render the polygons of (D, E) with the sum's lattice points.
 
     Missing points from the report are drawn as crossed markers.  Refuses
-    empty polygons.
+    empty polygons, and a sum polygon with more than POINT_BUDGET lattice
+    points before any is listed.
     """
     if len(divisors) != 2:
         raise EmptyInputError("plotting expects exactly two divisors")
@@ -71,6 +72,7 @@ def emit_svg(
     p_sum = polygon_of(fan, d + e)
     if p_d.is_empty() or p_sum.is_empty():
         raise EmptyInputError("cannot plot an empty polygon")
+    _refuse_over_point_budget(p_sum)
     xs_min, ys_min, xs_max, ys_max = p_sum.bounding_box()
     xd_min, yd_min, xd_max, yd_max = p_d.bounding_box()
     canvas = _Canvas(

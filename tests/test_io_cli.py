@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from toricmult.cli import run_cli
-from toricmult.errors import EmptyInputError, NonPrimitiveRayError, ParseError
+from toricmult.errors import BudgetExceededError, EmptyInputError, NonPrimitiveRayError, ParseError
 from toricmult.multiplication import cokernel_dim
 from toricmult.serialization import (
     CSV_HEADER,
@@ -162,6 +163,19 @@ class TestSvg:
         with pytest.raises(EmptyInputError):
             emit_svg(p2, (D((0, 0, -1)), D((0, 0, 1))), None, tmp_path / "no.svg")
 
+    def test_point_budget_refuses_before_listing(self, monkeypatch, tmp_path):
+        # P2 (1000,1000,1000)^2: about 1.8 * 10^7 points of P_{L+E}
+        def listed(poly):
+            raise RuntimeError("the plot listed the lattice points")
+
+        monkeypatch.setattr("toricmult.svg.lattice_points", listed)
+        d = D((1000, 1000, 1000))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"^the sum polygon has over 1000000 lattice"):
+            emit_svg(projective_plane(), (d, d), None, tmp_path / "no.svg")
+        assert time.perf_counter() - start < 1
+        assert not (tmp_path / "no.svg").exists()
+
 
 class TestCli:
     def test_fan_check(self, f2_file, capsys):
@@ -250,10 +264,39 @@ class TestCli:
         assert code == 1
         assert "error: jobs must be >= 1" in capsys.readouterr().err
 
+    def test_sweep_refuses_a_family_before_listing_it(self, f2_file, l_file, capsys):
+        # 3 * 10^7 instances would not fit in memory
+        start = time.perf_counter()
+        code = run_cli(
+            [
+                "sweep", f2_file, l_file, "--filter", "0,k,0,0",
+                "--max-coeff", "30000000", "--seed", "1",
+            ]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: maximum coefficient 30000000 exceeds |value| <= 1000000\n"
+        )
+
     def test_plot(self, f2_file, l_file, e_file, tmp_path):
         out_path = tmp_path / "fig.svg"
         assert run_cli(["plot", f2_file, l_file, e_file, "--out", str(out_path)]) == 0
         assert out_path.read_text().startswith("<?xml")
+
+    def test_plot_refuses_over_the_point_budget(self, tmp_path, capsys):
+        # P2 (1000,1000,1000)^2 passes the cokernel's pair budget (3,001 x 3,001
+        # column pairs); it is refused before that sweep runs
+        fan_path, d_path = tmp_path / "p2.json", tmp_path / "d.json"
+        write_fan(projective_plane(), fan_path)
+        write_divisor(D((1000, 1000, 1000)), d_path)
+        out_path = tmp_path / "fig.svg"
+        start = time.perf_counter()
+        code = run_cli(["plot", str(fan_path), str(d_path), str(d_path), "--out", str(out_path)])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "over 1000000 lattice points" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestCliDeterminism:

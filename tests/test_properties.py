@@ -3,17 +3,20 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 from hypothesis import assume, example, given, settings
 
 from toricmult.lattice import (
     ConvexLatticePolygon,
+    HalfPlane,
     LatticeVector,
     PolygonDim,
     decompose_interval,
     face_in_direction,
     hull,
+    intersect_halfplanes,
     lattice_point_count,
     lattice_points,
     minkowski_sum,
@@ -34,7 +37,9 @@ from toricmult.surface import (
     classify,
     generate_family,
     h0,
+    _polygon_of_cached,
     polygon_of,
+    validate_fan,
 )
 
 V = LatticeVector
@@ -241,6 +246,39 @@ def test_h0_invariant_under_linear_equivalence(fan_divisor):
     for m in (V(1, 0), V(-1, 2)):
         shifted = TorusDivisor(tuple(a + m.dot(v) for a, v in zip(d.coeffs, fan.rays)))
         assert h0(fan, shifted) == h0(fan, d)
+
+
+@st.composite
+def fan_with_corner_divisor(draw):
+    # P2, P1xP1, F_a and their random blowups up to 12 rays, sheared so that
+    # (1, 0) need not be a ray; coefficients in [-8, 12], or the rounding of
+    # such a divisor, which takes the corner route
+    fan = generate_family(draw(st.sampled_from(["p2", "p1xp1", "f0", "f1", "f2", "f3", "f5"])))
+    for _ in range(draw(st.integers(min_value=0, max_value=12 - fan.n))):
+        fan = blowup(fan, draw(st.integers(min_value=1, max_value=fan.n)))
+    k = draw(st.integers(min_value=-2, max_value=2))
+    fan = validate_fan([(v.x, v.y + k * v.x) for v in fan.rays])
+    d = TorusDivisor(tuple(draw(st.integers(-8, 12)) for _ in range(fan.n)))
+    if draw(st.booleans()) and h0(fan, d) > 0:
+        d = reduce_to_globally_generated(fan, d).reduced
+    return fan, d
+
+
+@given(fan_with_corner_divisor())
+@settings(max_examples=300, deadline=None)
+@example((generate_family("p2"), TorusDivisor((0, 0, 0))))  # a point
+@example((generate_family("p1xp1"), TorusDivisor((1, 0, 0, 0))))  # a segment
+@example((validate_fan([(1, 1), (-1, 0), (0, -1)]), TorusDivisor((0, 0, 1))))  # starts at m_2
+def test_polygon_of_matches_halfplane_intersection(fan_divisor):
+    fan, d = fan_divisor
+    _polygon_of_cached.cache_clear()
+    with patch("toricmult.surface.intersect_halfplanes", wraps=intersect_halfplanes) as general:
+        poly = polygon_of(fan, d)
+    # the corner route takes exactly the globally generated divisors
+    assert (general.call_count == 0) == classify(fan, d).is_globally_generated()
+    planes = [HalfPlane(v, a) for v, a in zip(fan.rays, d.coeffs)]
+    reference = intersect_halfplanes(planes)
+    assert (poly.vrep, poly.dim, poly.hrep) == (reference.vrep, reference.dim, reference.hrep)
 
 
 @st.composite

@@ -2,12 +2,22 @@
 
 import multiprocessing
 import os
+import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from toricmult.errors import PreconditionError, TheoremViolationError
+import toricmult.lattice
+import toricmult.multiplication
+
+from toricmult.errors import (
+    BudgetExceededError,
+    CoordinateOverflowError,
+    PreconditionError,
+    TheoremViolationError,
+)
 from toricmult.lattice import LatticeVector, PolygonDim, lattice_points
 from toricmult.reduction import (
     edge_lattice_report,
@@ -76,6 +86,28 @@ class TestReduce:
         assert res.reduced == D((400, 400, 400, 400))
         assert res.J == frozenset({2})
         assert res.hull_polygon == polygon_of(F2, res.reduced)
+
+    def test_admitted_divisor_with_vertices_beyond_the_input_bound(self):
+        # P2 (0,1,10^6) is admitted; its polygon has the vertex (10^6 + 1, -1).
+        # About 1.3 s on a 2-core host; the bound leaves room for a busy one.
+        start = time.perf_counter()
+        res = reduce_to_globally_generated(P2, D((0, 1, 10**6)))
+        assert time.perf_counter() - start < 10
+        assert res.reduced == D((0, 1, 10**6)) and res.J == frozenset()
+        assert V(10**6 + 1, -1) in [v.to_lattice() for v in res.hull_polygon.vrep]
+
+    def test_rounding_streams_the_columns(self):
+        # a list of P2 (0,1,20000)'s 20,002 columns would take over 2 MB
+        d = D((0, 1, 20000))
+        polygon_of(P2, d)  # warm the polygon cache
+        tracemalloc.start()
+        try:
+            res = reduce_to_globally_generated(P2, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.reduced == d
+        assert peak < 50_000
 
     def test_negative_coefficients_allowed_with_sections(self):
         # a translate of an effective divisor still reduces cleanly
@@ -178,7 +210,8 @@ class TestSweep:
         def no_hull(points):
             raise RuntimeError("the pipeline check built a hull")
 
-        monkeypatch.setattr("toricmult.reduction.hull", no_hull)
+        for module in (toricmult.lattice, toricmult.multiplication):
+            monkeypatch.setattr(module, "hull", no_hull)
         sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2)
         assert sweep.max_coker == 2
 
@@ -279,6 +312,24 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sweep_cokernel(F2, l_div, e_max=2, jobs=8) == serial
         assert sizes == [3, 2]  # an unknown CPU count runs serially
+
+    def test_family_over_budget_refused_before_listing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=r"^1000000 family instances exceed 10$"):
+                sweep_cokernel(
+                    F2, D((1, 0, 1, 1)), e_max=10**6, filter_pattern="0,k,0,0", budget=10
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a list of the 10^6 instances would take about 100 MB
+
+    def test_max_coeff_above_the_input_bound_refused(self):
+        with pytest.raises(CoordinateOverflowError, match=r"^maximum coefficient 1000001 exceeds"):
+            sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=10**6 + 1, filter_pattern="0,k,0,0")
+        with pytest.raises(CoordinateOverflowError):
+            sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=10**6 + 1, seed=1)
 
     def test_bad_filter_patterns(self):
         with pytest.raises(PreconditionError):

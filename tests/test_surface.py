@@ -106,6 +106,34 @@ class TestPolygonOf:
         with pytest.raises(PreconditionError):
             polygon_of(projective_plane(), D((1, 2)))
 
+    def test_globally_generated_polygons_come_from_the_corners(self, monkeypatch):
+        import toricmult.surface
+        from toricmult.surface import _polygon_of_cached
+
+        calls = []
+        intersect = toricmult.surface.intersect_halfplanes
+
+        def counted(planes):
+            calls.append(planes)
+            return intersect(planes)
+
+        monkeypatch.setattr(toricmult.surface, "intersect_halfplanes", counted)
+        f2 = hirzebruch(2)
+        _polygon_of_cached.cache_clear()
+        # ample, two segments, a point, and a point and a segment on P2 and P1xP1
+        for fan, d in [
+            (f2, D((1, 0, 1, 1))), (f2, D((0, 0, 1, 0))), (f2, D((3, -2, 1, 2))),
+            (f2, D((0, 0, 0, 0))),
+            (projective_plane(), D((0, 0, 0))), (product_p1_p1(), D((1, 0, 0, 0))),
+        ]:
+            assert classify(fan, d).is_globally_generated()
+            polygon_of(fan, d)
+        assert calls == []
+        # not nef: effective only, and no sections
+        for d in (D((0, 1, 0, 0)), D((-1, 0, 0, 0))):
+            assert not classify(f2, d).is_globally_generated()
+        assert len(calls) == 2
+
 
 class TestH0:
     def test_p2_o1(self):
