@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import floordiv
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -149,6 +151,15 @@ class HalfPlane:
         if abs(self.offset) > _INTERMEDIATE_BOUND:
             raise CoordinateOverflowError("offset exceeds the 128-bit intermediate bound")
 
+    @classmethod
+    def _trusted(cls, normal: LatticeVector, offset: int) -> "HalfPlane":
+        """The half-plane of a normal known to be primitive, such as a ray of a
+        validated fan, and an offset within the bounds: nothing is re-checked."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "normal", normal)  # not __dict__, which takes more memory
+        object.__setattr__(plane, "offset", offset)
+        return plane
+
     def contains(self, p: RationalPoint) -> bool:
         return self.normal.x * p.x_num + self.normal.y * p.y_num >= -self.offset * p.den
 
@@ -228,20 +239,14 @@ def _primitive_pair(x: int, y: int) -> tuple[int, int]:
     return (x // g, y // g) if g else (0, 0)
 
 
-def _lowest(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms, for den >= 1."""
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 @dataclass(frozen=True)
 class ConvexLatticePolygon:
     """Canonical convex region: vrep CCW from the lexicographic minimum.
 
     Two polygons describe the same region iff their vrep tuples are equal;
-    hrep, when present, gives the column sweep integer constraints (see
-    :meth:`support_constraints`) and is excluded from equality.  Use
-    :func:`hull` or :func:`intersect_halfplanes` to build one.
+    hrep, when present, holds integer half-planes whose intersection is the
+    region and is excluded from equality.  Use :func:`hull` or
+    :func:`intersect_halfplanes` to build one.
     """
 
     vrep: tuple[RationalPoint, ...]
@@ -302,46 +307,6 @@ class ConvexLatticePolygon:
     def lattice_vertices(self) -> list[LatticeVector]:
         return [v.to_lattice() for v in self.vrep]
 
-    def _edges(self) -> Iterator[tuple[RationalPoint, RationalPoint]]:
-        if self.dim is PolygonDim.SEGMENT:
-            yield (self.vrep[0], self.vrep[1])
-        elif self.dim is PolygonDim.POLYGON:
-            n = len(self.vrep)
-            for i in range(n):
-                yield (self.vrep[i], self.vrep[(i + 1) % n])
-
-    def support_constraints(self) -> list[tuple[int, int, int, int]]:
-        """Supporting half-planes as (nx, ny, num, den): nx*x + ny*y >= num/den.
-
-        Prefers the stored integer hrep; otherwise derives constraints from
-        the vertex list (offsets may then be non-integral rationals).
-        """
-        if self.hrep:
-            return [(h.normal.x, h.normal.y, -h.offset, 1) for h in self.hrep]
-        if self.dim is PolygonDim.POINT:
-            p = self.vrep[0]
-            return [
-                (1, 0, p.x_num, p.den), (-1, 0, -p.x_num, p.den),
-                (0, 1, p.y_num, p.den), (0, -1, -p.y_num, p.den),
-            ]
-        cons: list[tuple[int, int, int, int]] = []
-        for p, q in self._edges():
-            dx, dy = _primitive_pair(
-                q.x_num * p.den - p.x_num * q.den, q.y_num * p.den - p.y_num * q.den
-            )
-            nx, ny = -dy, dx  # inward normal for a CCW edge
-            num, den = _lowest(nx * p.x_num + ny * p.y_num, p.den)
-            cons.append((nx, ny, num, den))
-            if self.dim is PolygonDim.SEGMENT:
-                cons.append((-nx, -ny, -num, den))
-                lo = _lowest(dx * p.x_num + dy * p.y_num, p.den)
-                hi = _lowest(dx * q.x_num + dy * q.y_num, q.den)
-                if lo[0] * hi[1] > hi[0] * lo[1]:
-                    lo, hi = hi, lo
-                cons.append((dx, dy, lo[0], lo[1]))
-                cons.append((-dx, -dy, -hi[0], hi[1]))
-        return cons
-
     def contains(self, p: RationalPoint | LatticeVector) -> bool:
         if isinstance(p, LatticeVector):
             p = RationalPoint.from_lattice(p)
@@ -382,18 +347,26 @@ class ConvexLatticePolygon:
 def hull(points: Iterable[LatticeVector]) -> ConvexLatticePolygon:
     """Convex hull of lattice points, as a canonical polygon.
 
-    The resulting hrep consists of the supporting half-planes of the hull
-    (all integral since the vertices are lattice points).
+    The hrep holds the supporting half-planes of the edges, with primitive
+    inward normals; a segment adds its two ends, a point four axis bounds.
     """
     pts = list(points)
     for p in pts:
         check_input_coord(p.x)
         check_input_coord(p.y)
     poly = ConvexLatticePolygon._from_hom_vertices([(p.x, p.y, 1) for p in pts], ())
-    hrep = tuple(
-        HalfPlane(LatticeVector(nx, ny), -num)
-        for (nx, ny, num, den) in poly.support_constraints()
-    )
+    verts = [(v.x_num, v.y_num) for v in poly.vrep]
+    cons = []  # (nx, ny, c): nx x + ny y >= c
+    if len(verts) == 1:
+        (x, y), = verts
+        cons = [(1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y)]
+    for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[: len(verts) > 2]):  # a segment: once
+        dx, dy = _primitive_pair(qx - px, qy - py)
+        cons.append((-dy, dx, dx * py - dy * px))
+        if len(verts) == 2:
+            cons += [(dy, -dx, dy * px - dx * py), (dx, dy, dx * px + dy * py)]
+            cons.append((-dx, -dy, -dx * qx - dy * qy))
+    hrep = tuple(HalfPlane(LatticeVector(nx, ny), -c) for nx, ny, c in cons)
     return ConvexLatticePolygon(poly.vrep, poly.dim, hrep)
 
 
@@ -472,41 +445,53 @@ def lattice_points(poly: ConvexLatticePolygon) -> list[LatticeVector]:
     """All lattice points of a bounded region, sorted lexicographically.
 
     Column sweep: for each integer x between the horizontal extremes, the y
-    range is pinned down by exact ceilings/floors of the supporting
-    constraints, so the points come out already in (x, y) order.
+    range is pinned down by exact ceilings/floors of the boundary edges, so
+    the points come out already in (x, y) order.
     """
     return [LatticeVector(x, y) for x, ylo, yhi in _columns(poly) for y in range(ylo, yhi + 1)]
 
 
 def _columns(poly: ConvexLatticePolygon) -> Iterator[tuple[int, int, int]]:
     """(x, ylo, yhi) with ylo <= yhi for every integer x whose column of the
-    region holds a lattice point, in increasing x."""
-    if poly.is_empty():
-        return
-    xmin = min(ceil_div(v.x_num, v.den) for v in poly.vrep)
-    xmax = max(v.x_num // v.den for v in poly.vrep)
-    cons = [(nx * den, num, ny * den) for nx, ny, num, den in poly.support_constraints()]
-    for x in range(xmin, xmax + 1):
-        ylo: int | None = None
-        yhi: int | None = None
-        for a, num, b in cons:
-            rhs = num - a * x  # b*y >= rhs
-            if b == 0:
-                if rhs > 0:
-                    break
-            elif b > 0:
-                t = -(-rhs // b)
-                if ylo is None or t > ylo:
-                    ylo = t
-            else:
-                t = rhs // b
-                if yhi is None or t < yhi:
-                    yhi = t
-        else:
-            if ylo is None or yhi is None:
-                raise UnboundedRegionError("column sweep hit an unbounded column")
-            if ylo <= yhi:
-                yield x, ylo, yhi
+    region holds a lattice point, in increasing x.
+
+    An edge walk over vrep, CCW from the lexicographic minimum to the maximum
+    r and back: ylo is the ceiling of the lower chain at x and yhi the floor
+    of the upper one, each exact from the one edge that covers x, and a
+    lattice edge of integer slope is a range.  Lazy, in O(vertices) memory.
+    """
+    hom = [(v.x_num, v.y_num, v.den) for v in poly.vrep]
+    r = 0
+    for i in range(1, len(hom)):
+        if _hom_lex_lt(hom[r], hom[i]):
+            r = i
+    if not hom or (xmin := ceil_div(hom[0][0], hom[0][2])) > (xmax := hom[r][0] // hom[r][2]):
+        return iter(())
+    if hom[0][0] * hom[r][2] == hom[r][0] * hom[0][2]:  # a point or an upright segment
+        cols = iter([(xmin, ceil_div(hom[0][1], hom[0][2]), hom[r][1] // hom[r][2])])
+    else:
+        lower, upper = hom[: r + 1], [hom[0], *reversed(hom[r:])]
+        ylo, yhi = (chain.from_iterable(_edge_ys(c, xmin, c is lower)) for c in (lower, upper))
+        cols = zip(range(xmin, xmax + 1), ylo, yhi)
+    return (c for c in cols if c[1] <= c[2])
+
+
+def _edge_ys(verts: list[tuple[int, int, int]], x: int, ceil: bool) -> Iterator[Iterable[int]]:
+    """Per edge, the ceilings (or floors) of the chain's y at x, x + 1, ... to its
+    last vertex; verts are homogeneous, by increasing x, and an upright edge is
+    skipped."""
+    for (px, py, pd), (qx, qy, qd) in zip(verts, verts[1:]):
+        den, last = qx * pd - px * qd, qx // qd
+        if den == 0 or last < x:
+            continue
+        a, b = py * qx - px * qy, qy * pd - py * qd  # y = (a + b t) / den on this edge
+        if a % den == 0 and b % den == 0:  # an integer slope from a lattice point
+            a, b, den = a // den, b // den, 1
+        elif ceil:
+            a += den - 1  # the ceiling of n / den is the floor of (n + den - 1) / den
+        ys = range(a + b * x, a + b * (last + 1), b) if b else repeat(a, last + 1 - x)
+        yield ys if den == 1 else map(floordiv, ys, repeat(den))
+        x = last + 1
 
 
 def _column_table(poly: ConvexLatticePolygon) -> dict[int, tuple[int, int]]:
@@ -532,17 +517,6 @@ def _column_pairs(
             a, b = table_a.get(x1), table_b.get(x - x1)
             if a is not None and b is not None:
                 yield (x1, a[0], b[1]), a[0] + b[0], a[1] + b[1]
-
-
-def _translates(
-    keys: list[tuple[int, int]], table: dict[int, tuple[int, int]], x: int
-) -> Iterator[tuple[tuple[int, int], int, int]]:
-    """Column x of the translates q + A, as intervals: (q, lo + qy, hi + qy)
-    for each q = (qx, qy) of keys, in order, whose column x - qx of A is lo..hi."""
-    for q in keys:
-        col = table.get(x - q[0])
-        if col is not None:
-            yield q, col[0] + q[1], col[1] + q[1]
 
 
 K = TypeVar("K")

@@ -23,7 +23,13 @@ single point takes the same route on its one-point range.
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
 Step (a)'s vertex u gives (u.x, u.y, c1 - u.y), step (b)'s q2 gives (x - q2.x,
-c0 - q2.y, q2.y), and steps (c) and (d) one-point spans.
+c0 - q2.y, q2.y), and steps (c) and (d) one-point spans.  Every span is checked
+against both factors' column tables.  Along an (a) or (b) span one summand is
+fixed, u in P_D or q2 in P_E: it is checked once, when the context lists it,
+and the moving summand against the column it was clipped from as the span is
+kept.  Spans of (c), (d) and the oracle are checked at their two ends, between
+which q1.y and q2.y never decrease.  A failing span is scanned, so the error
+names the first point, in (x, y) order, whose witness leaves a factor.
 
 A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
 and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
@@ -44,7 +50,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -64,7 +69,6 @@ from .lattice import (
     _column_table,
     _columns,
     _first_cover,
-    _translates,
     _primitive_pair,
     ceil_div,
     decompose_interval,
@@ -381,6 +385,8 @@ class _StructuredContext:
         self.d_vertices = sorted((v.x_num, v.y_num) for v in self.p_d.vrep)
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
         self.boundary: list[tuple[int, int]] | None = None
+        # the fixed summands, checked once as listed, that leave their factor's table
+        self.outside = {u for u in self.d_vertices if not _inside(self.table_d, *u)}
 
     def boundary_points(self) -> list[tuple[int, int]]:
         """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending; k stops
@@ -392,6 +398,7 @@ class _StructuredContext:
                 g = math.gcd(dx, dy) or 1
                 boundary += [(mx + k * dx // g, my + k * dy // g) for k in range(g)]
             self.boundary = boundary
+            self.outside |= {q for q in boundary if not _inside(self.table_e, *q)}
         return self.boundary
 
     def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
@@ -503,22 +510,56 @@ def _try_regions(
     return None
 
 
-def _structured_column(ctx: _StructuredContext, x: int, lo: int, hi: int) -> list[Span]:
+def _structured_column(
+    ctx: _StructuredContext, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
+) -> list[Span]:
     """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as checked
-    spans by increasing y: (a) gives y to the first vertex u of P_D with (x, y)
-    in u + P_E, (b) to the first boundary point q2 of P_E with (x, y) in
-    q2 + P_D, and (c) and (d) take each point left on its own."""
-    found, gaps = _first_cover(_translates(ctx.d_vertices, ctx.table_e, x), [(lo, hi)])
-    path = DecompositionPath.INTERIOR_VERTEX
-    spans = [(x, c0, c1, ux, uy, c1 - uy, path) for c0, c1, (ux, uy) in found]
-    if gaps:
-        found, gaps = _first_cover(_translates(ctx.boundary_points(), ctx.table_d, x), gaps)
-        path = DecompositionPath.BOUNDARY_LATTICE
-        spans += [(x, c0, c1, x - qx, c0 - qy, qy, path) for c0, c1, (qx, qy) in found]
-        spans += [_regions_or_fallback(ctx, x, y) for g0, g1 in gaps for y in range(g0, g1 + 1)]
-    spans.sort(key=itemgetter(1))
-    for span in spans:
-        _check_span(ctx.table_d, ctx.table_e, span)
+    spans by increasing y, their points added to counts by path: (a) gives y to
+    the first vertex u of P_D with (x, y) in u + P_E, (b) to the first boundary
+    point q2 of P_E with (x, y) in q2 + P_D, each translate clipped against the
+    gaps left, and (c) and (d) take each point left on its own."""
+    spans: list[Span] = []
+    gaps, scan, outside = [(lo, hi)], False, ctx.outside
+    for path in (DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE):
+        step_a = path is DecompositionPath.INTERIOR_VERTEX
+        keys = ctx.d_vertices if step_a else ctx.boundary_points()
+        get, covered = (ctx.table_e if step_a else ctx.table_d).get, 0
+        for q in keys:
+            qx, qy = q
+            if (col := get(x - qx)) is None:
+                continue
+            clo, chi = col
+            a, b, rest = clo + qy, chi + qy, []
+            for gap in gaps:
+                g0, g1 = gap
+                if b < g0 or a > g1:
+                    rest.append(gap)
+                    continue
+                c0, c1 = a if a > g0 else g0, b if b < g1 else g1
+                # the moving summand runs over c0 - qy..c1 - qy of col; q was checked when listed
+                if c0 - qy < clo or c1 - qy > chi or (outside and q in outside):
+                    scan = True
+                spans.append((x, c0, c1, qx, qy, c1 - qy, path) if step_a
+                             else (x, c0, c1, x - qx, c0 - qy, qy, path))
+                covered += c1 - c0 + 1
+                if g0 < a:
+                    rest.append((g0, a - 1))
+                if b < g1:
+                    rest.append((b + 1, g1))
+            if not (gaps := rest):
+                break
+        counts[path] += covered
+        if not gaps:
+            break
+    for g0, g1 in gaps:
+        for y in range(g0, g1 + 1):
+            spans.append(span := _regions_or_fallback(ctx, x, y))
+            _check_span(ctx.table_d, ctx.table_e, span)
+            counts[span[6]] += 1
+    spans.sort()  # by c0: the spans of a column share x and are disjoint
+    if scan:  # raises at the first failing point, as a check of every span would
+        for span in spans:
+            _check_span(ctx.table_d, ctx.table_e, span)
     return spans
 
 
@@ -546,7 +587,7 @@ def _decompose_structured_in_context(
     """Steps (a)-(d) on the one-point range [p.y, p.y] of column p.x."""
     if any(v.dot(p) < -(a + b) for v, a, b in zip(ctx.fan.rays, ctx.d.coeffs, ctx.e.coeffs)):
         raise DecompositionRangeError(f"{p} lies outside the sum polygon")
-    return next(_span_witnesses(_structured_column(ctx, p.x, p.y, p.y)))
+    return next(_span_witnesses(_structured_column(ctx, p.x, p.y, p.y, Counter())))
 
 
 def decompose_structured(
@@ -591,20 +632,21 @@ def check_surjectivity(
         table_d, table_e = ctx.table_d, ctx.table_e
     total = 0
     spans: list[Span] = []
+    path_counts: Counter[DecompositionPath] = Counter()
     for x, lo, hi in _columns(p_sum):
         total += hi - lo + 1
         if ctx is None:
             spans += _oracle_column(table_d, table_e, x, lo, hi)
             continue
-        spans += _structured_column(ctx, x, lo, hi)
+        spans += _structured_column(ctx, x, lo, hi, path_counts)
         if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
             raise TheoremViolationError(
                 f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
                 "but the exhaustive oracle did not"
             )
-    path_counts: Counter[DecompositionPath] = Counter()
-    for _, c0, c1, _, _, _, path in spans:
-        path_counts[path] += c1 - c0 + 1
+    if ctx is None:
+        path_counts[DecompositionPath.FALLBACK_SEARCH] = sum(s[2] - s[1] + 1 for s in spans)
+    path_counts = +path_counts  # no zero counts
     decomposed = path_counts.total()
     return SurjectivityReport(
         total_points=total,
@@ -653,17 +695,33 @@ def _sumset_gaps(
     table_a: _Table, table_b: _Table, x: int, lo: int, hi: int
 ) -> list[tuple[int, int]]:
     """The y-ranges of lo..hi, column x of a region holding the sumset of A and B,
-    that no column x1 of A plus column x - x1 of B covers, in increasing y;
-    the narrower table is walked and the partner column looked up."""
+    that no column x1 of A plus column x - x1 of B covers, in increasing y.  One
+    pass over the narrower table, the partner column looked up, keeps the union
+    m..M of the intervals while each new one touches it; the first that does not
+    sends them all, m..M for those so far, to a sort-and-merge."""
     if len(table_b) < len(table_a):
         table_a, table_b = table_b, table_a
     partner = table_b.get
-    spans = []
-    for x1, (lo1, hi1) in table_a.items():
+    m = M = None
+    items = iter(table_a.items())
+    for x1, (lo1, hi1) in items:
         col = partner(x - x1)
-        if col is not None:
-            spans.append((lo1 + col[0], hi1 + col[1]))
-    spans.sort()
+        if col is None:
+            continue
+        a, b = lo1 + col[0], hi1 + col[1]
+        if m is None:
+            m, M = a, b
+        elif a <= M + 1 and b >= m - 1:
+            m, M = a if a < m else m, b if b > M else M
+        else:
+            spans = [(m, M), (a, b)]
+            for x1, (lo1, hi1) in items:
+                if (col := partner(x - x1)) is not None:
+                    spans.append((lo1 + col[0], hi1 + col[1]))
+            spans.sort()
+            break
+    else:
+        spans = [] if m is None else [(m, M)]
     gaps = []
     y = lo  # the lowest y that no span so far covers
     for a, b in spans:

@@ -28,7 +28,7 @@ from .lattice import (
     pick_count,
 )
 from .multiplication import CokernelReport, _cokernel_report, _refuse_over_pair_budget
-from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
+from .surface import Fan, PositivityClass, TorusDivisor, _corner_ring, classify, polygon_of
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
 SWEEP_BUDGET = 10**6
@@ -98,11 +98,15 @@ def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
     Requires at least one section.  The reduced divisor is globally
     generated, has the same sections, and its polygon is the hull of the
     original polygon's lattice points: that hull is polygon_of(fan, reduced),
-    read off its corners.  The rounding streams the columns once, so the
-    time follows the width of the polygon, not its h0, and the memory stays
-    bounded.
+    read off its corners.  A divisor whose edge lengths are all >= 0 is
+    globally generated and its own reduction, returned at once.  Otherwise
+    the rounding streams the columns once, so the time follows the width of
+    the polygon, not its h0, and the memory stays bounded.
     """
-    reduced = _rounded(fan, _columns(polygon_of(fan, d)))
+    poly = polygon_of(fan, d)
+    if min(_corner_ring(fan.rays, d.coeffs)[1]) >= 0:  # globally generated: its own rounding
+        return ReductionResult(original=d, reduced=d, J=frozenset(), hull_polygon=poly)
+    reduced = _rounded(fan, _columns(poly))
     moved = frozenset(
         i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a
     )

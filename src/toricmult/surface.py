@@ -171,13 +171,22 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
 def _polygon_of_cached(
     rays: tuple[LatticeVector, ...], coeffs: tuple[int, ...]
 ) -> ConvexLatticePolygon:
-    planes = [HalfPlane(v, a) for v, a in zip(rays, coeffs)]
-    cones = zip(rays, coeffs, rays[1:] + rays[:1], coeffs[1:] + coeffs[:1])
-    corners = [(b * v.y - a * w.y, a * w.x - b * v.x) for v, a, w, b in cones]  # m_i of cone i
-    after_next = zip(corners, rays[2:] + rays[:2], coeffs[2:] + coeffs[:2])
-    if all(v.x * x + v.y * y >= -a for (x, y), v, a in after_next):  # every l_i >= 0
-        return ConvexLatticePolygon._from_lattice_ring(corners, tuple(planes))
+    planes = tuple(HalfPlane._trusted(v, a) for v, a in zip(rays, coeffs))  # rays are primitive
+    corners, lengths = _corner_ring(rays, coeffs)
+    if min(lengths) >= 0:
+        return ConvexLatticePolygon._from_lattice_ring(corners, planes)
     return intersect_halfplanes(planes)
+
+
+def _corner_ring(
+    rays: Sequence[LatticeVector], coeffs: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The corners m_i of the cones (v_i, v_{i+1}) and the edge lengths
+    l_i = <m_i, v_{i+2}> + a_{i+2}, as in :func:`polygon_of`."""
+    cones = zip(rays, coeffs, rays[1:] + rays[:1], coeffs[1:] + coeffs[:1])
+    corners = [(b * v.y - a * w.y, a * w.x - b * v.x) for v, a, w, b in cones]
+    after_next = zip(corners, rays[2:] + rays[:2], coeffs[2:] + coeffs[:2])
+    return corners, [v.x * x + v.y * y + a for (x, y), v, a in after_next]
 
 
 def h0(fan: Fan, d: TorusDivisor) -> int:
@@ -187,24 +196,19 @@ def h0(fan: Fan, d: TorusDivisor) -> int:
 
 
 def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:
-    """Positivity of a divisor, from the lattice vertices of its polygon on
-    each ray's line <u, v_i> = -a_i.
-
-    Globally generated: every line holds a lattice vertex.  Every offset is
-    then tight, and every vertex w is a lattice point: either its two edges
-    lie on consecutive rays, a lattice basis, or a ray lies inside its normal
-    cone, and that ray's line meets the polygon in w alone.  Ample: every
-    line holds two vertices, the ends of an edge.  Otherwise the divisor has
-    sections iff the polygon holds a lattice point.
-    """
-    poly = polygon_of(fan, d)
-    verts = [(p.x_num, p.y_num) for p in poly.vrep if p.den == 1]
-    least = min(sum(v.x * x + v.y * y == -a for x, y in verts) for v, a in zip(fan.rays, d.coeffs))
-    if least == 2:
+    """Positivity of a divisor from the edge lengths l_i of its corner ring (see
+    :func:`polygon_of`): l_i is d's intersection number with the curve of ray
+    v_{i+1}, so on a smooth complete surface d is globally generated iff every
+    l_i >= 0 and ample iff every l_i > 0 (Fulton, 3.4).  Only for another
+    divisor is the polygon read: it has sections iff it holds a lattice point."""
+    if len(d.coeffs) != fan.n:
+        polygon_of(fan, d)  # raises on the length mismatch
+    least = min(_corner_ring(fan.rays, d.coeffs)[1])
+    if least > 0:
         return PositivityClass.AMPLE
-    if least == 1:
+    if least == 0:
         return PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
-    if next(_columns(poly), None) is not None:
+    if next(_columns(polygon_of(fan, d)), None) is not None:
         return PositivityClass.EFFECTIVE_SECTIONS_ONLY
     return PositivityClass.NO_SECTIONS
 

@@ -19,6 +19,7 @@ from toricmult.lattice import (
     RationalPoint,
     _column_pairs,
     _column_table,
+    _columns,
     _first_cover,
     decompose_interval,
     face_in_direction,
@@ -102,6 +103,30 @@ class TestHull:
         # every lattice point of the box satisfying hrep is in the hull
         oracle = box_scan(p.hrep, -5, 5)
         assert sorted(oracle) == [(q.x, q.y) for q in lattice_points(p)]
+
+
+class TestHalfPlane:
+    def test_non_primitive_normal_still_raises(self):
+        with pytest.raises(PreconditionError, match="not primitive"):
+            HalfPlane(V(2, 0), 1)
+        with pytest.raises(PreconditionError, match="nonzero"):
+            HalfPlane(V(0, 0), 1)
+
+    def test_divisor_planes_skip_the_checks_and_equal_checked_ones(self, monkeypatch):
+        from toricmult.surface import _polygon_of_cached, hirzebruch, polygon_of, TorusDivisor
+
+        checked = []
+        post_init = HalfPlane.__post_init__
+        monkeypatch.setattr(
+            HalfPlane, "__post_init__", lambda h: checked.append(h) or post_init(h)
+        )
+        _polygon_of_cached.cache_clear()
+        f2 = hirzebruch(2)
+        for coeffs in ((1, 0, 1, 1), (0, 1, 0, 0), (-1, 0, 0, 0)):
+            poly = polygon_of(f2, TorusDivisor(coeffs))
+            assert checked == []
+            assert poly.hrep == tuple(HalfPlane(v, a) for v, a in zip(f2.rays, coeffs))
+            checked.clear()
 
 
 class TestIntersectHalfplanes:
@@ -201,6 +226,15 @@ class TestColumnCovers:
         pieces, gaps = _first_cover([("a", 3, 3), ("b", 9, 12)], [(0, 5), (8, 10)])
         assert pieces == [(3, 3, "a"), (9, 10, "b")]
         assert gaps == [(0, 2), (4, 5), (8, 8)]
+
+    def test_columns_of_a_thin_polygon_skip_empty_ones(self):
+        # column 1 of conv{(0,0), (3,1), (3,2)} runs from y = 1/3 to 2/3
+        thin = hull([V(0, 0), V(3, 1), V(3, 2)])
+        assert list(_columns(thin)) == [(0, 0, 0), (2, 1, 1), (3, 1, 2)]
+        assert list(_columns(hull([V(2, -1), V(2, 3)]))) == [(2, -1, 3)]
+        assert list(_columns(ConvexLatticePolygon.empty())) == []
+        upright = ConvexLatticePolygon._from_hom_vertices([(3, -1, 2), (3, 7, 2)], ())
+        assert list(_columns(upright)) == []  # x = 3/2 holds no lattice column
 
     def test_column_pairs_are_the_sumset_columns(self):
         # against every pairwise sum of two polygons' lattice points

@@ -544,6 +544,55 @@ class TestSpans:
                             assert first is None
         assert inside_spans > 0  # some spans fail between their ends, found by the scan
 
+    @pytest.mark.parametrize(
+        "x1, col, first",
+        [
+            (0, (0, 0), (-1, -1)), (0, (-1, -1), (-1, 1)), (0, None, (-1, -1)),
+            (1, (-1, 0), (2, -4)), (1, (-2, -1), (1, 1)), (1, None, (1, 1)),
+            (2, (-1, -1), (5, -4)), (2, (-2, -2), (2, 0)), (2, None, (2, 0)),
+            (3, (-1, -2), (3, -1)), (3, (-2, -3), (3, -1)), (3, None, (3, -1)),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["structured", "both"])
+    def test_shrunk_column_of_p_e_raises_at_the_first_failing_point(
+        self, monkeypatch, mode, x1, col, first
+    ):
+        # P_E's table loses a point, or the column x1, for every reader, while
+        # step (b) lists its q2 from the polygon; each expected point is the one
+        # that checking every span at its ends, in (x, y) order, names first
+        import toricmult.multiplication as mult
+
+        blbl = validate_fan([(1, 0), (1, 1), (0, 1), (-1, -1), (0, -1)])
+        d, e = D((1, 1, 2, 1, 1)), D((0, 1, 2, 1, 0))
+        p_e, table = polygon_of(blbl, e), mult._column_table
+
+        def shrunk(poly):
+            t = table(poly)
+            if poly == p_e:
+                t.pop(x1) if col is None else t.update({x1: col})
+            return t
+
+        monkeypatch.setattr(mult, "_column_table", shrunk)
+        with pytest.raises(TheoremViolationError) as raised:
+            check_surjectivity(blbl, d, e, mode=mode)
+        assert str(raised.value) == f"witness check failed at {V(*first)}"
+
+    def test_steps_a_and_b_check_no_span_at_its_ends(self, monkeypatch):
+        # their fixed summands are checked once per context, the moving ones as
+        # each span is clipped; only steps (c), (d) and the oracle call _check_span
+        import toricmult.multiplication as mult
+
+        calls = []
+        check = mult._check_span
+        monkeypatch.setattr(mult, "_check_span", lambda *args: calls.append(args) or check(*args))
+        report = check_surjectivity(F2, D((1, 0, 1, 1)), D((2, 2, 2, 2)), mode="both")
+        assert set(report.path_counts) == {
+            DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
+        }
+        assert calls == []
+        brute = check_surjectivity(F2, D((1, 0, 1, 1)), D((2, 2, 2, 2)), mode="brute")
+        assert len(calls) == len(brute.spans)  # the oracle checks each of its spans
+
     def test_steps_c_and_d_give_one_point_spans(self, monkeypatch):
         # with steps (a) and (b) finding nothing, each point is a span of its own,
         # expanded to the witness of the single-point route on the same context

@@ -22,8 +22,10 @@ from toricmult.lattice import (
     minkowski_sum,
     pick_count,
 )
+from toricmult.lattice import _columns
 from toricmult.multiplication import (
     DecompositionPath,
+    _sumset_gaps,
     check_surjectivity,
     cokernel_dim,
     decompose_bruteforce,
@@ -552,3 +554,137 @@ def test_route_tie_breaks_match_literal_scans(fde):
         (p, q1, p - q1) for p, q1 in sorted(smallest.items())
     ]
     assert check_surjectivity(fan, d, e, mode="both") == report
+
+
+# -- kernels against their references -------------------------------------------
+
+
+def _per_constraint_columns(poly):
+    """The column sweep that evaluates every constraint a x + b y >= num at each x:
+    hrep when the region has one, else the edges of vrep (a segment adds its
+    two ends, a point four axis bounds)."""
+    if poly.is_empty():
+        return []
+    hom = [(p.x_num, p.y_num, p.den) for p in poly.vrep]
+    if poly.hrep:
+        cons = [(h.normal.x, -h.offset, h.normal.y) for h in poly.hrep]
+    elif len(hom) == 1:
+        (x, y, w), = hom
+        cons = [(w, x, 0), (-w, -x, 0), (0, y, w), (0, -y, -w)]
+    else:
+        cons = []
+        for (px, py, pw), (qx, qy, qw) in zip(hom, hom[1:] + hom[: len(hom) > 2]):
+            dx, dy = qx * pw - px * qw, qy * pw - py * qw
+            cons.append((-dy * pw, dx * py - dy * px, dx * pw))
+            if len(hom) == 2:
+                cons.append((dy * pw, dy * px - dx * py, -dx * pw))
+                cons.append((dx * pw, dx * px + dy * py, dy * pw))
+                cons.append((-dx * qw, -dx * qx - dy * qy, -dy * qw))
+    xmin = min(math.ceil(Fraction(x, w)) for x, _, w in hom)
+    xmax = max(math.floor(Fraction(x, w)) for x, _, w in hom)
+    out = []
+    for x in range(xmin, xmax + 1):
+        ylo, yhi, inside = -math.inf, math.inf, True
+        for a, num, b in cons:
+            rhs = num - a * x  # b y >= rhs
+            if b == 0:
+                inside = inside and rhs <= 0
+            elif b > 0:
+                ylo = max(ylo, -(-rhs // b))
+            else:
+                yhi = min(yhi, rhs // b)
+        if inside and ylo <= yhi:
+            out.append((x, ylo, yhi))
+    return out
+
+
+@st.composite
+def halfplane_regions(draw):
+    # rational vertices, redundant planes kept in hrep, empty regions too
+    planes = [HalfPlane(V(*n), 12) for n in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    for _ in range(draw(st.integers(0, 5))):
+        nx, ny = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        assume(math.gcd(nx, ny) == 1)
+        planes.append(HalfPlane(V(nx, ny), draw(st.integers(-10, 30))))
+    return intersect_halfplanes(planes)
+
+
+@st.composite
+def thin_polygons(draw):
+    # conv{a, a + d, a + d + (0, k)}: steep thin triangles with empty columns
+    ax, ay = draw(coords), draw(coords)
+    dx, dy, k = draw(st.integers(1, 9)), draw(st.integers(-9, 9)), draw(st.integers(0, 2))
+    return hull([V(ax, ay), V(ax + dx, ay + dy), V(ax + dx, ay + dy + k)])
+
+
+column_regions = st.one_of(
+    lattice_polys,
+    rational_regions,
+    halfplane_regions(),
+    thin_polygons(),
+    fan_with_divisor(lo=-3, hi=4).map(lambda fd: polygon_of(*fd)),
+)
+
+
+@given(column_regions)
+@settings(max_examples=500, deadline=None)
+@example(hull([V(0, 0), V(3, 1), V(3, 2)]))  # column 1 holds no lattice point
+@example(hull([V(2, -1), V(2, 3)]))  # an upright segment
+@example(ConvexLatticePolygon._from_hom_vertices([(3, -1, 2)], ()))  # a rational point
+@example(ConvexLatticePolygon._from_hom_vertices([(1, 1, 3), (11, 5, 3)], ()))  # a segment
+def test_columns_match_the_per_constraint_sweep(poly):
+    assert list(_columns(poly)) == _per_constraint_columns(poly)
+
+
+def _classify_by_vertex_incidence(fan, d):
+    """Globally generated iff every ray's line holds a lattice vertex of the
+    polygon, ample iff each holds two; otherwise sections iff a lattice point."""
+    poly = polygon_of(fan, d)
+    verts = [(p.x_num, p.y_num) for p in poly.vrep if p.den == 1]
+    least = min(sum(v.x * x + v.y * y == -a for x, y in verts) for v, a in zip(fan.rays, d.coeffs))
+    if least >= 1:
+        return PositivityClass.AMPLE if least == 2 else PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
+    if lattice_points(poly):
+        return PositivityClass.EFFECTIVE_SECTIONS_ONLY
+    return PositivityClass.NO_SECTIONS
+
+
+@given(fan_with_corner_divisor())
+@settings(max_examples=400, deadline=None)
+@example((generate_family("p2"), TorusDivisor((0, 0, 0))))
+@example((generate_family("f2"), TorusDivisor((0, 1, 0, 0))))
+@example((generate_family("f2"), TorusDivisor((-1, 0, 0, 0))))
+def test_classify_by_edge_lengths_matches_vertex_incidence(fan_divisor):
+    fan, d = fan_divisor
+    assert classify(fan, d) is _classify_by_vertex_incidence(fan, d)
+
+
+column_tables = st.dictionaries(
+    st.integers(-4, 4), st.tuples(st.integers(-6, 6), st.integers(0, 3)), min_size=1, max_size=6
+).map(lambda t: {x: (lo, lo + n) for x, (lo, n) in sorted(t.items())})
+
+
+@given(column_tables, column_tables, st.integers(-8, 8), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=500, deadline=None)
+@example({0: (0, 0), 1: (4, 4), 2: (1, 3)}, {0: (0, 0), 1: (0, 0), 2: (0, 0)}, 2, 0, 0)
+def test_sumset_gaps_match_a_brute_union(table_a, table_b, x, below, above):
+    # tables with holes and far-apart columns give intervals that do not touch,
+    # which send the one-pass union to its sort-and-merge
+    sums = [
+        (lo1 + table_b[x - x1][0], hi1 + table_b[x - x1][1])
+        for x1, (lo1, hi1) in table_a.items()
+        if x - x1 in table_b
+    ]
+    lo = min((a for a, _ in sums), default=0) - below
+    hi = max((b for _, b in sums), default=0) + above
+    covered = {y for a, b in sums for y in range(a, b + 1)}
+    gaps = []
+    for y in range(lo, hi + 1):
+        if y in covered:
+            continue
+        if gaps and gaps[-1][1] == y - 1:
+            gaps[-1] = (gaps[-1][0], y)
+        else:
+            gaps.append((y, y))
+    assert _sumset_gaps(table_a, table_b, x, lo, hi) == gaps
+    assert _sumset_gaps(table_b, table_a, x, lo, hi) == gaps

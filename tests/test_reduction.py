@@ -109,6 +109,40 @@ class TestReduce:
         assert res.reduced == d
         assert peak < 50_000
 
+    def test_globally_generated_input_returned_without_a_sweep(self, monkeypatch):
+        # the corner ring's edge lengths decide it; the rounding would give d back
+        import toricmult.reduction as reduction
+
+        cases = [(P2, D((0, 1, 10))), (F2, D((1, 1, 1, 1))), (F2, D((0, 0, 1, 0)))]
+        rounded = [reduction._rounded(c[0], reduction._columns(polygon_of(*c))) for c in cases]
+
+        def refuse(poly):
+            raise AssertionError("a globally generated divisor was swept")
+
+        monkeypatch.setattr(reduction, "_columns", refuse)
+        d = D((10**6, 10**6, 10**6))
+        start = time.perf_counter()
+        res = reduce_to_globally_generated(P2, d)
+        assert time.perf_counter() - start < 1
+        assert (res.original, res.reduced, res.J) == (d, d, frozenset())
+        assert res.hull_polygon == polygon_of(P2, d)
+        for (fan, d), r in zip(cases, rounded):
+            assert reduce_to_globally_generated(fan, d).reduced == r == d
+
+    def test_rounding_streams_the_columns_of_a_divisor_not_globally_generated(self):
+        # F2 (0,1,0,20000) has 40,001 columns and rounds to (0,0,0,20000)
+        d = D((0, 1, 0, 20000))
+        assert not classify(F2, d).is_globally_generated()
+        polygon_of(F2, d), polygon_of(F2, D((0, 0, 0, 20000)))  # warm the polygon cache
+        tracemalloc.start()
+        try:
+            res = reduce_to_globally_generated(F2, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.reduced == D((0, 0, 0, 20000)) and res.J == frozenset({2})
+        assert peak < 50_000
+
     def test_negative_coefficients_allowed_with_sections(self):
         # a translate of an effective divisor still reduces cleanly
         d = D((2, -1, 1))
