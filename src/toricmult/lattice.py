@@ -2,15 +2,15 @@
 
 Everything here is computed with integer or rational arithmetic only: vertex
 coordinates are rationals with a shared denominator, all comparisons go
-through cross-multiplication, and lattice-point enumeration uses exact
-ceiling/floor on half-plane constraints.  Degenerate regions (empty, point,
-segment) are ordinary values, not errors.
+through cross-multiplication, and lattice-point enumeration walks the edges
+of a region's vertex list with exact ceilings and floors.  Degenerate regions
+(empty, point, segment) are ordinary values, not errors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
@@ -151,24 +151,15 @@ class HalfPlane:
         if abs(self.offset) > _INTERMEDIATE_BOUND:
             raise CoordinateOverflowError("offset exceeds the 128-bit intermediate bound")
 
-    @classmethod
-    def _trusted(cls, normal: LatticeVector, offset: int) -> "HalfPlane":
-        """The half-plane of a normal known to be primitive, such as a ray of a
-        validated fan, and an offset within the bounds: nothing is re-checked."""
-        plane = object.__new__(cls)
-        object.__setattr__(plane, "normal", normal)  # not __dict__, which takes more memory
-        object.__setattr__(plane, "offset", offset)
-        return plane
-
-    def contains(self, p: RationalPoint) -> bool:
-        return self.normal.x * p.x_num + self.normal.y * p.y_num >= -self.offset * p.den
-
 
 class PolygonDim(Enum):
     EMPTY = "empty"
     POINT = "point"
     SEGMENT = "segment"
     POLYGON = "polygon"
+
+
+_DIMS = tuple(PolygonDim)  # indexed by the vertex count, capped at 3
 
 
 # -- homogeneous-coordinate helpers (x, y, w) with w > 0, used internally ----
@@ -243,63 +234,42 @@ def _primitive_pair(x: int, y: int) -> tuple[int, int]:
 class ConvexLatticePolygon:
     """Canonical convex region: vrep CCW from the lexicographic minimum.
 
-    Two polygons describe the same region iff their vrep tuples are equal;
-    hrep, when present, holds integer half-planes whose intersection is the
-    region and is excluded from equality.  Use :func:`hull` or
-    :func:`intersect_halfplanes` to build one.
+    A region is its vertices: two polygons describe the same region iff
+    their vrep tuples are equal, and dim follows from how many there are.
+    Use :func:`hull` or :func:`intersect_halfplanes` to build one.
     """
 
     vrep: tuple[RationalPoint, ...]
-    dim: PolygonDim
-    hrep: tuple[HalfPlane, ...] = field(default=(), compare=False)
+
+    @property
+    def dim(self) -> PolygonDim:
+        return _DIMS[min(len(self.vrep), 3)]
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def _from_hom_vertices(
-        hom: Sequence[tuple[int, int, int]], hrep: tuple[HalfPlane, ...]
-    ) -> "ConvexLatticePolygon":
+    def _from_hom_vertices(hom: Sequence[tuple[int, int, int]]) -> "ConvexLatticePolygon":
         hull_pts = _hull_hom([_hom_normalize(p) for p in hom])
-        verts = tuple(RationalPoint._from_normalized(*p) for p in hull_pts)
-        return ConvexLatticePolygon._of_vertices(verts, hrep)
+        return ConvexLatticePolygon(tuple(RationalPoint._from_normalized(*p) for p in hull_pts))
 
     @staticmethod
-    def _from_lattice_ring(
-        ring: Sequence[tuple[int, int]], hrep: tuple[HalfPlane, ...]
-    ) -> "ConvexLatticePolygon":
+    def _from_lattice_ring(ring: Sequence[tuple[int, int]]) -> "ConvexLatticePolygon":
         """The polygon whose vertices are ring's integer points, listed once
         around CCW, repeats allowed: drop each point equal to the next and
         start at the lexicographic minimum."""
         verts = [p for p, q in zip(ring, ring[1:] + ring[:1]) if p != q] or [ring[0]]
         start = verts.index(min(verts))
         verts = verts[start:] + verts[:start]
-        return ConvexLatticePolygon._of_vertices(
-            tuple(RationalPoint._from_normalized(x, y, 1) for x, y in verts), hrep
-        )
-
-    @staticmethod
-    def _of_vertices(
-        verts: tuple[RationalPoint, ...], hrep: tuple[HalfPlane, ...]
-    ) -> "ConvexLatticePolygon":
-        """The polygon of vertices already in canonical order."""
-        if not verts:
-            dim = PolygonDim.EMPTY
-        elif len(verts) == 1:
-            dim = PolygonDim.POINT
-        elif len(verts) == 2:
-            dim = PolygonDim.SEGMENT
-        else:
-            dim = PolygonDim.POLYGON
-        return ConvexLatticePolygon(verts, dim, hrep)
+        return ConvexLatticePolygon(tuple(RationalPoint._from_normalized(*p, 1) for p in verts))
 
     @classmethod
     def empty(cls) -> "ConvexLatticePolygon":
-        return cls((), PolygonDim.EMPTY, ())
+        return cls(())
 
     # -- basic queries -------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return self.dim is PolygonDim.EMPTY
+        return not self.vrep
 
     def has_lattice_vertices(self) -> bool:
         return all(v.den == 1 for v in self.vrep)
@@ -345,29 +315,13 @@ class ConvexLatticePolygon:
 
 
 def hull(points: Iterable[LatticeVector]) -> ConvexLatticePolygon:
-    """Convex hull of lattice points, as a canonical polygon.
-
-    The hrep holds the supporting half-planes of the edges, with primitive
-    inward normals; a segment adds its two ends, a point four axis bounds.
-    """
+    """Convex hull of lattice points within the input bound, as a canonical
+    polygon: its vertices are the extreme points, CCW."""
     pts = list(points)
     for p in pts:
         check_input_coord(p.x)
         check_input_coord(p.y)
-    poly = ConvexLatticePolygon._from_hom_vertices([(p.x, p.y, 1) for p in pts], ())
-    verts = [(v.x_num, v.y_num) for v in poly.vrep]
-    cons = []  # (nx, ny, c): nx x + ny y >= c
-    if len(verts) == 1:
-        (x, y), = verts
-        cons = [(1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y)]
-    for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[: len(verts) > 2]):  # a segment: once
-        dx, dy = _primitive_pair(qx - px, qy - py)
-        cons.append((-dy, dx, dx * py - dy * px))
-        if len(verts) == 2:
-            cons += [(dy, -dx, dy * px - dx * py), (dx, dy, dx * px + dy * py)]
-            cons.append((-dx, -dy, -dx * qx - dy * qy))
-    hrep = tuple(HalfPlane(LatticeVector(nx, ny), -c) for nx, ny, c in cons)
-    return ConvexLatticePolygon(poly.vrep, poly.dim, hrep)
+    return ConvexLatticePolygon._from_hom_vertices([(p.x, p.y, 1) for p in pts])
 
 
 def _directions_positively_span(normals: Sequence[LatticeVector]) -> bool:
@@ -393,10 +347,9 @@ def _directions_positively_span(normals: Sequence[LatticeVector]) -> bool:
 def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
     """Intersection of closed half-planes as a canonical polygon.
 
-    The input planes are stored verbatim as the hrep, redundant ones
-    included: they are the integer constraints the column sweep reads.  An
-    empty intersection yields the empty polygon; an unbounded one raises
-    :class:`UnboundedRegionError`.
+    Its vertices are the crossings of two planes that satisfy every plane,
+    so a redundant plane changes nothing.  An empty intersection yields the
+    empty polygon; an unbounded one raises :class:`UnboundedRegionError`.
     """
     planes = list(planes)
     if not planes:
@@ -432,10 +385,10 @@ def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
             hi = min((c for nx, ny, c in data if (nx, ny) != n0), default=None)
             if hi is None or lo <= hi:
                 raise UnboundedRegionError("intersection is nonempty but has no vertex")
-        return ConvexLatticePolygon((), PolygonDim.EMPTY, tuple(planes))
+        return ConvexLatticePolygon.empty()
     if not _directions_positively_span([h.normal for h in planes]):
         raise UnboundedRegionError("half-plane normals do not positively span the plane")
-    return ConvexLatticePolygon._from_hom_vertices(candidates, tuple(planes))
+    return ConvexLatticePolygon._from_hom_vertices(candidates)
 
 
 # -- lattice-point machinery ---------------------------------------------------
@@ -601,7 +554,7 @@ def face_in_direction(
             pts.append(
                 (lb * a.x_num - la * b.x_num, lb * a.y_num - la * b.y_num, lb * a.den - la * b.den)
             )
-    return ConvexLatticePolygon._from_hom_vertices(pts, ())
+    return ConvexLatticePolygon._from_hom_vertices(pts)
 
 
 # -- Minkowski sums ------------------------------------------------------------
@@ -662,7 +615,7 @@ def minkowski_sum(a: ConvexLatticePolygon, b: ConvexLatticePolygon) -> ConvexLat
     for dx, dy in merged[:-1]:
         x, y = x + dx, y + dy
         hom.append((x, y, w))
-    return ConvexLatticePolygon._from_hom_vertices(hom, ())
+    return ConvexLatticePolygon._from_hom_vertices(hom)
 
 
 # -- the elementary interval decomposition --------------------------------------

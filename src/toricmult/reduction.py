@@ -28,7 +28,7 @@ from .lattice import (
     pick_count,
 )
 from .multiplication import CokernelReport, _cokernel_report, _refuse_over_pair_budget
-from .surface import Fan, PositivityClass, TorusDivisor, _corner_ring, classify, polygon_of
+from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
 SWEEP_BUDGET = 10**6
@@ -98,13 +98,13 @@ def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
     Requires at least one section.  The reduced divisor is globally
     generated, has the same sections, and its polygon is the hull of the
     original polygon's lattice points: that hull is polygon_of(fan, reduced),
-    read off its corners.  A divisor whose edge lengths are all >= 0 is
-    globally generated and its own reduction, returned at once.  Otherwise
+    read off its corners.  A globally generated divisor (see
+    :func:`classify`) is its own reduction, returned at once.  Otherwise
     the rounding streams the columns once, so the time follows the width of
     the polygon, not its h0, and the memory stays bounded.
     """
     poly = polygon_of(fan, d)
-    if min(_corner_ring(fan.rays, d.coeffs)[1]) >= 0:  # globally generated: its own rounding
+    if classify(fan, d).is_globally_generated():
         return ReductionResult(original=d, reduced=d, J=frozenset(), hull_polygon=poly)
     reduced = _rounded(fan, _columns(poly))
     moved = frozenset(
@@ -142,7 +142,9 @@ def _stratified_sample(
 
     Small strata (all vectors with a given maximum entry) are enumerated
     exhaustively while they fit in half the budget; the rest of the budget is
-    spread evenly over the remaining strata by rejection sampling.
+    spread evenly over the remaining strata by rejection sampling.  When more
+    strata remain than budget, a seeded draw picks the strata that get one
+    vector each, so the sample never exceeds the budget.
     """
     rng = random.Random(seed)
     chosen: set[tuple[int, ...]] = set()
@@ -157,9 +159,12 @@ def _stratified_sample(
                 chosen.add(vec)
         spent += size
         exhausted_up_to = m
-    remaining_strata = list(range(exhausted_up_to + 1, e_max + 1))
+    remaining_strata = range(exhausted_up_to + 1, e_max + 1)
+    left = max(0, budget - spent)
+    if len(remaining_strata) > left:
+        remaining_strata = sorted(rng.sample(remaining_strata, left))
     if remaining_strata:
-        quota = max(1, (budget - spent) // len(remaining_strata))
+        quota = left // len(remaining_strata)
         for m in remaining_strata:
             got = 0
             attempts = 0

@@ -3,7 +3,7 @@
 A fan is a cyclically ordered list of primitive rays going once CCW around
 the origin with det(v_i, v_{i+1}) = 1 throughout; a divisor is an integer
 coefficient per ray.  The polygon of a divisor collects the sections, and
-positivity (globally generated / ample) is read off its vertices.
+positivity (globally generated / ample) is read off its ring of corners.
 """
 
 from __future__ import annotations
@@ -154,7 +154,6 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
     grows from 0, then falls back to 0: every corner satisfies every
     half-plane, and the vertices are the corners in cyclic order, repeats
     dropped.  Any other divisor goes through :func:`intersect_halfplanes`.
-    Either way hrep is the n half-planes.
     """
     if len(d.coeffs) != fan.n:
         raise PreconditionError(
@@ -171,11 +170,10 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
 def _polygon_of_cached(
     rays: tuple[LatticeVector, ...], coeffs: tuple[int, ...]
 ) -> ConvexLatticePolygon:
-    planes = tuple(HalfPlane._trusted(v, a) for v, a in zip(rays, coeffs))  # rays are primitive
     corners, lengths = _corner_ring(rays, coeffs)
     if min(lengths) >= 0:
-        return ConvexLatticePolygon._from_lattice_ring(corners, planes)
-    return intersect_halfplanes(planes)
+        return ConvexLatticePolygon._from_lattice_ring(corners)
+    return intersect_halfplanes([HalfPlane(v, a) for v, a in zip(rays, coeffs)])
 
 
 def _corner_ring(

@@ -298,6 +298,20 @@ class TestCli:
         assert "over 1000000 lattice points" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_sampled_sweep_stays_within_its_budget(self, tmp_path, capsys):
+        # 20,001 strata against a budget of 10: the strata that get an
+        # instance are drawn, so the run stays small and quick
+        fan_path, l_path = tmp_path / "p2.json", tmp_path / "L.json"
+        write_fan(projective_plane(), fan_path)
+        write_divisor(D((1, 1, 1)), l_path)
+        args = ["--max-coeff", "20000", "--budget", "10", "--seed", "1"]
+        start = time.perf_counter()
+        code = run_cli(["sweep", str(fan_path), str(l_path), *args])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("instances: ") and 1 <= int(first.split()[-1]) <= 10
+
 
 class TestCliDeterminism:
     def test_sweep_byte_identical_and_parallel(self, tmp_path):

@@ -96,13 +96,11 @@ class TestHull:
         square = hull([V(5, 5), V(0, 0), V(5, 0), V(0, 5)])
         assert vrep_ints(square) == [(0, 0), (5, 0), (5, 5), (0, 5)]
 
-    def test_hrep_supports_the_hull(self):
+    def test_hull_points_match_a_box_scan_of_its_edges(self):
         p = hull([V(0, 0), V(2, 0), V(0, 3)])
-        for v in p.vrep:
-            assert all(h.contains(v) for h in p.hrep)
-        # every lattice point of the box satisfying hrep is in the hull
-        oracle = box_scan(p.hrep, -5, 5)
-        assert sorted(oracle) == [(q.x, q.y) for q in lattice_points(p)]
+        # x >= 0, y >= 0 and 3x + 2y <= 6, written out by hand
+        oracle = box_scan([hp(1, 0, 0), hp(0, 1, 0), hp(-3, -2, 6)], -5, 5)
+        assert oracle == [(q.x, q.y) for q in lattice_points(p)]
 
 
 class TestHalfPlane:
@@ -111,22 +109,6 @@ class TestHalfPlane:
             HalfPlane(V(2, 0), 1)
         with pytest.raises(PreconditionError, match="nonzero"):
             HalfPlane(V(0, 0), 1)
-
-    def test_divisor_planes_skip_the_checks_and_equal_checked_ones(self, monkeypatch):
-        from toricmult.surface import _polygon_of_cached, hirzebruch, polygon_of, TorusDivisor
-
-        checked = []
-        post_init = HalfPlane.__post_init__
-        monkeypatch.setattr(
-            HalfPlane, "__post_init__", lambda h: checked.append(h) or post_init(h)
-        )
-        _polygon_of_cached.cache_clear()
-        f2 = hirzebruch(2)
-        for coeffs in ((1, 0, 1, 1), (0, 1, 0, 0), (-1, 0, 0, 0)):
-            poly = polygon_of(f2, TorusDivisor(coeffs))
-            assert checked == []
-            assert poly.hrep == tuple(HalfPlane(v, a) for v, a in zip(f2.rays, coeffs))
-            checked.clear()
 
 
 class TestIntersectHalfplanes:
@@ -174,10 +156,9 @@ class TestIntersectHalfplanes:
         p = intersect_halfplanes(planes)
         assert p.vrep == (RP(0, 0), RP(1, 0), RP(0, 1, 2))
 
-    def test_redundant_planes_kept_in_hrep(self):
-        planes = UNIT_TRIANGLE_PLANES + [hp(1, 0, 5)]
-        p = intersect_halfplanes(planes)
-        assert len(p.hrep) == 4
+    def test_redundant_plane_leaves_vrep_unchanged(self):
+        p = intersect_halfplanes(UNIT_TRIANGLE_PLANES + [hp(1, 0, 5)])
+        assert p == intersect_halfplanes(UNIT_TRIANGLE_PLANES)
         assert vrep_ints(p) == [(0, 0), (1, 0), (0, 1)]
 
 
@@ -196,8 +177,9 @@ class TestLatticePoints:
         assert len(pts) == 8
         assert sum(1 for q in pts if q[1] == 0) == 3
         assert sum(1 for q in pts if q[1] == 1) == 5
-        # independent box-scan oracle over the supporting planes
-        assert sorted(pts) == box_scan(p.hrep, -5, 5)
+        # independent box-scan oracle: 0 <= y <= 1, x >= -1 and 2y - x >= -1
+        planes = [hp(0, 1, 0), hp(0, -1, 1), hp(1, 0, 1), hp(-1, 2, 1)]
+        assert sorted(pts) == box_scan(planes, -5, 5)
 
     def test_rational_polygon_points(self):
         planes = [hp(1, 0, 0), hp(0, 1, 0), hp(-1, -2, 1)]
@@ -233,7 +215,7 @@ class TestColumnCovers:
         assert list(_columns(thin)) == [(0, 0, 0), (2, 1, 1), (3, 1, 2)]
         assert list(_columns(hull([V(2, -1), V(2, 3)]))) == [(2, -1, 3)]
         assert list(_columns(ConvexLatticePolygon.empty())) == []
-        upright = ConvexLatticePolygon._from_hom_vertices([(3, -1, 2), (3, 7, 2)], ())
+        upright = ConvexLatticePolygon._from_hom_vertices([(3, -1, 2), (3, 7, 2)])
         assert list(_columns(upright)) == []  # x = 3/2 holds no lattice column
 
     def test_column_pairs_are_the_sumset_columns(self):

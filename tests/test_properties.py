@@ -94,7 +94,7 @@ def test_hull_of_lattice_points_matches_rational_path(ps):
     dx, dy = x2 - x1, y2 - y1
     k = abs(dx) + abs(dy) + 1  # exceeds |dx| and |dy|, so the point is not a lattice point
     hom = [(x, y, 1) for x, y in ps] + [(k * x1 + dx, k * y1 + dy, k)]
-    rational = ConvexLatticePolygon._from_hom_vertices(hom, ())
+    rational = ConvexLatticePolygon._from_hom_vertices(hom)
     assert rational.vrep == hull([V(x, y) for x, y in ps]).vrep
 
 
@@ -132,13 +132,13 @@ rational_coords = st.tuples(
 @given(st.lists(rational_coords, min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_lattice_points_of_rational_regions(hom):
-    # rational points, segments and polygons without an hrep, so the sweep
-    # runs on constraints derived from rational vertices
-    assert_column_sweep(ConvexLatticePolygon._from_hom_vertices(hom, ()))
+    # rational points, segments and polygons, so the sweep walks edges
+    # between rational vertices
+    assert_column_sweep(ConvexLatticePolygon._from_hom_vertices(hom))
 
 
 rational_regions = st.lists(rational_coords, min_size=1, max_size=5).map(
-    lambda hom: ConvexLatticePolygon._from_hom_vertices(hom, ())
+    ConvexLatticePolygon._from_hom_vertices
 )
 
 
@@ -152,7 +152,7 @@ def test_minkowski_equals_hull_of_vertex_sums(a, b):
         for p in a.vrep
         for q in b.vrep
     ]
-    assert merged == ConvexLatticePolygon._from_hom_vertices(sums, ())
+    assert merged == ConvexLatticePolygon._from_hom_vertices(sums)
 
 
 @given(lattice_polys, lattice_polys)
@@ -280,7 +280,7 @@ def test_polygon_of_matches_halfplane_intersection(fan_divisor):
     assert (general.call_count == 0) == classify(fan, d).is_globally_generated()
     planes = [HalfPlane(v, a) for v, a in zip(fan.rays, d.coeffs)]
     reference = intersect_halfplanes(planes)
-    assert (poly.vrep, poly.dim, poly.hrep) == (reference.vrep, reference.dim, reference.hrep)
+    assert (poly.vrep, poly.dim) == (reference.vrep, reference.dim)
 
 
 @st.composite
@@ -559,15 +559,15 @@ def test_route_tie_breaks_match_literal_scans(fde):
 # -- kernels against their references -------------------------------------------
 
 
-def _per_constraint_columns(poly):
+def _per_constraint_columns(poly, planes=None):
     """The column sweep that evaluates every constraint a x + b y >= num at each x:
-    hrep when the region has one, else the edges of vrep (a segment adds its
-    two ends, a point four axis bounds)."""
+    the (normal, offset) planes that cut the region out when given, else the
+    edges of vrep (a segment adds its two ends, a point four axis bounds)."""
     if poly.is_empty():
         return []
     hom = [(p.x_num, p.y_num, p.den) for p in poly.vrep]
-    if poly.hrep:
-        cons = [(h.normal.x, -h.offset, h.normal.y) for h in poly.hrep]
+    if planes is not None:
+        cons = [(n.x, -offset, n.y) for n, offset in planes]
     elif len(hom) == 1:
         (x, y, w), = hom
         cons = [(w, x, 0), (-w, -x, 0), (0, y, w), (0, -y, -w)]
@@ -600,13 +600,14 @@ def _per_constraint_columns(poly):
 
 @st.composite
 def halfplane_regions(draw):
-    # rational vertices, redundant planes kept in hrep, empty regions too
+    # rational vertices, redundant planes, empty regions too; with the drawn
+    # planes as (normal, offset) pairs
     planes = [HalfPlane(V(*n), 12) for n in ((1, 0), (0, 1), (-1, 0), (0, -1))]
     for _ in range(draw(st.integers(0, 5))):
         nx, ny = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
         assume(math.gcd(nx, ny) == 1)
         planes.append(HalfPlane(V(nx, ny), draw(st.integers(-10, 30))))
-    return intersect_halfplanes(planes)
+    return intersect_halfplanes(planes), [(h.normal, h.offset) for h in planes]
 
 
 @st.composite
@@ -617,23 +618,31 @@ def thin_polygons(draw):
     return hull([V(ax, ay), V(ax + dx, ay + dy), V(ax + dx, ay + dy + k)])
 
 
+def _no_planes(poly):
+    return poly, None
+
+
+def _divisor_planes(fan_divisor):
+    fan, d = fan_divisor
+    return polygon_of(fan, d), list(zip(fan.rays, d.coeffs))
+
+
 column_regions = st.one_of(
-    lattice_polys,
-    rational_regions,
+    st.one_of(lattice_polys, rational_regions, thin_polygons()).map(_no_planes),
     halfplane_regions(),
-    thin_polygons(),
-    fan_with_divisor(lo=-3, hi=4).map(lambda fd: polygon_of(*fd)),
+    fan_with_divisor(lo=-3, hi=4).map(_divisor_planes),
 )
 
 
 @given(column_regions)
 @settings(max_examples=500, deadline=None)
-@example(hull([V(0, 0), V(3, 1), V(3, 2)]))  # column 1 holds no lattice point
-@example(hull([V(2, -1), V(2, 3)]))  # an upright segment
-@example(ConvexLatticePolygon._from_hom_vertices([(3, -1, 2)], ()))  # a rational point
-@example(ConvexLatticePolygon._from_hom_vertices([(1, 1, 3), (11, 5, 3)], ()))  # a segment
-def test_columns_match_the_per_constraint_sweep(poly):
-    assert list(_columns(poly)) == _per_constraint_columns(poly)
+@example(_no_planes(hull([V(0, 0), V(3, 1), V(3, 2)])))  # column 1 holds no lattice point
+@example(_no_planes(hull([V(2, -1), V(2, 3)])))  # an upright segment
+@example(_no_planes(ConvexLatticePolygon._from_hom_vertices([(3, -1, 2)])))  # a rational point
+@example(_no_planes(ConvexLatticePolygon._from_hom_vertices([(1, 1, 3), (11, 5, 3)])))  # a segment
+def test_columns_match_the_per_constraint_sweep(poly_planes):
+    poly, planes = poly_planes
+    assert list(_columns(poly)) == _per_constraint_columns(poly, planes)
 
 
 def _classify_by_vertex_incidence(fan, d):

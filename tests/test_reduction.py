@@ -20,6 +20,7 @@ from toricmult.errors import (
 )
 from toricmult.lattice import LatticeVector, PolygonDim, lattice_points
 from toricmult.reduction import (
+    _stratified_sample,
     edge_lattice_report,
     reduce_to_globally_generated,
     sweep_cokernel,
@@ -235,6 +236,26 @@ class TestSweep:
         assert a == b
         assert a.sampled and a.seed == 42
         assert a.max_coker >= 1  # the rigid family already shows a cokernel
+
+    def test_sampled_sweep_never_exceeds_its_budget(self):
+        # more strata than budget left: a seeded draw picks the strata that get
+        # a vector, so the size follows the budget, not e_max
+        for n, e_max, budget in ((3, 2000, 10), (3, 2000, 100), (3, 20000, 10), (3, 30, 20)):
+            start = time.perf_counter()
+            sample = _stratified_sample(n, e_max, budget, 1)
+            assert time.perf_counter() - start < 1
+            assert 1 <= len(sample) <= budget
+            assert len(set(sample)) == len(sample)
+            assert all(len(v) == n and 0 <= min(v) and max(v) <= e_max for v in sample)
+            assert sample == _stratified_sample(n, e_max, budget, 1)
+
+    def test_sample_with_fewer_strata_than_budget_unchanged(self):
+        # strata 0 and 1 in full, then two draws in each of strata 2..6
+        assert _stratified_sample(3, 6, 20, 7) == [
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
+            (2, 0, 0), (1, 1, 1), (2, 0, 1), (3, 0, 0), (1, 4, 0), (0, 3, 3), (5, 1, 2),
+            (2, 1, 6), (4, 5, 1), (4, 4, 3), (6, 2, 3),
+        ]
 
     def test_rejects_non_ample(self):
         with pytest.raises(PreconditionError):

@@ -95,13 +95,6 @@ class TestPolygonOf:
         p = polygon_of(fan, D((1, 0, 1, 1)))
         assert vrep_ints(p) == [(-1, 0), (1, 0), (3, 1), (-1, 1)]
 
-    def test_hrep_aligned_with_rays(self):
-        fan = hirzebruch(2)
-        d = D((1, 0, 1, 1))
-        p = polygon_of(fan, d)
-        assert [h.normal for h in p.hrep] == list(fan.rays)
-        assert [h.offset for h in p.hrep] == list(d.coeffs)
-
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):
             polygon_of(projective_plane(), D((1, 2)))
