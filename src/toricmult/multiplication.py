@@ -732,11 +732,11 @@ def _sumset_gaps(
     return gaps + [(y, hi)] if y <= hi else gaps
 
 
-def _cokernel_report(
+def _cokernel_gaps(
     table_d: _Table, table_e: _Table, cols_sum: Iterable[tuple[int, int, int]]
-) -> CokernelReport:
-    """cokernel_dim's report from the factors' column tables and the columns (x, lo, hi)
-    of P_{D+E}; over POINT_BUDGET missing points are refused before any is listed."""
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """h0 of P_{D+E} and the gaps (x, g0, g1) of the sumset in its columns (x, lo, hi),
+    in (x, y) order; over POINT_BUDGET missing points are refused before any is listed."""
     h0_sum = n_missing = 0
     gaps: list[tuple[int, int, int]] = []
     for x, lo, hi in cols_sum:
@@ -746,8 +746,15 @@ def _cokernel_report(
             n_missing += g1 - g0 + 1
         if n_missing > POINT_BUDGET:
             raise BudgetExceededError(f"over {POINT_BUDGET} missing points")
+    return h0_sum, gaps
+
+
+def _cokernel_report(
+    h0_d: int, h0_e: int, h0_sum: int, gaps: Iterable[tuple[int, int, int]]
+) -> CokernelReport:
+    """cokernel_dim's report, the gaps listed as missing points."""
     missing = tuple(LatticeVector(x, y) for x, g0, g1 in gaps for y in range(g0, g1 + 1))
-    h0_d, h0_e = (sum(hi - lo + 1 for lo, hi in t.values()) for t in (table_d, table_e))
+    n_missing = len(missing)
     return CokernelReport(h0_d, h0_e, h0_sum, h0_sum - n_missing, n_missing, missing)
 
 
@@ -767,4 +774,6 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     table_d, table_e = _column_table(p_d), _column_table(p_e)
     if not table_d or not table_e:
         raise PreconditionError("cokernel requires sections on both factors")
-    return _cokernel_report(table_d, table_e, _columns(polygon_of(fan, d + e)))
+    h0_sum, gaps = _cokernel_gaps(table_d, table_e, _columns(polygon_of(fan, d + e)))
+    h0_d, h0_e = (sum(hi - lo + 1 for lo, hi in t.values()) for t in (table_d, table_e))
+    return _cokernel_report(h0_d, h0_e, h0_sum, gaps)

@@ -6,12 +6,14 @@ rounded to the minimal offset supported by the lattice points of the section
 polygon, and the resulting polygon is the convex hull of those points.  The
 sweep harness measures cokernel dimensions of a fixed ample divisor L against
 divisor families, checks each one against the reduction (the missing points
-of L x E are the lattice points of P_{L+E} outside P_{L+E'}), and records
-whether the maximum stabilizes.
+of L x E are the lattice points of P_{L+E} outside P_{L+E'}, compared as
+column intervals; E' = E leaves no collar and builds no P_{L+E'}), and
+records whether the maximum stabilizes.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from dataclasses import dataclass
@@ -27,7 +29,12 @@ from .lattice import (
     face_in_direction,
     pick_count,
 )
-from .multiplication import CokernelReport, _cokernel_report, _refuse_over_pair_budget
+from .multiplication import (
+    CokernelReport,
+    _cokernel_gaps,
+    _cokernel_report,
+    _refuse_over_pair_budget,
+)
 from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
@@ -79,12 +86,12 @@ def _rounded(fan: Fan, cols: Iterable[tuple[int, int, int]]) -> TorusDivisor:
     end of the column: one pass over the columns, _ROUNDING_CHUNK at a time,
     in O(columns x rays) time and O(rays) memory, with no section listed.
     """
-    rays = [(v.x, v.y) for v in fan.rays]
     best: list[int] | None = None
     cols = iter(cols)
     while chunk := list(islice(cols, _ROUNDING_CHUNK)):
         here = [
-            max(-(vx * x + vy * (lo if vy > 0 else hi)) for x, lo, hi in chunk) for vx, vy in rays
+            max(-(vx * x + vy * (lo if vy > 0 else hi)) for x, lo, hi in chunk)
+            for vx, vy in fan.xy
         ]
         best = here if best is None else list(map(max, best, here))
     if best is None:
@@ -207,9 +214,31 @@ _WORKER: dict[str, object] = {}
 
 
 def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
-    """Sweep the fixed P_L once per process, for every instance."""
+    """Sweep the fixed P_L and count h0(L) once per process, for every instance."""
     p_l = polygon_of(fan, fixed_l)
-    _WORKER["args"] = (fan, fixed_l, p_l, {x: (lo, hi) for x, lo, hi in _columns(p_l)})
+    table_l = {x: (lo, hi) for x, lo, hi in _columns(p_l)}
+    h0_l = sum(hi - lo + 1 for lo, hi in table_l.values())
+    _WORKER["args"] = (fan, fixed_l, p_l, table_l, h0_l)
+
+
+def _collar(
+    cols_sum: Iterable[tuple[int, int, int]], inner: dict[int, tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """The lattice points of the columns (x, lo, hi) outside the column table inner,
+    as maximal intervals (x, c0, c1) in (x, y) order: per column, the part below
+    inner's column and the part above it, or the whole column where inner has none."""
+    collar = []
+    for x, lo, hi in cols_sum:
+        ilo, ihi = inner.get(x, (hi + 1, hi))
+        if lo < ilo:
+            collar.append((x, lo, min(hi, ilo - 1)))
+        if ihi < hi:
+            collar.append((x, max(lo, ihi + 1), hi))
+    return collar
+
+
+def _points(intervals: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    return [(x, y) for x, y0, y1 in intervals for y in range(y0, y1 + 1)]
 
 
 def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
@@ -217,12 +246,17 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     reduction pipeline behind the boundedness statement.
 
     With E' the reduced divisor of E, the missing points must be exactly
-    the collar: the lattice points of P_{L+E} outside P_{L+E'}, read column
-    by column.  P_E and P_E' have the same lattice points, so this says both
-    that L x E' is surjective and that every missing point lies in the
-    collar the reduction shaved off.  P_E and P_{L+E} are swept once each.
+    the collar: the lattice points of P_{L+E} outside P_{L+E'}.  P_E and
+    P_E' have the same lattice points, so this says both that L x E' is
+    surjective and that every missing point lies in the collar the reduction
+    shaved off.  Both sides are compared as column intervals: the sumset's
+    gaps, and per column of P_{L+E} the parts below and above P_{L+E'}; both
+    lists are maximal, disjoint and in (x, y) order, so they are equal
+    exactly when their point sets are, and only a mismatch is listed point
+    by point.  E' = E has an empty collar, so P_{L+E'} is not built then.
+    P_E and P_{L+E} are swept once each, P_L and h0(L) once per process.
     """
-    fan, fixed_l, p_l, table_l = _WORKER["args"]  # type: ignore[misc]
+    fan, fixed_l, p_l, table_l, h0_l = _WORKER["args"]  # type: ignore[misc]
     e = TorusDivisor(coeffs)
     p_e = polygon_of(fan, e)
     _refuse_over_pair_budget(p_l, p_e)
@@ -230,23 +264,23 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     if not cols_e:
         return None
     cols_sum = list(_columns(polygon_of(fan, fixed_l + e)))
-    report = _cokernel_report(table_l, {x: (lo, hi) for x, lo, hi in cols_e}, cols_sum)
+    h0_sum, gaps = _cokernel_gaps(table_l, {x: (lo, hi) for x, lo, hi in cols_e}, cols_sum)
     reduced = _rounded(fan, cols_e)
-    inner = _column_table(polygon_of(fan, fixed_l + reduced))
-    collar: list[tuple[int, int]] = []
-    for x, lo, hi in cols_sum:
-        ilo, ihi = inner.get(x, (hi + 1, hi))
-        collar += [(x, y) for y in range(lo, min(hi, ilo - 1) + 1)]
-        collar += [(x, y) for y in range(max(lo, ihi + 1), hi + 1)]
-    missing = [p.as_tuple() for p in report.missing_points]
-    if missing != collar:
-        extra, lost = sorted(set(missing) - set(collar)), sorted(set(collar) - set(missing))
+    if reduced == e:
+        collar = []
+    else:
+        collar = _collar(cols_sum, _column_table(polygon_of(fan, fixed_l + reduced)))
+    if gaps != collar and (missing := _points(gaps)) != (points := _points(collar)):
+        extra, lost = sorted(set(missing) - set(points)), sorted(set(points) - set(missing))
         raise TheoremViolationError(
             f"cokernel of {fixed_l} x {e} is not the collar outside the reduced "
             f"sum polygon of {reduced}: missing points {extra} lie inside it, "
-            f"collar points {lost} were decomposed"
+            f"collar points {lost} were decomposed; reproduce with "
+            f"`toricmult cokernel FAN L E` on FAN {json.dumps({'rays': fan.xy})}, "
+            f"L {json.dumps({'coeffs': fixed_l.coeffs})}, E {json.dumps({'coeffs': e.coeffs})}"
         )
-    return report
+    h0_e = sum(hi - lo + 1 for _, lo, hi in cols_e)
+    return _cokernel_report(h0_l, h0_e, h0_sum, gaps)
 
 
 def sweep_cokernel(

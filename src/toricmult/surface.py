@@ -9,7 +9,7 @@ positivity (globally generated / ample) is read off its ring of corners.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -51,6 +51,11 @@ class Fan:
     """
 
     rays: tuple[LatticeVector, ...]
+    #: The rays as (x, y) int pairs, a key that hashes and compares in C.
+    xy: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "xy", tuple((v.x, v.y) for v in self.rays))
 
     @property
     def n(self) -> int:
@@ -159,7 +164,7 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
         raise PreconditionError(
             f"divisor has {len(d.coeffs)} coefficients for a fan with {fan.n} rays"
         )
-    return _polygon_of_cached(fan.rays, d.coeffs)
+    return _polygon_of_cached(fan.xy, d.coeffs)
 
 
 #: The package's one cache, sized by measured reuse: a round of the benchmark's
@@ -168,23 +173,23 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
 #: An entry takes 1.2-1.9 KB on 5-12 rays (tracemalloc, CPython 3.11): <= 8 MB.
 @lru_cache(maxsize=4096)
 def _polygon_of_cached(
-    rays: tuple[LatticeVector, ...], coeffs: tuple[int, ...]
+    rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
 ) -> ConvexLatticePolygon:
     corners, lengths = _corner_ring(rays, coeffs)
     if min(lengths) >= 0:
         return ConvexLatticePolygon._from_lattice_ring(corners)
-    return intersect_halfplanes([HalfPlane(v, a) for v, a in zip(rays, coeffs)])
+    return intersect_halfplanes([HalfPlane(LatticeVector(*v), a) for v, a in zip(rays, coeffs)])
 
 
 def _corner_ring(
-    rays: Sequence[LatticeVector], coeffs: Sequence[int]
+    rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
 ) -> tuple[list[tuple[int, int]], list[int]]:
-    """The corners m_i of the cones (v_i, v_{i+1}) and the edge lengths
-    l_i = <m_i, v_{i+2}> + a_{i+2}, as in :func:`polygon_of`."""
+    """The corners m_i of the cones (v_i, v_{i+1}) of the rays (x, y) and the edge
+    lengths l_i = <m_i, v_{i+2}> + a_{i+2}, as in :func:`polygon_of`."""
     cones = zip(rays, coeffs, rays[1:] + rays[:1], coeffs[1:] + coeffs[:1])
-    corners = [(b * v.y - a * w.y, a * w.x - b * v.x) for v, a, w, b in cones]
+    corners = [(b * vy - a * wy, a * wx - b * vx) for (vx, vy), a, (wx, wy), b in cones]
     after_next = zip(corners, rays[2:] + rays[:2], coeffs[2:] + coeffs[:2])
-    return corners, [v.x * x + v.y * y + a for (x, y), v, a in after_next]
+    return corners, [vx * x + vy * y + a for (x, y), (vx, vy), a in after_next]
 
 
 def h0(fan: Fan, d: TorusDivisor) -> int:
@@ -201,7 +206,7 @@ def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:
     divisor is the polygon read: it has sections iff it holds a lattice point."""
     if len(d.coeffs) != fan.n:
         polygon_of(fan, d)  # raises on the length mismatch
-    least = min(_corner_ring(fan.rays, d.coeffs)[1])
+    least = min(_corner_ring(fan.xy, d.coeffs)[1])
     if least > 0:
         return PositivityClass.AMPLE
     if least == 0:

@@ -22,7 +22,7 @@ from toricmult.lattice import (
     minkowski_sum,
     pick_count,
 )
-from toricmult.lattice import _columns
+from toricmult.lattice import _column_table, _columns
 from toricmult.multiplication import (
     DecompositionPath,
     _sumset_gaps,
@@ -31,7 +31,14 @@ from toricmult.multiplication import (
     decompose_bruteforce,
     decompose_structured,
 )
-from toricmult.reduction import reduce_to_globally_generated
+from toricmult.errors import TheoremViolationError
+from toricmult.reduction import (
+    _collar,
+    _sweep_instance,
+    _sweep_worker_init,
+    reduce_to_globally_generated,
+    sweep_cokernel,
+)
 from toricmult.surface import (
     PositivityClass,
     TorusDivisor,
@@ -514,6 +521,113 @@ def test_cokernel_is_the_collar_of_the_reduction(fle):
     total, inner = _sections(fan, l + e), _sections(fan, l + reduced)
     sumset = {(x1 + x2, y1 + y2) for x1, y1 in _sections(fan, l) for x2, y2 in _sections(fan, e)}
     assert total - inner == total - sumset
+
+
+def _collar_points(cols_sum, inner):
+    """The collar as the sweep checked it before it compared intervals: every
+    lattice point of the columns (x, lo, hi) outside the column table inner."""
+    collar = []
+    for x, lo, hi in cols_sum:
+        ilo, ihi = inner.get(x, (hi + 1, hi))
+        collar += [(x, y) for y in range(lo, min(hi, ilo - 1) + 1)]
+        collar += [(x, y) for y in range(max(lo, ihi + 1), hi + 1)]
+    return collar
+
+
+def _intervals(points):
+    """Lattice points as maximal column intervals (x, y0, y1) in (x, y) order."""
+    out = []
+    for x, y in sorted(points):
+        if out and out[-1][0] == x and out[-1][2] == y - 1:
+            out[-1] = (x, out[-1][1], y)
+        else:
+            out.append((x, y, y))
+    return out
+
+
+@st.composite
+def ample_with_any_effective(draw):
+    # E: a globally generated divisor whose facets on negative curves (rays with
+    # v_{i-1} + v_{i+1} = c v_i, c > 0) are pushed out by 0..3, then translated.
+    # Such a facet gains few lattice points or none, so E is often not globally
+    # generated, and a column of P_{L+E} can hold collar points both below and
+    # above P_{L+E'}.  The last entry picks a lattice point of P_{L+E} (-1: none).
+    fan = draw(fans())
+    if fan.n < 6:  # a blowup adds a negative curve
+        fan = blowup(fan, draw(st.integers(min_value=1, max_value=fan.n)))
+    start = TorusDivisor(tuple(draw(st.integers(0, 4)) for _ in range(fan.n)))
+    gg = reduce_to_globally_generated(fan, start).reduced.coeffs
+    mx, my = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    e = []
+    for i, (v, a) in enumerate(zip(fan.rays, gg)):
+        if (fan.ray(i - 1) + fan.ray(i + 1)).dot(v) > 0:
+            a += draw(st.integers(0, 3))
+        e.append(a - v.x * mx - v.y * my)
+    return fan, draw(ample_on(fan)), TorusDivisor(tuple(e)), draw(st.integers(-1, 200))
+
+
+#: P2 blown up twice, L = (1,0,1,2,2), E = (2,5,1,-2,1): column -3 of P_{L+E} has
+#: collar points below P_{L+E'} (y = -2..-1) and above it (y = 3)
+_TWO_INTERVALS = (
+    validate_fan([(1, 0), (1, 1), (0, 1), (-1, -1), (0, -1)]),
+    TorusDivisor((1, 0, 1, 2, 2)),
+    TorusDivisor((2, 5, 1, -2, 1)),
+)
+
+
+@given(ample_with_any_effective())
+@settings(max_examples=150, deadline=None)
+@example((*_TWO_INTERVALS, -1))
+@example((*_TWO_INTERVALS, 5))  # (-3, 3): the upper collar interval of column -3 drops
+@example((*_TWO_INTERVALS, 3))  # (-3, 1): a point of P_{L+E'} goes missing
+@example(  # column -3 holds collar points at y = -4 and y = 1
+    (
+        validate_fan([(1, 0), (0, 1), (-1, 3), (0, -1), (1, -1)]),
+        TorusDivisor((0, 1, 5, 1, 0)),
+        TorusDivisor((3, 3, 4, 0, 4)),
+        -1,
+    )
+)
+def test_interval_collar_check_accepts_as_the_per_point_check(flet):
+    # toggle one lattice point of P_{L+E} in or out of the cokernel: the sweep's
+    # interval check must reject exactly when the old per-point comparison does
+    fan, l, e, toggle = flet
+    reduced = reduce_to_globally_generated(fan, e).reduced
+    cols_sum = list(_columns(polygon_of(fan, l + e)))
+    inner = _column_table(polygon_of(fan, l + reduced))
+    collar = _collar_points(cols_sum, inner)
+    assert collar == [] or reduced != e  # E' = E: the skipped collar is empty
+    assert _collar(cols_sum, inner) == _intervals(collar)
+    missing = {p.as_tuple() for p in cokernel_dim(fan, l, e).missing_points}
+    points = [(x, y) for x, lo, hi in cols_sum for y in range(lo, hi + 1)]
+    if 0 <= toggle < len(points):
+        missing ^= {points[toggle]}
+    _sweep_worker_init(fan, l)
+    with patch(
+        "toricmult.reduction._cokernel_gaps", return_value=(len(points), _intervals(missing))
+    ):
+        try:
+            _sweep_instance(e.coeffs)
+            accepted = True
+        except TheoremViolationError:
+            accepted = False
+    assert accepted == (sorted(missing) == collar)
+
+
+@given(ample_with_any_effective())
+@settings(max_examples=40, deadline=None)
+@example((*_TWO_INTERVALS, -1))
+def test_sweep_reports_are_cokernel_dim_reports(flet):
+    # the family that runs E's smallest positive entry a_j over 1..a_j
+    fan, l, e, _ = flet
+    assume(max(e.coeffs) >= 1)
+    j = min((a, i) for i, a in enumerate(e.coeffs) if a >= 1)[1]
+    pattern = ",".join("k" if i == j else str(a) for i, a in enumerate(e.coeffs))
+    sweep = sweep_cokernel(fan, l, e_max=e.coeffs[j], filter_pattern=pattern, keep_reports=True)
+    assert sweep.instances[-1][0] == e and len(sweep.reports) == len(sweep.instances)
+    for (e_k, coker), report in zip(sweep.instances, sweep.reports):
+        assert report == cokernel_dim(fan, l, e_k)
+        assert coker == report.coker_dim
 
 
 @given(ample_with_gg())

@@ -2,9 +2,9 @@
 
 import multiprocessing
 import os
+import re
 import time
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 import toricmult.lattice
 import toricmult.multiplication
 
+from toricmult.cli import run_cli
 from toricmult.errors import (
     BudgetExceededError,
     CoordinateOverflowError,
@@ -31,6 +32,7 @@ from toricmult.surface import (
     hirzebruch,
     polygon_of,
     projective_plane,
+    validate_fan,
 )
 
 V = LatticeVector
@@ -270,16 +272,45 @@ class TestSweep:
         sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=2)
         assert sweep.max_coker == 2
 
+    def test_pipeline_check_builds_no_reduced_polygon_for_globally_generated_e(
+        self, monkeypatch
+    ):
+        import toricmult.reduction as reduction
+
+        def no_table(poly):
+            raise RuntimeError("the pipeline check built the table of P_{L+E'}")
+
+        rounded = []
+        rounding = reduction._rounded
+
+        def counted(fan, cols):
+            rounded.append(rounding(fan, cols))
+            return rounded[-1]
+
+        monkeypatch.setattr(reduction, "_column_table", no_table)
+        monkeypatch.setattr(reduction, "_rounded", counted)
+        l_div = D((1, 0, 1, 1))
+        # globally generated, not ample, then ample: E' = E, an empty collar
+        for pattern in ("k,0,1,0", "1,0,k,1"):
+            rounded.clear()
+            sweep = sweep_cokernel(F2, l_div, e_max=4, filter_pattern=pattern)
+            assert sweep.max_coker == 0
+            # the rounding still runs on every instance
+            assert rounded == [e for e, _ in sweep.instances]
+        with pytest.raises(RuntimeError, match="built the table"):  # E = (0,1,0,0) rounds to 0
+            sweep_cokernel(F2, l_div, e_max=1, filter_pattern="0,k,0,0")
+
     def test_pipeline_check_rejects_a_dropped_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
 
-        cokernel = reduction._cokernel_report
+        gaps_of = reduction._cokernel_gaps
 
         def drop_first(table_l, table_e, cols_sum):
-            report = cokernel(table_l, table_e, cols_sum)
-            return replace(report, missing_points=report.missing_points[1:])
+            h0_sum, gaps = gaps_of(table_l, table_e, cols_sum)
+            (x, g0, g1), *rest = gaps
+            return h0_sum, [(x, g0 + 1, g1)] * (g0 < g1) + rest
 
-        monkeypatch.setattr(reduction, "_cokernel_report", drop_first)
+        monkeypatch.setattr(reduction, "_cokernel_gaps", drop_first)
         # F2 (1,0,1,1) x (0,1,0,0) misses (-1,-1), in the collar of E' = 0
         with pytest.raises(TheoremViolationError, match=r"collar points \[\(-1, -1\)\] were"):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
@@ -287,17 +318,50 @@ class TestSweep:
     def test_pipeline_check_rejects_an_extra_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
 
-        cokernel = reduction._cokernel_report
+        gaps_of = reduction._cokernel_gaps
 
         def add_a_sum(table_l, table_e, cols_sum):
-            report = cokernel(table_l, table_e, cols_sum)
+            h0_sum, gaps = gaps_of(table_l, table_e, cols_sum)
             (x1, (y1, _)), (x2, (y2, _)) = next(iter(table_l.items())), next(iter(table_e.items()))
-            missing = tuple(sorted(report.missing_points + (V(x1 + x2, y1 + y2),)))
-            return replace(report, missing_points=missing)
+            return h0_sum, sorted(gaps + [(x1 + x2, y1 + y2, y1 + y2)])
 
-        monkeypatch.setattr(reduction, "_cokernel_report", add_a_sum)
+        monkeypatch.setattr(reduction, "_cokernel_gaps", add_a_sum)
         with pytest.raises(TheoremViolationError, match=r"missing points \[\(-1, 0\)\] lie"):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=1, filter_pattern="0,k,0,0")
+
+    def test_pipeline_check_rejects_a_point_dropped_above_the_reduced_polygon(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import toricmult.reduction as reduction
+
+        gaps_of = reduction._cokernel_gaps
+
+        def drop_upper(table_l, table_e, cols_sum):
+            h0_sum, gaps = gaps_of(table_l, table_e, cols_sum)
+            i = next(i for i in range(1, len(gaps)) if gaps[i][0] == gaps[i - 1][0])
+            x, g0, g1 = gaps[i]
+            return h0_sum, gaps[:i] + [(x, g0, g1 - 1)] * (g0 < g1) + gaps[i + 1 :]
+
+        monkeypatch.setattr(reduction, "_cokernel_gaps", drop_upper)
+        # on P2 blown up twice, L = (1,0,1,2,2), E = (2,5,1,-2,1) rounds to
+        # E' = (2,3,1,-2,0): column -3 of P_{L+E} has collar points below P_{L+E'}
+        # (y = -2..-1) and above it (y = 3)
+        blblp2 = validate_fan([(1, 0), (1, 1), (0, 1), (-1, -1), (0, -1)])
+        l_div = D((1, 0, 1, 2, 2))
+        assert reduce_to_globally_generated(blblp2, D((2, 5, 1, -2, 1))).reduced == D(
+            (2, 3, 1, -2, 0)
+        )
+        with pytest.raises(TheoremViolationError, match=r"collar points \[\(-3, 3\)\] were") as err:
+            sweep_cokernel(blblp2, l_div, e_max=1, filter_pattern="2,5,1,-2,k")
+        # the message names the instance: the three files it spells out reproduce
+        # the instance through the CLI
+        files = re.search(r"on FAN (\{[^}]*\}), L (\{[^}]*\}), E (\{[^}]*\})$", str(err.value))
+        paths = [tmp_path / f"{name}.json" for name in ("fan", "L", "E")]
+        for path, text in zip(paths, files.groups()):
+            path.write_text(text)
+        capsys.readouterr()
+        assert run_cli(["cokernel", *map(str, paths)]) == 0
+        assert "missing: (-3, 3)" in capsys.readouterr().out
 
     def test_sweep_reads_each_polygon_once(self, monkeypatch):
         import toricmult.reduction as reduction
