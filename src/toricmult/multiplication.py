@@ -45,6 +45,7 @@ of its line, such as P2, P1 x P1, every F_a, BlP2 and BlBlP2.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -606,6 +607,16 @@ def decompose_structured(
 # -- reports ----------------------------------------------------------------------
 
 
+def _violation(
+    message: str, command: str, fan: Fan, d: TorusDivisor, e: TorusDivisor
+) -> TheoremViolationError:
+    """A failed check's error, naming (fan, D, E) as the JSON files of a toricmult line."""
+    return TheoremViolationError(
+        f"{message}; reproduce with `toricmult {command}` on FAN {json.dumps({'rays': fan.xy})}, "
+        f"L {json.dumps({'coeffs': d.coeffs})}, E {json.dumps({'coeffs': e.coeffs})}"
+    )
+
+
 def check_surjectivity(
     fan: Fan, d: TorusDivisor, e: TorusDivisor, mode: str = "both"
 ) -> SurjectivityReport:
@@ -633,17 +644,20 @@ def check_surjectivity(
     total = 0
     spans: list[Span] = []
     path_counts: Counter[DecompositionPath] = Counter()
-    for x, lo, hi in _columns(p_sum):
-        total += hi - lo + 1
-        if ctx is None:
-            spans += _oracle_column(table_d, table_e, x, lo, hi)
-            continue
-        spans += _structured_column(ctx, x, lo, hi, path_counts)
-        if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
-            raise TheoremViolationError(
-                f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
-                "but the exhaustive oracle did not"
-            )
+    try:
+        for x, lo, hi in _columns(p_sum):
+            total += hi - lo + 1
+            if ctx is None:
+                spans += _oracle_column(table_d, table_e, x, lo, hi)
+                continue
+            spans += _structured_column(ctx, x, lo, hi, path_counts)
+            if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
+                raise TheoremViolationError(
+                    f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
+                    "but the exhaustive oracle did not"
+                )
+    except TheoremViolationError as exc:
+        raise _violation(str(exc), f"verify FAN L E --mode {mode}", fan, d, e) from exc
     if ctx is None:
         path_counts[DecompositionPath.FALLBACK_SEARCH] = sum(s[2] - s[1] + 1 for s in spans)
     path_counts = +path_counts  # no zero counts

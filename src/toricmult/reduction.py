@@ -1,41 +1,35 @@
 """Rounding a divisor with sections down to a globally generated one, and
 the empirical boundedness machinery built on top of it.
 
-The reduction keeps exactly the sections of the input: each coefficient is
-rounded to the minimal offset supported by the lattice points of the section
-polygon, and the resulting polygon is the convex hull of those points.  The
-sweep harness measures cokernel dimensions of a fixed ample divisor L against
-divisor families, checks each one against the reduction (the missing points
-of L x E are the lattice points of P_{L+E} outside P_{L+E'}, compared as
-column intervals; E' = E leaves no collar and builds no P_{L+E'}), and
-records whether the maximum stabilizes.
+The reduction keeps exactly the sections of the input: it removes the fixed
+components of |E| on the corner ring's integers, and P_E' is the convex hull
+of P_E's lattice points.  The sweep harness measures cokernel dimensions of
+a fixed ample divisor L against divisor families, checks each one against
+the reduction (the missing points of L x E are the lattice points of P_{L+E}
+outside P_{L+E'}, compared as column intervals; E' = E leaves no collar and
+builds no P_{L+E'}), and records whether the maximum stabilizes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterable
 
-from .errors import BudgetExceededError, PreconditionError, TheoremViolationError
-from .lattice import (
-    ConvexLatticePolygon,
-    _column_table,
-    _columns,
-    check_input_coord,
-    face_in_direction,
-    pick_count,
-)
+from .errors import BudgetExceededError, PreconditionError
+from .lattice import ConvexLatticePolygon, _column_table, _columns, check_input_coord
 from .multiplication import (
     CokernelReport,
     _cokernel_gaps,
     _cokernel_report,
     _refuse_over_pair_budget,
+    _violation,
 )
-from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
+from .surface import (
+    Fan, PositivityClass, TorusDivisor, _corner_ring, _moving_part, classify, polygon_of
+)
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
 SWEEP_BUDGET = 10**6
@@ -73,69 +67,27 @@ class SweepResult:
     reports: tuple[CokernelReport, ...] | None = None
 
 
-#: Columns the rounding holds at once: a chunk per ray keeps the per-column
-#: work in one generator, as fast as a pass over a list, in bounded memory.
-_ROUNDING_CHUNK = 128
-
-
-def _rounded(fan: Fan, cols: Iterable[tuple[int, int, int]]) -> TorusDivisor:
-    """The divisor whose polygon has the columns (x, lo, hi), with each
-    coefficient rounded to max -<s, v> over the sections s.
-
-    Along a column -<s, v> is linear in y, so its maximum there sits at one
-    end of the column: one pass over the columns, _ROUNDING_CHUNK at a time,
-    in O(columns x rays) time and O(rays) memory, with no section listed.
-    """
-    best: list[int] | None = None
-    cols = iter(cols)
-    while chunk := list(islice(cols, _ROUNDING_CHUNK)):
-        here = [
-            max(-(vx * x + vy * (lo if vy > 0 else hi)) for x, lo, hi in chunk)
-            for vx, vy in fan.xy
-        ]
-        best = here if best is None else list(map(max, best, here))
-    if best is None:
-        raise PreconditionError("reduction requires a divisor with sections")
-    return TorusDivisor(tuple(best))
-
-
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
-    """Round each coefficient to the minimal offset its sections support.
+    """Round d down to E', the globally generated divisor with the same sections.
 
-    Requires at least one section.  The reduced divisor is globally
-    generated, has the same sections, and its polygon is the hull of the
-    original polygon's lattice points: that hull is polygon_of(fan, reduced),
-    read off its corners.  A globally generated divisor (see
-    :func:`classify`) is its own reduction, returned at once.  Otherwise
-    the rounding streams the columns once, so the time follows the width of
-    the polygon, not its h0, and the memory stays bounded.
+    Requires at least one section, which :func:`classify` decides first; then
+    :func:`surface._moving_part` removes the fixed components on the corner
+    ring's integers, with no column read (a globally generated d comes back
+    as it is).  P_E' is the hull of P_d's lattice points, read off its corners.
     """
-    poly = polygon_of(fan, d)
-    if classify(fan, d).is_globally_generated():
-        return ReductionResult(original=d, reduced=d, J=frozenset(), hull_polygon=poly)
-    reduced = _rounded(fan, _columns(poly))
-    moved = frozenset(
-        i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a
-    )
-    return ReductionResult(
-        original=d, reduced=reduced, J=moved, hull_polygon=polygon_of(fan, reduced)
-    )
+    if classify(fan, d) is PositivityClass.NO_SECTIONS:
+        raise PreconditionError("reduction requires a divisor with sections")
+    reduced = _moving_part(fan, d)
+    moved = frozenset(i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a)
+    return ReductionResult(d, reduced, moved, polygon_of(fan, reduced))
 
 
 def edge_lattice_report(fan: Fan, result: ReductionResult) -> list[tuple[int, int]]:
-    """Lattice-point counts of the reduced polygon's faces on the moved rays.
-
-    Returns (1-based ray index, count) for each j in J; a vertex face counts
-    as one point.  Each reduced offset is attained on the lattice hull, so
-    every face has lattice ends and Pick's count applies.
-    """
-    out: list[tuple[int, int]] = []
-    for j in sorted(result.J):
-        face = face_in_direction(
-            result.hull_polygon, fan.rays[j - 1], result.reduced.coeffs[j - 1]
-        )
-        out.append((j, pick_count(face)))
-    return out
+    """(1-based ray index, lattice-point count) of the reduced polygon's face on
+    each moved ray j: E' is globally generated, so the face is the corner ring's
+    edge of lattice length l = E'.C_j >= 0, which holds l + 1 points."""
+    lengths = _corner_ring(fan.xy, result.reduced.coeffs)[1]  # lengths[j - 2] = reduced.C_j
+    return [(j, lengths[j - 2] + 1) for j in sorted(result.J)]
 
 
 def _graded_key(coeffs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -249,12 +201,14 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     the collar: the lattice points of P_{L+E} outside P_{L+E'}.  P_E and
     P_E' have the same lattice points, so this says both that L x E' is
     surjective and that every missing point lies in the collar the reduction
-    shaved off.  Both sides are compared as column intervals: the sumset's
-    gaps, and per column of P_{L+E} the parts below and above P_{L+E'}; both
-    lists are maximal, disjoint and in (x, y) order, so they are equal
-    exactly when their point sets are, and only a mismatch is listed point
-    by point.  E' = E has an empty collar, so P_{L+E'} is not built then.
-    P_E and P_{L+E} are swept once each, P_L and h0(L) once per process.
+    shaved off.  Once P_E's columns show sections, E' comes from E's
+    coefficients alone, never from the columns the sumset reads.  Both sides
+    are compared as column intervals: the sumset's gaps, and per column of
+    P_{L+E} the parts below and above P_{L+E'}; both lists are maximal,
+    disjoint and in (x, y) order, so they are equal exactly when their point
+    sets are, and only a mismatch is listed point by point.  E' = E has an
+    empty collar, so P_{L+E'} is not built then.  P_E and P_{L+E} are swept
+    once each, P_L and h0(L) once per process.
     """
     fan, fixed_l, p_l, table_l, h0_l = _WORKER["args"]  # type: ignore[misc]
     e = TorusDivisor(coeffs)
@@ -265,19 +219,17 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
         return None
     cols_sum = list(_columns(polygon_of(fan, fixed_l + e)))
     h0_sum, gaps = _cokernel_gaps(table_l, {x: (lo, hi) for x, lo, hi in cols_e}, cols_sum)
-    reduced = _rounded(fan, cols_e)
-    if reduced == e:
+    if (reduced := _moving_part(fan, e)) == e:
         collar = []
     else:
         collar = _collar(cols_sum, _column_table(polygon_of(fan, fixed_l + reduced)))
     if gaps != collar and (missing := _points(gaps)) != (points := _points(collar)):
         extra, lost = sorted(set(missing) - set(points)), sorted(set(points) - set(missing))
-        raise TheoremViolationError(
+        raise _violation(
             f"cokernel of {fixed_l} x {e} is not the collar outside the reduced "
             f"sum polygon of {reduced}: missing points {extra} lie inside it, "
-            f"collar points {lost} were decomposed; reproduce with "
-            f"`toricmult cokernel FAN L E` on FAN {json.dumps({'rays': fan.xy})}, "
-            f"L {json.dumps({'coeffs': fixed_l.coeffs})}, E {json.dumps({'coeffs': e.coeffs})}"
+            f"collar points {lost} were decomposed",
+            "cokernel FAN L E", fan, fixed_l, e,
         )
     h0_e = sum(hi - lo + 1 for _, lo, hi in cols_e)
     return _cokernel_report(h0_l, h0_e, h0_sum, gaps)

@@ -1,11 +1,13 @@
 """Witness search, triangle reduction, structured decomposition, cokernels."""
 
+import re
 import time
 import tracemalloc
 from itertools import product
 
 import pytest
 
+from toricmult.cli import run_cli
 from toricmult.errors import (
     BudgetExceededError,
     DecompositionRangeError,
@@ -30,6 +32,7 @@ from toricmult.multiplication import (
     decompose_structured,
     triangle_reduce,
 )
+from toricmult.serialization import load_divisor, load_fan
 from toricmult.surface import (
     PositivityClass,
     TorusDivisor,
@@ -395,6 +398,41 @@ class TestCheckSurjectivity:
         with pytest.raises(TheoremViolationError, match=rf"decomposed \({first.x}, {first.y}\)"):
             check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
 
+    def test_violation_names_its_instance(self, monkeypatch, tmp_path, capsys):
+        # the message spells out the fan, L and E as the JSON of the three files
+        # of a `toricmult verify` line, and that line reproduces the failure
+        import toricmult.multiplication as mult
+
+        def fail(table_d, table_e, span):
+            raise TheoremViolationError(f"witness check failed at ({span[0]}, {span[1]})")
+
+        monkeypatch.setattr(mult, "_check_span", fail)
+        d, e = D((1, 0, 1, 1)), D((0, 1, 0, 0))
+        with pytest.raises(TheoremViolationError) as err:
+            check_surjectivity(F2, d, e, mode="brute")
+        message = str(err.value)
+        files = re.fullmatch(
+            r"witness check failed at \(-?\d+, -?\d+\); reproduce with `toricmult verify "
+            r"FAN L E --mode brute` on FAN (\{[^}]*\}), L (\{[^}]*\}), E (\{[^}]*\})",
+            message,
+        )
+        assert files is not None, message
+        paths = [tmp_path / f"{name}.json" for name in ("fan", "L", "E")]
+        for path, text in zip(paths, files.groups()):
+            path.write_text(text)
+        assert (load_fan(paths[0]), load_divisor(paths[1]), load_divisor(paths[2])) == (F2, d, e)
+        capsys.readouterr()
+        assert run_cli(["verify", *map(str, paths), "--mode", "brute"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sum_beyond_the_input_bound_admitted(self):
+        # L + E = (10^6 + 1, -999999, 0) is derived, so only the intermediate bound applies
+        l_div, e = D((10**6, -999999, 0)), D((1, 0, 0))
+        report = cokernel_dim(P2, l_div, e)
+        assert (report.h0_D, report.h0_E, report.h0_sum, report.coker_dim) == (3, 3, 6, 0)
+        for mode in ("structured", "brute", "both"):
+            assert check_surjectivity(P2, l_div, e, mode=mode).surjective
+
     @pytest.mark.parametrize("mode", ["both", "brute"])
     def test_over_budget_refused_before_enumeration(self, no_point_lists, mode):
         # two segments of 5001 columns each; their sum has only 10,001 points
@@ -575,7 +613,10 @@ class TestSpans:
         monkeypatch.setattr(mult, "_column_table", shrunk)
         with pytest.raises(TheoremViolationError) as raised:
             check_surjectivity(blbl, d, e, mode=mode)
-        assert str(raised.value) == f"witness check failed at {V(*first)}"
+        assert str(raised.value).startswith(
+            f"witness check failed at {V(*first)}; "
+            f"reproduce with `toricmult verify FAN L E --mode {mode}` on FAN "
+        )
 
     def test_steps_a_and_b_check_no_span_at_its_ends(self, monkeypatch):
         # their fixed summands are checked once per context, the moving ones as

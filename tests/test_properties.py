@@ -36,12 +36,14 @@ from toricmult.reduction import (
     _collar,
     _sweep_instance,
     _sweep_worker_init,
+    edge_lattice_report,
     reduce_to_globally_generated,
     sweep_cokernel,
 )
 from toricmult.surface import (
     PositivityClass,
     TorusDivisor,
+    _moving_part,
     blowup,
     classify,
     generate_family,
@@ -324,6 +326,55 @@ def test_reduction_contract(fan_divisor):
     assert lattice_points(polygon_of(fan, res.reduced)) == pts
     assert polygon_of(fan, res.reduced) == res.hull_polygon
     assert reduce_to_globally_generated(fan, res.reduced).reduced == res.reduced
+
+
+def _rounded(fan, cols):
+    """The reference rounding by a column sweep: each coefficient to max -<s, v>
+    over the sections s of the polygon with the columns (x, lo, hi); along a
+    column -<s, v> is linear in y, so its maximum sits at one end."""
+    return tuple(
+        max(-(vx * x + vy * (lo if vy > 0 else hi)) for x, lo, hi in cols) for vx, vy in fan.xy
+    )
+
+
+@st.composite
+def fan_with_effective_divisor(draw):
+    # P2, P1xP1, F_a and their random blowups up to 12 rays, sheared; an effective
+    # divisor with coefficients in 0..9, moved by a character m in [-3, 3]^2 to a
+    # linearly equivalent one, so it has sections and may have negative entries
+    fan = generate_family(draw(st.sampled_from(["p2", "p1xp1", "f1", "f2", "f3", "f5"])))
+    for _ in range(draw(st.integers(min_value=0, max_value=12 - fan.n))):
+        fan = blowup(fan, draw(st.integers(min_value=1, max_value=fan.n)))
+    k = draw(st.integers(min_value=-2, max_value=2))
+    fan = validate_fan([(v.x, v.y + k * v.x) for v in fan.rays])
+    m = V(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return fan, TorusDivisor(tuple(draw(st.integers(0, 9)) + m.dot(v) for v in fan.rays))
+
+
+@given(fan_with_effective_divisor())
+@settings(max_examples=300, deadline=None)
+@example((generate_family("f2"), TorusDivisor((0, 1, 0, 0))))
+@example(  # P_d is one point; the rule takes its most rounds seen here
+    (
+        validate_fan(
+            [(1, 0), (0, 1), (-1, 1), (-3, 2), (-8, 5), (-21, 13), (-34, 21), (-13, 8),
+             (-5, 3), (-2, 1), (-1, 0), (-1, -1)]
+        ),
+        TorusDivisor((10**6, -(10**6)) + (0,) * 10),
+    )
+)
+def test_rounding_by_fixed_components_matches_the_column_sweep(fan_divisor):
+    fan, d = fan_divisor
+    cols = list(_columns(polygon_of(fan, d)))
+    assert cols
+    res = reduce_to_globally_generated(fan, d)
+    assert _moving_part(fan, d) == res.reduced
+    assert res.reduced.coeffs == _rounded(fan, cols)
+    assert edge_lattice_report(fan, res) == [
+        (j, pick_count(face_in_direction(res.hull_polygon, fan.rays[j - 1], b)))
+        for j, b in enumerate(res.reduced.coeffs, start=1)
+        if j in res.J
+    ]
 
 
 @st.composite
