@@ -27,7 +27,7 @@ from .serialization import (
     write_divisor,
     write_fan,
 )
-from .surface import classify, generate_family, h0, polygon_of
+from .surface import _record, classify, generate_family, h0
 from .svg import emit_svg
 
 
@@ -106,12 +106,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     fan = load_fan(args.fan)
     result = reduce_to_globally_generated(fan, load_divisor(args.divisor))
+    if args.out:  # first, so that a divisor it refuses prints nothing
+        write_divisor(result.reduced, args.out)
     print(f"reduced: {result.reduced}")
     print(f"changed rays (J): {sorted(result.J) if result.J else '[]'}")
     for j, count in edge_lattice_report(fan, result):
         print(f"  sigma_{j}: {count} lattice point(s)")
-    if args.out:
-        write_divisor(result.reduced, args.out)
     return 0
 
 
@@ -175,7 +175,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     fan = load_fan(args.fan)
     l_div, e_div = load_divisor(args.L), load_divisor(args.E)
-    _refuse_over_point_budget(polygon_of(fan, l_div + e_div))  # before the cokernel's sweep
+    _refuse_over_point_budget(_record(fan, l_div + e_div))  # before the cokernel's sweep
     report = cokernel_dim(fan, l_div, e_div)
     emit_svg(fan, (l_div, e_div), report, args.out)
     print(f"wrote {args.out}")

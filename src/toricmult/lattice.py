@@ -225,6 +225,15 @@ def _hull_hom(points: Sequence[tuple[int, int, int]]) -> list[tuple[int, int, in
     return lower[:-1] + upper[:-1]
 
 
+def _lattice_ring(points: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The vertices, as vrep lists them, of the polygon whose vertices are points'
+    integer pairs, listed once around CCW, repeats allowed: each point equal to
+    the next dropped, starting at the lexicographic minimum."""
+    verts = [p for p, q in zip(points, points[1:] + points[:1]) if p != q] or [points[0]]
+    start = verts.index(min(verts))
+    return tuple(verts[start:] + verts[:start])
+
+
 def _primitive_pair(x: int, y: int) -> tuple[int, int]:
     g = math.gcd(abs(x), abs(y))
     return (x // g, y // g) if g else (0, 0)
@@ -254,13 +263,8 @@ class ConvexLatticePolygon:
 
     @staticmethod
     def _from_lattice_ring(ring: Sequence[tuple[int, int]]) -> "ConvexLatticePolygon":
-        """The polygon whose vertices are ring's integer points, listed once
-        around CCW, repeats allowed: drop each point equal to the next and
-        start at the lexicographic minimum."""
-        verts = [p for p, q in zip(ring, ring[1:] + ring[:1]) if p != q] or [ring[0]]
-        start = verts.index(min(verts))
-        verts = verts[start:] + verts[:start]
-        return ConvexLatticePolygon(tuple(RationalPoint._from_normalized(*p, 1) for p in verts))
+        """The polygon of a vertex ring as :func:`_lattice_ring` gives it."""
+        return ConvexLatticePolygon(tuple(RationalPoint._from_normalized(x, y, 1) for x, y in ring))
 
     @classmethod
     def empty(cls) -> "ConvexLatticePolygon":
@@ -406,14 +410,24 @@ def lattice_points(poly: ConvexLatticePolygon) -> list[LatticeVector]:
 
 def _columns(poly: ConvexLatticePolygon) -> Iterator[tuple[int, int, int]]:
     """(x, ylo, yhi) with ylo <= yhi for every integer x whose column of the
-    region holds a lattice point, in increasing x.
+    region holds a lattice point, in increasing x."""
+    return _hom_columns([(v.x_num, v.y_num, v.den) for v in poly.vrep])
 
-    An edge walk over vrep, CCW from the lexicographic minimum to the maximum
-    r and back: ylo is the ceiling of the lower chain at x and yhi the floor
-    of the upper one, each exact from the one edge that covers x, and a
-    lattice edge of integer slope is a range.  Lazy, in O(vertices) memory.
+
+def _ring_columns(ring: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """:func:`_columns` of the polygon of a vertex ring from :func:`_lattice_ring`,
+    walked on its int pairs without building the polygon."""
+    return _hom_columns([(x, y, 1) for x, y in ring])
+
+
+def _hom_columns(hom: list[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """The columns of the region whose vertices hom lists as vrep does.
+
+    An edge walk CCW from the lexicographic minimum to the maximum r and
+    back: ylo is the ceiling of the lower chain at x and yhi the floor of the
+    upper one, each exact from the one edge that covers x, and a lattice edge
+    of integer slope is a range.  Lazy, in O(vertices) memory.
     """
-    hom = [(v.x_num, v.y_num, v.den) for v in poly.vrep]
     r = 0
     for i in range(1, len(hom)):
         if _hom_lex_lt(hom[r], hom[i]):

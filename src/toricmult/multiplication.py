@@ -68,7 +68,6 @@ from .lattice import (
     RationalPoint,
     _column_pairs,
     _column_table,
-    _columns,
     _first_cover,
     _primitive_pair,
     ceil_div,
@@ -78,7 +77,7 @@ from .lattice import (
     intersect_halfplanes,
     minkowski_sum,
 )
-from .surface import Fan, PositivityClass, TorusDivisor, classify, polygon_of
+from .surface import Fan, TorusDivisor, _DivisorRecord, _record, classify, polygon_of
 
 #: The exhaustive search, cokernel_dim and the sweep refuse more pairs of
 #: lattice columns w_D x w_E of the two factors than this.
@@ -367,33 +366,45 @@ def decompose_homothetic_triangles(
 
 
 class _StructuredContext:
-    """Precomputed data shared by all points of one (fan, D, E) instance:
-    the column tables of both factors and the fixed summands of steps (a)
-    and (b), in the order the proof tries them."""
+    """Precomputed data shared by all points of one (fan, D, E) instance: the
+    column tables of both factors and the fixed summands of steps (a) and (b),
+    in the order the proof tries them.  All of it is read off the cached records
+    of D and E in integers: positivity from the least edge length, as classify
+    decides it, the tables as the records keep them (shared, never mutated),
+    and the vertices from the rings.  The polygons p_d and p_e are built only
+    when steps (c) and (d) read them."""
 
     def __init__(self, fan: Fan, d: TorusDivisor, e: TorusDivisor):
-        if classify(fan, d) is not PositivityClass.AMPLE:
+        self._rec_d, self._rec_e = _record(fan, d), _record(fan, e)
+        if self._rec_d.least <= 0:
             raise PreconditionError("structured decomposition requires an ample first divisor")
-        if not classify(fan, e).is_globally_generated():
+        if self._rec_e.least < 0:
             raise PreconditionError(
                 "structured decomposition requires a globally generated second divisor"
             )
         self.fan, self.d, self.e = fan, d, e
-        self.p_d, self.p_e = polygon_of(fan, d), polygon_of(fan, e)
-        self.table_d, self.table_e = _column_table(self.p_d), _column_table(self.p_e)
+        self.table_d, self.table_e = self._rec_d.table(), self._rec_e.table()
         self._reductions: dict[int, TriangleReduction | None] = {}
         # (a) q1 = u, the vertices (x, y) of P_D in sorted order
-        self.d_vertices = sorted((v.x_num, v.y_num) for v in self.p_d.vrep)
+        self.d_vertices = sorted(self._rec_d.ring)
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
         self.boundary: list[tuple[int, int]] | None = None
         # the fixed summands, checked once as listed, that leave their factor's table
         self.outside = {u for u in self.d_vertices if not _inside(self.table_d, *u)}
 
+    @property
+    def p_d(self) -> ConvexLatticePolygon:
+        return self._rec_d.polygon
+
+    @property
+    def p_e(self) -> ConvexLatticePolygon:
+        return self._rec_e.polygon
+
     def boundary_points(self) -> list[tuple[int, int]]:
         """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending; k stops
         short of the next edge's start (a segment runs there and back, a point is one edge)."""
         if self.boundary is None:
-            verts, boundary = [(v.x_num, v.y_num) for v in self.p_e.vrep], []
+            verts, boundary = list(self._rec_e.ring), []
             for (mx, my), (nx, ny) in zip(verts, verts[1:] + verts[:1]):
                 dx, dy = nx - mx, ny - my
                 g = math.gcd(dx, dy) or 1
@@ -630,13 +641,13 @@ def check_surjectivity(
     """
     if mode not in ("structured", "brute", "both"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    p_sum = polygon_of(fan, d + e)
-    _refuse_over_point_budget(p_sum)  # before any table or point is built
+    rec_sum = _record(fan, d + e)
+    _refuse_over_point_budget(rec_sum)  # before any table or point is built
     if mode != "structured":  # before the context checks the hypotheses
-        _refuse_over_pair_budget(polygon_of(fan, d), polygon_of(fan, e))
+        _refuse_over_pair_budget(_record(fan, d), _record(fan, e))
     ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
     if ctx is None:
-        table_d, table_e = _column_table(polygon_of(fan, d)), _column_table(polygon_of(fan, e))
+        table_d, table_e = _record(fan, d).table(), _record(fan, e).table()
         if not (table_d and table_e):
             raise PreconditionError("brute mode requires sections on both factors")
     else:
@@ -645,7 +656,7 @@ def check_surjectivity(
     spans: list[Span] = []
     path_counts: Counter[DecompositionPath] = Counter()
     try:
-        for x, lo, hi in _columns(p_sum):
+        for x, lo, hi in rec_sum.columns():
             total += hi - lo + 1
             if ctx is None:
                 spans += _oracle_column(table_d, table_e, x, lo, hi)
@@ -672,33 +683,33 @@ def check_surjectivity(
     )
 
 
-def _box(poly: ConvexLatticePolygon) -> tuple[int, int]:
-    """Integer columns and rows of the bounding box: bounds on poly's lattice ones."""
-    if poly.is_empty():
-        return 0, 0
-    vrep = poly.vrep
-    if all(v.den == 1 for v in vrep):  # lattice vertices: the box is theirs
-        xs, ys = [v.x_num for v in vrep], [v.y_num for v in vrep]
+def _box(rec: _DivisorRecord) -> tuple[int, int]:
+    """Integer columns and rows of the polygon's bounding box: bounds on its lattice ones."""
+    if rec.ring is not None:  # lattice vertices: the box is theirs
+        xs, ys = zip(*rec.ring)
         return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+    vrep = rec.polygon.vrep
+    if not vrep:
+        return 0, 0
     width = max(v.x_num // v.den for v in vrep) - min(ceil_div(v.x_num, v.den) for v in vrep) + 1
     height = max(v.y_num // v.den for v in vrep) - min(ceil_div(v.y_num, v.den) for v in vrep) + 1
     return max(width, 0), max(height, 0)
 
 
-def _refuse_over_point_budget(p_sum: ConvexLatticePolygon) -> None:
+def _refuse_over_point_budget(rec_sum: _DivisorRecord) -> None:
     """Refuse a sum polygon with more than POINT_BUDGET lattice points, counted
     by columns, only up to the budget and only when its bounding box exceeds it."""
-    if math.prod(_box(p_sum)) > POINT_BUDGET and any(
-        n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in _columns(p_sum))
+    if math.prod(_box(rec_sum)) > POINT_BUDGET and any(
+        n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in rec_sum.columns())
     ):
         raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
 
 
-def _refuse_over_pair_budget(p_d: ConvexLatticePolygon, p_e: ConvexLatticePolygon) -> None:
+def _refuse_over_pair_budget(rec_d: _DivisorRecord, rec_e: _DivisorRecord) -> None:
     """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E, counted
     exactly (a sweep listing no point) only when the bounding boxes exceed it."""
-    if _box(p_d)[0] * _box(p_e)[0] > PAIR_BUDGET:
-        w_d, w_e = (sum(1 for _ in _columns(p)) for p in (p_d, p_e))
+    if _box(rec_d)[0] * _box(rec_e)[0] > PAIR_BUDGET:
+        w_d, w_e = (sum(1 for _ in rec.columns()) for rec in (rec_d, rec_e))
         if w_d * w_e > PAIR_BUDGET:
             raise BudgetExceededError(
                 f"{w_d} x {w_e} column pairs exceed the budget of {PAIR_BUDGET}"
@@ -783,11 +794,11 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     column counts w_D, w_E.  Both divisors must have sections; more than
     PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused.
     """
-    p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
-    _refuse_over_pair_budget(p_d, p_e)
-    table_d, table_e = _column_table(p_d), _column_table(p_e)
+    rec_d, rec_e = _record(fan, d), _record(fan, e)
+    _refuse_over_pair_budget(rec_d, rec_e)
+    table_d, table_e = rec_d.table(), rec_e.table()
     if not table_d or not table_e:
         raise PreconditionError("cokernel requires sections on both factors")
-    h0_sum, gaps = _cokernel_gaps(table_d, table_e, _columns(polygon_of(fan, d + e)))
+    h0_sum, gaps = _cokernel_gaps(table_d, table_e, _record(fan, d + e).columns())
     h0_d, h0_e = (sum(hi - lo + 1 for lo, hi in t.values()) for t in (table_d, table_e))
     return _cokernel_report(h0_d, h0_e, h0_sum, gaps)

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable
 
 from .errors import BudgetExceededError, PreconditionError
-from .lattice import ConvexLatticePolygon, _column_table, _columns, check_input_coord
+from .lattice import ConvexLatticePolygon, check_input_coord
 from .multiplication import (
     CokernelReport,
     _cokernel_gaps,
@@ -28,7 +28,8 @@ from .multiplication import (
     _violation,
 )
 from .surface import (
-    Fan, PositivityClass, TorusDivisor, _corner_ring, _moving_part, classify, polygon_of
+    Fan, PositivityClass, TorusDivisor, _corner_ring, _DivisorRecord, _moving_part, _record,
+    classify, polygon_of,
 )
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
@@ -167,10 +168,10 @@ _WORKER: dict[str, object] = {}
 
 def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
     """Sweep the fixed P_L and count h0(L) once per process, for every instance."""
-    p_l = polygon_of(fan, fixed_l)
-    table_l = {x: (lo, hi) for x, lo, hi in _columns(p_l)}
+    rec_l = _record(fan, fixed_l)
+    table_l = {x: (lo, hi) for x, lo, hi in rec_l.columns()}
     h0_l = sum(hi - lo + 1 for lo, hi in table_l.values())
-    _WORKER["args"] = (fan, fixed_l, p_l, table_l, h0_l)
+    _WORKER["args"] = (fan, fixed_l, rec_l, table_l, h0_l)
 
 
 def _collar(
@@ -208,21 +209,22 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     disjoint and in (x, y) order, so they are equal exactly when their point
     sets are, and only a mismatch is listed point by point.  E' = E has an
     empty collar, so P_{L+E'} is not built then.  P_E and P_{L+E} are swept
-    once each, P_L and h0(L) once per process.
+    once each, P_L and h0(L) once per process.  No instance reads another's
+    polygons, so they are built outside the polygon cache.
     """
-    fan, fixed_l, p_l, table_l, h0_l = _WORKER["args"]  # type: ignore[misc]
+    fan, fixed_l, rec_l, table_l, h0_l = _WORKER["args"]  # type: ignore[misc]
     e = TorusDivisor(coeffs)
-    p_e = polygon_of(fan, e)
-    _refuse_over_pair_budget(p_l, p_e)
-    cols_e = list(_columns(p_e))
+    rec_e = _DivisorRecord(fan.xy, coeffs)
+    _refuse_over_pair_budget(rec_l, rec_e)
+    cols_e = list(rec_e.columns())
     if not cols_e:
         return None
-    cols_sum = list(_columns(polygon_of(fan, fixed_l + e)))
+    cols_sum = list(_DivisorRecord(fan.xy, (fixed_l + e).coeffs).columns())
     h0_sum, gaps = _cokernel_gaps(table_l, {x: (lo, hi) for x, lo, hi in cols_e}, cols_sum)
     if (reduced := _moving_part(fan, e)) == e:
         collar = []
     else:
-        collar = _collar(cols_sum, _column_table(polygon_of(fan, fixed_l + reduced)))
+        collar = _collar(cols_sum, _DivisorRecord(fan.xy, (fixed_l + reduced).coeffs).table())
     if gaps != collar and (missing := _points(gaps)) != (points := _points(collar)):
         extra, lost = sorted(set(missing) - set(points)), sorted(set(points) - set(missing))
         raise _violation(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
+from .lattice import check_input_coord
 from .reduction import SweepResult
 from .surface import Fan, TorusDivisor, validate_fan
 
@@ -77,6 +78,10 @@ def write_fan(fan: Fan, path: str | Path) -> None:
 
 
 def write_divisor(d: TorusDivisor, path: str | Path, label: str | None = None) -> None:
+    """Write a divisor file that load_divisor reads back: a derived divisor
+    beyond the input bound is refused before the file is opened."""
+    for a in d.coeffs:
+        check_input_coord(a, "divisor coefficient")
     payload: dict[str, object] = {"coeffs": list(d.coeffs)}
     if label is not None:
         payload["label"] = label

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CoordinateOverflowError,
@@ -32,9 +32,10 @@ from .lattice import (
     _INTERMEDIATE_BOUND,
     _angle_lt,
     _columns,
+    _lattice_ring,
+    _ring_columns,
     check_input_coord,
     intersect_halfplanes,
-    lattice_point_count,
 )
 
 #: Generated fans refuse to grow beyond this many rays.
@@ -171,7 +172,15 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
     grows from 0, then falls back to 0: every corner satisfies every
     half-plane, and the vertices are the corners in cyclic order, repeats
     dropped.  Any other divisor goes through :func:`intersect_halfplanes`.
+    Both routes read d's entry of the polygon cache (:class:`_DivisorRecord`):
+    a globally generated polygon is built anew from the entry's vertex ring on
+    each call, any other once and kept in the entry.
     """
+    return _record(fan, d).polygon
+
+
+def _record(fan: Fan, d: TorusDivisor) -> "_DivisorRecord":
+    """d's entry of the package's one cache."""
     if len(d.coeffs) != fan.n:
         raise PreconditionError(
             f"divisor has {len(d.coeffs)} coefficients for a fan with {fan.n} rays"
@@ -179,18 +188,72 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
     return _polygon_of_cached(fan.xy, d.coeffs)
 
 
+#: A cache entry keeps its column table only up to this many columns, which
+#: covers every factor of `certify` and acceptance criterion 1 (the widest has
+#: 21); a wider table is built again on each read.
+TABLE_CAP = 32
+
+
+class _DivisorRecord:
+    """A divisor's polygon data, read off its corner ring (see :func:`polygon_of`).
+
+    least is the least edge length l_i, so the divisor is globally generated
+    iff least >= 0 and ample iff least > 0, the rule of :func:`classify`.  ring
+    is the polygon's vertices as int pairs, CCW from the lexicographic minimum,
+    for a globally generated divisor, and None for any other.  columns walks
+    the ring without building the polygon.  The polygon of a ring is built on
+    each read (it is larger than the ring); any other polygon on the first and
+    kept.  The column table {x: (lo, hi)} is built on first read and kept up to
+    TABLE_CAP columns.  Readers share a kept table and never mutate it.
+    """
+
+    __slots__ = ("rays", "coeffs", "least", "ring", "_polygon", "_table")
+
+    def __init__(self, rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]):
+        corners, lengths = _corner_ring(rays, coeffs)
+        self.rays, self.coeffs, self.least = rays, coeffs, min(lengths)
+        self.ring = _lattice_ring(corners) if self.least >= 0 else None
+        self._polygon: ConvexLatticePolygon | None = None
+        self._table: dict[int, tuple[int, int]] | None = None
+
+    @property
+    def polygon(self) -> ConvexLatticePolygon:
+        if self.ring is not None:
+            return ConvexLatticePolygon._from_lattice_ring(self.ring)
+        if self._polygon is None:
+            self._polygon = intersect_halfplanes(
+                [HalfPlane(LatticeVector(*v), a) for v, a in zip(self.rays, self.coeffs)]
+            )
+        return self._polygon
+
+    def columns(self) -> Iterator[tuple[int, int, int]]:
+        """The polygon's lattice columns (x, lo, hi), as lattice._columns gives them."""
+        return _columns(self.polygon) if self.ring is None else _ring_columns(self.ring)
+
+    def table(self) -> dict[int, tuple[int, int]]:
+        """The columns as {x: (lo, hi)}, in increasing x."""
+        if self._table is not None:
+            return self._table
+        table = {x: (lo, hi) for x, lo, hi in self.columns()}
+        if len(table) <= TABLE_CAP:
+            self._table = table
+        return table
+
+
 #: The package's one cache, sized by measured reuse: a round of the benchmark's
-#: `certify` touches 634 distinct polygons (at most 900), a `sweep` operation up
-#: to 408 and acceptance criterion 1 up to 530 between two uses of one polygon.
-#: An entry takes 1.2-1.9 KB on 5-12 rays (tracemalloc, CPython 3.11): <= 8 MB.
+#: `certify` touches 634 distinct divisors (at most 900) and acceptance
+#: criterion 1 up to 530 between two uses of one divisor; the sweep builds its
+#: per-instance records uncached.  An entry is a _DivisorRecord: the least edge
+#: length, the vertex ring or the polygon, and the column table once read, up to
+#: TABLE_CAP columns.  Full, the cache holds at most about 29 MB (tracemalloc,
+#: CPython 3.11: 4096 entries on 12 rays, 9-12 vertices, 28-31 columns kept,
+#: coordinates near 10^6, up to 7.1 KB each); at `certify`'s scale an entry
+#: takes 1.1 KB, 4.4 MB full.
 @lru_cache(maxsize=4096)
 def _polygon_of_cached(
     rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
-) -> ConvexLatticePolygon:
-    corners, lengths = _corner_ring(rays, coeffs)
-    if min(lengths) >= 0:
-        return ConvexLatticePolygon._from_lattice_ring(corners)
-    return intersect_halfplanes([HalfPlane(LatticeVector(*v), a) for v, a in zip(rays, coeffs)])
+) -> _DivisorRecord:
+    return _DivisorRecord(rays, coeffs)
 
 
 def _corner_ring(
@@ -236,7 +299,7 @@ def _moving_part(fan: Fan, d: TorusDivisor) -> TorusDivisor:
 def h0(fan: Fan, d: TorusDivisor) -> int:
     """Number of sections = number of lattice points of the polygon, counted
     column by column without listing them."""
-    return lattice_point_count(polygon_of(fan, d))
+    return sum(hi - lo + 1 for _, lo, hi in _record(fan, d).columns())
 
 
 def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import EmptyInputError
 from .lattice import ConvexLatticePolygon, lattice_points
 from .multiplication import CokernelReport, _refuse_over_point_budget
-from .surface import Fan, TorusDivisor, polygon_of
+from .surface import Fan, TorusDivisor, _record, polygon_of
 
 SCALE = 32
 MARGIN = 1
@@ -72,7 +72,7 @@ def emit_svg(
     p_sum = polygon_of(fan, d + e)
     if p_d.is_empty() or p_sum.is_empty():
         raise EmptyInputError("cannot plot an empty polygon")
-    _refuse_over_point_budget(p_sum)
+    _refuse_over_point_budget(_record(fan, d + e))
     xs_min, ys_min, xs_max, ys_max = p_sum.bounding_box()
     xd_min, yd_min, xd_max, yd_max = p_d.bounding_box()
     canvas = _Canvas(

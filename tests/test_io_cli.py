@@ -21,7 +21,7 @@ from toricmult.serialization import (
     write_fan,
 )
 from toricmult.reduction import sweep_cokernel
-from toricmult.surface import TorusDivisor, hirzebruch, projective_plane
+from toricmult.surface import TorusDivisor, hirzebruch, projective_plane, validate_fan
 from toricmult.svg import emit_svg
 
 F2 = hirzebruch(2)
@@ -230,6 +230,18 @@ class TestCli:
         assert "[2]" in out
         assert load_divisor(out_path) == D((0, 0, 0, 0))
 
+    def test_reduce_out_refuses_a_divisor_no_verb_could_read(self, tmp_path, capsys):
+        # E' = (-10^6, -2 * 10^6, ...) is admitted as a derived divisor, but a file
+        # holding it would fail load_divisor's input bound
+        fan_path, e_path, out_path = (tmp_path / n for n in ("fan.json", "E.json", "E2.json"))
+        write_fan(validate_fan([(1, 0), (2, 1), (1, 1), (0, 1), (-1, -1)]), fan_path)
+        write_divisor(D((-(10**6), -(10**6), -(10**6), 0, 10**6)), e_path)
+        assert run_cli(["reduce", str(fan_path), str(e_path), "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: divisor coefficient -2000000 exceeds |value| <= 1000000\n"
+        assert not out_path.exists()
+
     def test_gen_matches_library(self, capsys):
         assert run_cli(["gen", "f2"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -332,3 +344,10 @@ class TestCliDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_package_runs_as_a_module(self, f2_file, l_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricmult", "h0", f2_file, l_file],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n", "")

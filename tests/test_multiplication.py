@@ -488,6 +488,21 @@ class TestCheckSurjectivity:
                 check_surjectivity(P2, d, d, mode=mode)
             assert time.perf_counter() - start < 0.1
 
+    def test_point_budget_refuses_before_any_table(self, monkeypatch):
+        # the sum's box and columns decide it from the corner ring; no factor's
+        # column table is built, cached or not
+        from toricmult.surface import _DivisorRecord, _polygon_of_cached
+
+        def no_table(rec):
+            raise AssertionError(f"the table of {rec.coeffs} was built")
+
+        _polygon_of_cached.cache_clear()
+        monkeypatch.setattr(_DivisorRecord, "table", no_table)
+        d = D((1000, 1000, 1000))  # the sum has about 18 million points
+        for mode in ("structured", "brute", "both"):
+            with pytest.raises(BudgetExceededError, match=r"over 1000000 lattice points"):
+                check_surjectivity(P2, d, d, mode=mode)
+
     def test_witness_budget_counts_exactly_when_the_box_exceeds_it(self, monkeypatch):
         import toricmult.multiplication as mult
 
@@ -596,27 +611,48 @@ class TestSpans:
         self, monkeypatch, mode, x1, col, first
     ):
         # P_E's table loses a point, or the column x1, for every reader, while
-        # step (b) lists its q2 from the polygon; each expected point is the one
-        # that checking every span at its ends, in (x, y) order, names first
-        import toricmult.multiplication as mult
+        # step (b) lists its q2 from the ring; each expected point is the one
+        # that checking every span at its ends, in (x, y) order, names first.
+        # The cache is cleared around it, so no table built before or during
+        # the run is read by another test.
+        from toricmult.surface import _DivisorRecord, _polygon_of_cached
 
         blbl = validate_fan([(1, 0), (1, 1), (0, 1), (-1, -1), (0, -1)])
         d, e = D((1, 1, 2, 1, 1)), D((0, 1, 2, 1, 0))
-        p_e, table = polygon_of(blbl, e), mult._column_table
+        table = _DivisorRecord.table
 
-        def shrunk(poly):
-            t = table(poly)
-            if poly == p_e:
+        def shrunk(rec):
+            t = table(rec)
+            if rec.coeffs == e.coeffs:
+                t = dict(t)  # a record's table is shared: change a copy
                 t.pop(x1) if col is None else t.update({x1: col})
             return t
 
-        monkeypatch.setattr(mult, "_column_table", shrunk)
-        with pytest.raises(TheoremViolationError) as raised:
-            check_surjectivity(blbl, d, e, mode=mode)
+        _polygon_of_cached.cache_clear()
+        monkeypatch.setattr(_DivisorRecord, "table", shrunk)
+        try:
+            with pytest.raises(TheoremViolationError) as raised:
+                check_surjectivity(blbl, d, e, mode=mode)
+        finally:
+            _polygon_of_cached.cache_clear()
         assert str(raised.value).startswith(
             f"witness check failed at {V(*first)}; "
             f"reproduce with `toricmult verify FAN L E --mode {mode}` on FAN "
         )
+
+    def test_a_factor_wider_than_the_cap_keeps_no_table(self):
+        # P2 (40,0,0) has 41 columns: its table is built for each pair that reads
+        # it and dropped, while the narrow factor's stays in its cache entry
+        from toricmult.surface import TABLE_CAP, _polygon_of_cached, _record
+
+        _polygon_of_cached.cache_clear()
+        d, e = D((1, 1, 1)), D((40, 0, 0))
+        first = check_surjectivity(P2, d, e, mode="both")
+        narrow, wide = _record(P2, d), _record(P2, e)
+        assert narrow._table == _column_table(polygon_of(P2, d))
+        assert len(_column_table(polygon_of(P2, e))) == 41 > TABLE_CAP
+        assert wide._table is None
+        assert check_surjectivity(P2, d, e, mode="both") == first and wide._table is None
 
     def test_steps_a_and_b_check_no_span_at_its_ends(self, monkeypatch):
         # their fixed summands are checked once per context, the moving ones as

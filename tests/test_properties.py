@@ -49,6 +49,7 @@ from toricmult.surface import (
     generate_family,
     h0,
     _polygon_of_cached,
+    _record,
     polygon_of,
     validate_fan,
 )
@@ -61,9 +62,9 @@ lattice_polys = point_lists.map(lambda ps: hull([V(x, y) for x, y in ps]))
 
 
 @st.composite
-def fans(draw):
+def fans(draw, blowups=2):
     fan = generate_family(draw(st.sampled_from(["p2", "p1xp1", "f1", "f2", "f3"])))
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+    for _ in range(draw(st.integers(min_value=0, max_value=min(blowups, 12 - fan.n)))):
         fan = blowup(fan, draw(st.integers(min_value=1, max_value=fan.n)))
     return fan
 
@@ -293,10 +294,10 @@ def test_polygon_of_matches_halfplane_intersection(fan_divisor):
 
 
 @st.composite
-def fan_with_two_gg(draw):
+def fan_with_two_gg(draw, blowups=2):
     # rounding any effective divisor yields a globally generated one, so gg
     # instances can be built constructively instead of by filtering
-    fan = draw(fans())
+    fan = draw(fans(blowups))
 
     def gg_divisor():
         coeffs = tuple(draw(st.integers(0, 4)) for _ in range(fan.n))
@@ -312,6 +313,27 @@ def test_polygon_of_sum_is_minkowski_for_gg(fde):
     assert classify(fan, d).is_globally_generated()
     assert classify(fan, e).is_globally_generated()
     assert polygon_of(fan, d + e) == minkowski_sum(polygon_of(fan, d), polygon_of(fan, e))
+
+
+@given(fan_with_two_gg(blowups=9))
+@settings(max_examples=60, deadline=None)
+def test_cached_records_give_the_answers_of_fresh_ones(fde):
+    # fans of up to 12 rays; the structured route when D is ample, else the oracle
+    fan, d, e = fde
+    mode = "both" if classify(fan, d) is PositivityClass.AMPLE else "brute"
+
+    def answers():
+        report = check_surjectivity(fan, d, e, mode=mode)
+        return report.spans, report.path_counts
+
+    _polygon_of_cached.cache_clear()
+    cold = answers()
+    _polygon_of_cached.cache_clear()
+    cold_cokernel = cokernel_dim(fan, d, e)
+    assert answers() == cold and cokernel_dim(fan, d, e) == cold_cokernel  # warm
+    for x in (d, e, d + e):
+        table = _record(fan, x)._table  # the entry as the runs left it
+        assert table is None or table == _column_table(polygon_of(fan, x))
 
 
 @given(fan_with_divisor())

@@ -107,10 +107,10 @@ class TestReduce:
         # lowers a_2 once and reads none of them
         import toricmult.reduction as reduction
 
-        def refuse(poly):
+        def refuse(rec):
             raise AssertionError("the rounding swept the columns")
 
-        monkeypatch.setattr(reduction, "_columns", refuse)
+        monkeypatch.setattr(reduction._DivisorRecord, "columns", refuse)
         d = D((10**6, 10**6, 0, 10**6))
         start = time.perf_counter()
         res = reduce_to_globally_generated(F2, d)
@@ -157,16 +157,14 @@ class TestReduce:
 
     def test_globally_generated_input_returned_without_a_sweep(self, monkeypatch):
         # the corner ring's edge lengths decide it; the rounding would give d back
-        import toricmult.reduction as reduction
-
         cases = [(P2, D((0, 1, 10))), (F2, D((1, 1, 1, 1))), (F2, D((0, 0, 1, 0)))]
         assert all(_moving_part(fan, d) == d for fan, d in cases)
 
-        def refuse(poly):
+        def refuse(vertices):
             raise AssertionError("a globally generated divisor was swept")
 
-        for module in (reduction, toricmult.surface):
-            monkeypatch.setattr(module, "_columns", refuse)
+        for name in ("_columns", "_ring_columns"):  # every column walk of the records
+            monkeypatch.setattr(toricmult.surface, name, refuse)
         d = D((10**6, 10**6, 10**6))
         start = time.perf_counter()
         res = reduce_to_globally_generated(P2, d)
@@ -321,7 +319,7 @@ class TestSweep:
     ):
         import toricmult.reduction as reduction
 
-        def no_table(poly):
+        def no_table(rec):
             raise RuntimeError("the pipeline check built the table of P_{L+E'}")
 
         rounded = []
@@ -331,7 +329,7 @@ class TestSweep:
             rounded.append(rounding(fan, e))
             return rounded[-1]
 
-        monkeypatch.setattr(reduction, "_column_table", no_table)
+        monkeypatch.setattr(reduction._DivisorRecord, "table", no_table)
         monkeypatch.setattr(reduction, "_moving_part", counted)
         l_div = D((1, 0, 1, 1))
         # globally generated, not ample, then ample: E' = E, an empty collar
@@ -411,19 +409,22 @@ class TestSweep:
         import toricmult.reduction as reduction
 
         swept = []
-        columns = reduction._columns
+        columns = reduction._DivisorRecord.columns
 
-        def counted(poly):
-            swept.append(poly)
-            return columns(poly)
+        def counted(rec):
+            swept.append(rec.coeffs)
+            return columns(rec)
 
-        monkeypatch.setattr(reduction, "_columns", counted)
+        monkeypatch.setattr(reduction._DivisorRecord, "columns", counted)
         l_div = D((1, 0, 1, 1))
         sweep = sweep_cokernel(F2, l_div, e_max=3, filter_pattern="0,k,1,0")
-        # P_L once for the whole sweep, then P_E and P_{L+E} once per instance
-        expected = [polygon_of(F2, l_div)]
+        # P_L once for the whole sweep, then P_E and P_{L+E} once per instance,
+        # and P_{L+E'} for the collar's table when E' != E
+        expected = [l_div.coeffs]
         for e, _ in sweep.instances:
-            expected += [polygon_of(F2, e), polygon_of(F2, l_div + e)]
+            expected += [e.coeffs, (l_div + e).coeffs]
+            if (reduced := _moving_part(F2, e)) != e:
+                expected.append((l_div + reduced).coeffs)
         assert len(sweep.instances) == 3 and swept == expected
 
     def test_stabilization_beyond_e_max_is_reported_unclamped(self):
