@@ -69,7 +69,7 @@ class NonCompleteFanError(FanValidationError):
 
 
 class FanSizeError(ToricError):
-    """A generated fan would exceed the configured maximum ray count."""
+    """A fan has more rays than surface.MAX_GENERATED_RAYS."""
 
 
 class SamplingBudgetError(ToricError):

@@ -70,7 +70,6 @@ from .lattice import (
     _column_table,
     _first_cover,
     _primitive_pair,
-    ceil_div,
     decompose_interval,
     face_in_direction,
     hull,
@@ -368,43 +367,33 @@ def decompose_homothetic_triangles(
 class _StructuredContext:
     """Precomputed data shared by all points of one (fan, D, E) instance: the
     column tables of both factors and the fixed summands of steps (a) and (b),
-    in the order the proof tries them.  All of it is read off the cached records
-    of D and E in integers: positivity from the least edge length, as classify
+    in the order the proof tries them.  All of it is read off the records of D
+    and E in integers: positivity from the least edge length, as classify
     decides it, the tables as the records keep them (shared, never mutated),
-    and the vertices from the rings.  The polygons p_d and p_e are built only
-    when steps (c) and (d) read them."""
+    and every vertex, steps (c) and (d) included, from the rings."""
 
-    def __init__(self, fan: Fan, d: TorusDivisor, e: TorusDivisor):
-        self._rec_d, self._rec_e = _record(fan, d), _record(fan, e)
-        if self._rec_d.least <= 0:
+    def __init__(self, fan: Fan, rec_d: _DivisorRecord, rec_e: _DivisorRecord):
+        if rec_d.least <= 0:
             raise PreconditionError("structured decomposition requires an ample first divisor")
-        if self._rec_e.least < 0:
+        if rec_e.least < 0:
             raise PreconditionError(
                 "structured decomposition requires a globally generated second divisor"
             )
-        self.fan, self.d, self.e = fan, d, e
-        self.table_d, self.table_e = self._rec_d.table(), self._rec_e.table()
+        self.fan, self.rec_d, self.rec_e = fan, rec_d, rec_e
+        self.table_d, self.table_e = rec_d.table(), rec_e.table()
         self._reductions: dict[int, TriangleReduction | None] = {}
         # (a) q1 = u, the vertices (x, y) of P_D in sorted order
-        self.d_vertices = sorted(self._rec_d.ring)
+        self.d_vertices = sorted(rec_d.ring)
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
         self.boundary: list[tuple[int, int]] | None = None
         # the fixed summands, checked once as listed, that leave their factor's table
         self.outside = {u for u in self.d_vertices if not _inside(self.table_d, *u)}
 
-    @property
-    def p_d(self) -> ConvexLatticePolygon:
-        return self._rec_d.polygon
-
-    @property
-    def p_e(self) -> ConvexLatticePolygon:
-        return self._rec_e.polygon
-
     def boundary_points(self) -> list[tuple[int, int]]:
         """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending; k stops
         short of the next edge's start (a segment runs there and back, a point is one edge)."""
         if self.boundary is None:
-            verts, boundary = list(self._rec_e.ring), []
+            verts, boundary = list(self.rec_e.ring), []
             for (mx, my), (nx, ny) in zip(verts, verts[1:] + verts[:1]):
                 dx, dy = nx - mx, ny - my
                 g = math.gcd(dx, dy) or 1
@@ -414,25 +403,17 @@ class _StructuredContext:
         return self.boundary
 
     def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
-        """Triangle reduction for edge sigma_{j0+1}, cached per instance.
-
-        The reduction only depends on the edge, not on q, so any interior
-        point of the edge gives the same result.
-        """
+        """Triangle reduction for edge sigma_{j0+1} at its midpoint, cached per
+        instance (it depends on the edge alone), or None when sigma_{j0+1} is a
+        vertex.  The edge's ends are the corners of P_E's ring on its line."""
         if j0 not in self._reductions:
-            face = face_in_direction(self.p_e, self.fan.rays[j0], self.e.coeffs[j0])
+            (vx, vy), a = self.fan.xy[j0], self.rec_e.coeffs[j0]
+            ends = [m for m in self.rec_e.ring if vx * m[0] + vy * m[1] == -a]
             red: TriangleReduction | None = None
-            if face.dim is PolygonDim.SEGMENT:
-                a, b = face.vrep
-                mid = RationalPoint(
-                    a.x_num * b.den + b.x_num * a.den,
-                    a.y_num * b.den + b.y_num * a.den,
-                    2 * a.den * b.den,
-                )
-                try:
-                    red = triangle_reduce(self.fan, self.e, mid, j0 + 1)
-                except (PreconditionError, TheoremViolationError):
-                    red = None
+            if len(ends) == 2:
+                (ax, ay), (bx, by) = ends
+                e = TorusDivisor._derived(self.rec_e.coeffs)
+                red = triangle_reduce(self.fan, e, RationalPoint(ax + bx, ay + by, 2), j0 + 1)
             self._reductions[j0] = red
         return self._reductions[j0]
 
@@ -453,11 +434,12 @@ def _try_regions(
     fan = ctx.fan
     vk, vk1 = fan.rays[k0], fan.ray(k0 + 1)
     a_leg, b_leg = red.legs
-    ad, bd = ctx.d.coeffs[k0], ctx.d.coeffs[(k0 + 1) % fan.n]
+    ad, bd = ctx.rec_d.coeffs[k0], ctx.rec_d.coeffs[(k0 + 1) % fan.n]
     cp, cp1 = red.c[k0], red.c[(k0 + 1) % fan.n]
 
     pd_frame = hull(
-        [LatticeVector(vk.dot(u) + ad, vk1.dot(u) + bd) for u in ctx.p_d.lattice_vertices()]
+        LatticeVector(vk.x * x + vk.y * y + ad, vk1.x * x + vk1.y * y + bd)
+        for x, y in ctx.rec_d.ring
     )
     origin = RationalPoint(0, 0)
     if origin not in pd_frame.vrep:
@@ -577,7 +559,7 @@ def _structured_column(
 
 def _regions_or_fallback(ctx: _StructuredContext, x: int, y: int) -> Span:
     """Steps (c) and (d) for the point (x, y) of the sum polygon, as a span."""
-    if ctx.p_e.dim is PolygonDim.POLYGON:
+    if len(ctx.rec_e.ring) > 2:  # P_E is two-dimensional
         for j0 in range(ctx.fan.n):
             red = ctx.reduction_for_edge(j0)
             if red is None or red.triangle.dim is not PolygonDim.POLYGON:
@@ -597,7 +579,8 @@ def _decompose_structured_in_context(
     ctx: _StructuredContext, p: LatticeVector
 ) -> DecompositionWitness:
     """Steps (a)-(d) on the one-point range [p.y, p.y] of column p.x."""
-    if any(v.dot(p) < -(a + b) for v, a, b in zip(ctx.fan.rays, ctx.d.coeffs, ctx.e.coeffs)):
+    d, e = ctx.rec_d.coeffs, ctx.rec_e.coeffs
+    if any(v.dot(p) < -(a + b) for v, a, b in zip(ctx.fan.rays, d, e)):
         raise DecompositionRangeError(f"{p} lies outside the sum polygon")
     return next(_span_witnesses(_structured_column(ctx, p.x, p.y, p.y, Counter())))
 
@@ -611,7 +594,7 @@ def decompose_structured(
     the sum polygon.  Always returns a verified witness (or raises
     TheoremViolationError, which would indicate an implementation bug).
     """
-    ctx = _StructuredContext(fan, d, e)
+    ctx = _StructuredContext(fan, _record(fan, d), _record(fan, e))
     return _decompose_structured_in_context(ctx, p)
 
 
@@ -643,11 +626,12 @@ def check_surjectivity(
         raise PreconditionError(f"unknown mode {mode!r}")
     rec_sum = _record(fan, d + e)
     _refuse_over_point_budget(rec_sum)  # before any table or point is built
+    rec_d, rec_e = _record(fan, d), _record(fan, e)
     if mode != "structured":  # before the context checks the hypotheses
-        _refuse_over_pair_budget(_record(fan, d), _record(fan, e))
-    ctx = None if mode == "brute" else _StructuredContext(fan, d, e)
+        _refuse_over_pair_budget(rec_d, rec_e)
+    ctx = None if mode == "brute" else _StructuredContext(fan, rec_d, rec_e)
     if ctx is None:
-        table_d, table_e = _record(fan, d).table(), _record(fan, e).table()
+        table_d, table_e = rec_d.table(), rec_e.table()
         if not (table_d and table_e):
             raise PreconditionError("brute mode requires sections on both factors")
     else:
@@ -683,23 +667,11 @@ def check_surjectivity(
     )
 
 
-def _box(rec: _DivisorRecord) -> tuple[int, int]:
-    """Integer columns and rows of the polygon's bounding box: bounds on its lattice ones."""
-    if rec.ring is not None:  # lattice vertices: the box is theirs
-        xs, ys = zip(*rec.ring)
-        return max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
-    vrep = rec.polygon.vrep
-    if not vrep:
-        return 0, 0
-    width = max(v.x_num // v.den for v in vrep) - min(ceil_div(v.x_num, v.den) for v in vrep) + 1
-    height = max(v.y_num // v.den for v in vrep) - min(ceil_div(v.y_num, v.den) for v in vrep) + 1
-    return max(width, 0), max(height, 0)
-
-
 def _refuse_over_point_budget(rec_sum: _DivisorRecord) -> None:
     """Refuse a sum polygon with more than POINT_BUDGET lattice points, counted
-    by columns, only up to the budget and only when its bounding box exceeds it."""
-    if math.prod(_box(rec_sum)) > POINT_BUDGET and any(
+    by columns, only up to the budget and only when its corner box exceeds it."""
+    x0, y0, x1, y1 = rec_sum.box
+    if (x1 - x0 + 1) * (y1 - y0 + 1) > POINT_BUDGET and any(
         n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in rec_sum.columns())
     ):
         raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
@@ -707,8 +679,8 @@ def _refuse_over_point_budget(rec_sum: _DivisorRecord) -> None:
 
 def _refuse_over_pair_budget(rec_d: _DivisorRecord, rec_e: _DivisorRecord) -> None:
     """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E, counted
-    exactly (a sweep listing no point) only when the bounding boxes exceed it."""
-    if _box(rec_d)[0] * _box(rec_e)[0] > PAIR_BUDGET:
+    exactly (a sweep listing no point) only when the corner boxes exceed it."""
+    if (rec_d.box[2] - rec_d.box[0] + 1) * (rec_e.box[2] - rec_e.box[0] + 1) > PAIR_BUDGET:
         w_d, w_e = (sum(1 for _ in rec.columns()) for rec in (rec_d, rec_e))
         if w_d * w_e > PAIR_BUDGET:
             raise BudgetExceededError(

@@ -169,7 +169,7 @@ _WORKER: dict[str, object] = {}
 def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
     """Sweep the fixed P_L and count h0(L) once per process, for every instance."""
     rec_l = _record(fan, fixed_l)
-    table_l = {x: (lo, hi) for x, lo, hi in rec_l.columns()}
+    table_l = rec_l.table()
     h0_l = sum(hi - lo + 1 for lo, hi in table_l.values())
     _WORKER["args"] = (fan, fixed_l, rec_l, table_l, h0_l)
 
@@ -216,11 +216,10 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     e = TorusDivisor(coeffs)
     rec_e = _DivisorRecord(fan.xy, coeffs)
     _refuse_over_pair_budget(rec_l, rec_e)
-    cols_e = list(rec_e.columns())
-    if not cols_e:
+    if not (table_e := rec_e.table()):
         return None
     cols_sum = list(_DivisorRecord(fan.xy, (fixed_l + e).coeffs).columns())
-    h0_sum, gaps = _cokernel_gaps(table_l, {x: (lo, hi) for x, lo, hi in cols_e}, cols_sum)
+    h0_sum, gaps = _cokernel_gaps(table_l, table_e, cols_sum)
     if (reduced := _moving_part(fan, e)) == e:
         collar = []
     else:
@@ -233,7 +232,7 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
             f"collar points {lost} were decomposed",
             "cokernel FAN L E", fan, fixed_l, e,
         )
-    h0_e = sum(hi - lo + 1 for _, lo, hi in cols_e)
+    h0_e = sum(hi - lo + 1 for lo, hi in table_e.values())
     return _cokernel_report(h0_l, h0_e, h0_sum, gaps)
 
 

@@ -38,7 +38,7 @@ from .lattice import (
     intersect_halfplanes,
 )
 
-#: Generated fans refuse to grow beyond this many rays.
+#: A fan has at most this many rays; validate_fan refuses more before any other check.
 MAX_GENERATED_RAYS = 12
 
 #: random_divisor gives up after this many rejected draws.
@@ -129,8 +129,11 @@ def validate_fan(rays: Sequence[LatticeVector | tuple[int, int]]) -> Fan:
 
     Diagnoses the first violated condition: a non-primitive ray, a
     consecutive determinant different from 1, a duplicate ray, or a ray
-    sequence that does not make exactly one CCW turn.
+    sequence that does not make exactly one CCW turn.  More than
+    MAX_GENERATED_RAYS rays are refused first.
     """
+    if len(rays) > MAX_GENERATED_RAYS:
+        raise FanSizeError(f"{len(rays)} rays exceed the bound of {MAX_GENERATED_RAYS}")
     vs = [v if isinstance(v, LatticeVector) else LatticeVector(*v) for v in rays]
     for v in vs:
         check_input_coord(v.x, "ray coordinate")
@@ -198,20 +201,28 @@ class _DivisorRecord:
     """A divisor's polygon data, read off its corner ring (see :func:`polygon_of`).
 
     least is the least edge length l_i, so the divisor is globally generated
-    iff least >= 0 and ample iff least > 0, the rule of :func:`classify`.  ring
-    is the polygon's vertices as int pairs, CCW from the lexicographic minimum,
-    for a globally generated divisor, and None for any other.  columns walks
-    the ring without building the polygon.  The polygon of a ring is built on
-    each read (it is larger than the ring); any other polygon on the first and
-    kept.  The column table {x: (lo, hi)} is built on first read and kept up to
-    TABLE_CAP columns.  Readers share a kept table and never mutate it.
+    iff least >= 0 and ample iff least > 0, the rule of :func:`classify`.  box
+    is (xmin, ymin, xmax, ymax) of the corners m_i, and it holds the polygon of
+    every divisor: <u, w> >= <m_i, w> on the polygon for each w in cone(v_i,
+    v_{i+1}), since <u, v_i> >= -a_i = <m_i, v_i> and likewise for v_{i+1}, so
+    the corner whose cone holds (1, 0) bounds x from below, and so on.  ring is the
+    polygon's vertices as int pairs, CCW from the lexicographic minimum, for a
+    globally generated divisor, and None for any other: this record alone
+    decides whether a polygon is stored as its ring or built by
+    :func:`intersect_halfplanes`.  columns walks the ring without building the
+    polygon.  The polygon of a ring is built on each read (it is larger than
+    the ring); any other polygon on the first and kept.  The column table
+    {x: (lo, hi)} is built on first read and kept up to TABLE_CAP columns.
+    Readers share a kept table and never mutate it.
     """
 
-    __slots__ = ("rays", "coeffs", "least", "ring", "_polygon", "_table")
+    __slots__ = ("rays", "coeffs", "least", "box", "ring", "_polygon", "_table")
 
     def __init__(self, rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]):
         corners, lengths = _corner_ring(rays, coeffs)
+        xs, ys = zip(*corners)
         self.rays, self.coeffs, self.least = rays, coeffs, min(lengths)
+        self.box = min(xs), min(ys), max(xs), max(ys)
         self.ring = _lattice_ring(corners) if self.least >= 0 else None
         self._polygon: ConvexLatticePolygon | None = None
         self._table: dict[int, tuple[int, int]] | None = None
@@ -244,11 +255,11 @@ class _DivisorRecord:
 #: `certify` touches 634 distinct divisors (at most 900) and acceptance
 #: criterion 1 up to 530 between two uses of one divisor; the sweep builds its
 #: per-instance records uncached.  An entry is a _DivisorRecord: the least edge
-#: length, the vertex ring or the polygon, and the column table once read, up to
-#: TABLE_CAP columns.  Full, the cache holds at most about 29 MB (tracemalloc,
-#: CPython 3.11: 4096 entries on 12 rays, 9-12 vertices, 28-31 columns kept,
-#: coordinates near 10^6, up to 7.1 KB each); at `certify`'s scale an entry
-#: takes 1.1 KB, 4.4 MB full.
+#: length, the corner box, the vertex ring or the polygon, and the column table
+#: once read, up to TABLE_CAP columns.  Full, the cache holds at most about 30 MB
+#: (tracemalloc, CPython 3.11: 4096 entries on 12 rays, 9-12 vertices, 28-31
+#: columns kept, coordinates near 10^6, up to 7.1 KB each before the box, which
+#: adds 72-200 bytes); at `certify`'s scale an entry takes 1.1 KB, 4.4 MB full.
 @lru_cache(maxsize=4096)
 def _polygon_of_cached(
     rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
@@ -303,19 +314,17 @@ def h0(fan: Fan, d: TorusDivisor) -> int:
 
 
 def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:
-    """Positivity of a divisor from the edge lengths l_i of its corner ring (see
+    """Positivity of a divisor from the least edge length of its corner ring (see
     :func:`polygon_of`): l_i is d's intersection number with the curve of ray
     v_{i+1}, so on a smooth complete surface d is globally generated iff every
     l_i >= 0 and ample iff every l_i > 0 (Fulton, 3.4).  Only for another
-    divisor is the polygon read: it has sections iff it holds a lattice point."""
-    if len(d.coeffs) != fan.n:
-        polygon_of(fan, d)  # raises on the length mismatch
-    least = min(_corner_ring(fan.xy, d.coeffs)[1])
-    if least > 0:
+    divisor is a column read: it has sections iff its polygon holds a lattice point."""
+    rec = _record(fan, d)
+    if rec.least > 0:
         return PositivityClass.AMPLE
-    if least == 0:
+    if rec.least == 0:
         return PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
-    if next(_columns(polygon_of(fan, d)), None) is not None:
+    if next(rec.columns(), None) is not None:
         return PositivityClass.EFFECTIVE_SECTIONS_ONLY
     return PositivityClass.NO_SECTIONS
 
@@ -340,8 +349,6 @@ def hirzebruch(a: int) -> Fan:
 
 def blowup(fan: Fan, corner: int) -> Fan:
     """Insert v_i + v_{i+1} between rays i and i+1 (1-based corner index)."""
-    if fan.n + 1 > MAX_GENERATED_RAYS:
-        raise FanSizeError(f"blowup would exceed {MAX_GENERATED_RAYS} rays")
     if not (1 <= corner <= fan.n):
         raise PreconditionError(f"corner index must be in [1, {fan.n}]")
     i = corner - 1

@@ -37,6 +37,7 @@ from toricmult.serialization import write_divisor, write_fan
 from toricmult.surface import (
     PositivityClass,
     TorusDivisor,
+    _record,
     blowup,
     classify,
     hirzebruch,
@@ -175,12 +176,14 @@ def test_criterion_2_oracle_equivalence(divisor_classes):
             e = rng.choice(gg)
             key = (name, d.coeffs, e.coeffs)
             if key not in contexts:
-                contexts[key] = (_StructuredContext(fan, d, e), lattice_points(polygon_of(fan, d + e)))
-            ctx, points = contexts[key]
+                ctx = _StructuredContext(fan, _record(fan, d), _record(fan, e))
+                polygons = polygon_of(fan, d), polygon_of(fan, e)
+                contexts[key] = (ctx, polygons, lattice_points(polygon_of(fan, d + e)))
+            ctx, (p_d, p_e), points = contexts[key]
             p = points[rng.randrange(len(points))]
             witness = _decompose_structured_in_context(ctx, p)
             assert witness.q1 + witness.q2 == p
-            assert ctx.p_d.contains(witness.q1) and ctx.p_e.contains(witness.q2)
+            assert p_d.contains(witness.q1) and p_e.contains(witness.q2)
             # the exhaustive search on the context's column tables, built once per pair
             assert _fallback_witness(ctx.table_d, ctx.table_e, p) is not None
             paths[witness.path] += 1

@@ -188,6 +188,16 @@ class TestCli:
         assert run_cli(["fan-check", str(path)]) == 1
         assert "not primitive" in capsys.readouterr().err
 
+    def test_fan_check_refuses_more_rays_than_the_bound(self, tmp_path, capsys):
+        # a smooth complete fan of 13 rays, refused before any other check
+        path = tmp_path / "fan13.json"
+        rays = [[1, 0]] + [[1, i] for i in range(1, 11)] + [[0, 1], [-1, -1]]
+        path.write_text(json.dumps({"rays": rays}))
+        start = time.perf_counter()
+        assert run_cli(["fan-check", str(path)]) == 1
+        assert time.perf_counter() - start < 0.1
+        assert "13 rays exceed the bound of 12" in capsys.readouterr().err
+
     def test_h0_and_classify(self, f2_file, l_file, capsys):
         assert run_cli(["h0", f2_file, l_file]) == 0
         assert capsys.readouterr().out.strip() == "8"

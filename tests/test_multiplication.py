@@ -36,6 +36,7 @@ from toricmult.serialization import load_divisor, load_fan
 from toricmult.surface import (
     PositivityClass,
     TorusDivisor,
+    _record,
     blowup,
     classify,
     hirzebruch,
@@ -296,7 +297,7 @@ class TestTriangleRegions:
         from toricmult.multiplication import _StructuredContext, _try_regions
 
         d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
-        ctx = _StructuredContext(F2, d, e)
+        ctx = _StructuredContext(F2, _record(F2, d), _record(F2, e))
         red = ctx.reduction_for_edge(0)
         assert red is not None and red.legs == (8, 4)
         p_d, p_e = polygon_of(F2, d), polygon_of(F2, e)
@@ -328,20 +329,37 @@ class TestTriangleRegions:
             (D((0, 0, 2, 0)), {"fallback_search": 12}),  # a segment has no corner triangle
         ]
         for e, expected in cases:
-            ctx = _StructuredContext(F2, d, e)
+            ctx = _StructuredContext(F2, _record(F2, d), _record(F2, e))
             ctx.d_vertices, ctx.boundary = [], []  # steps (a) and (b) find nothing
             seen = {}
             for p in lattice_points(polygon_of(F2, d + e)):
                 w = _decompose_structured_in_context(ctx, p)
-                assert_valid(w, ctx.p_d, ctx.p_e)
+                assert_valid(w, polygon_of(F2, d), polygon_of(F2, e))
                 seen[w.path.value] = seen.get(w.path.value, 0) + 1
             assert seen == expected
+
+    @pytest.mark.parametrize("error", [PreconditionError, TheoremViolationError])
+    def test_step_c_errors_reach_the_caller(self, monkeypatch, error):
+        # sigma_j's corners meet triangle_reduce's preconditions by construction,
+        # so an error from it is a fault, not "no reduction"
+        import toricmult.multiplication as mult
+
+        def broken(*args):
+            raise error("reduced region escapes the original polygon")
+
+        monkeypatch.setattr(mult, "triangle_reduce", broken)
+        d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
+        ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
+        ctx.d_vertices, ctx.boundary = [], []  # steps (a) and (b) find nothing
+        p = lattice_points(polygon_of(F2, d + e))[0]
+        with pytest.raises(error, match="escapes the original polygon"):
+            mult._decompose_structured_in_context(ctx, p)
 
     def test_horizontal_split_uses_base_edge(self):
         from toricmult.multiplication import _StructuredContext, _try_regions
 
         d, e = D((1, 0, 1, 1)), D((1, 1, 1, 1))
-        ctx = _StructuredContext(F2, d, e)
+        ctx = _StructuredContext(F2, _record(F2, d), _record(F2, e))
         red = ctx.reduction_for_edge(0)
         for p in lattice_points(polygon_of(F2, d + e)):
             w = _try_regions(ctx, red, p)
@@ -350,6 +368,21 @@ class TestTriangleRegions:
 
 
 class TestCheckSurjectivity:
+    @pytest.mark.parametrize("mode", ["structured", "brute", "both"])
+    def test_one_cache_lookup_per_divisor(self, mode):
+        # the sum, D and E: the budgets, the context and the tables read the same records
+        from toricmult.surface import _polygon_of_cached
+
+        def lookups():
+            info = _polygon_of_cached.cache_info()
+            return info.hits + info.misses
+
+        _polygon_of_cached.cache_clear()
+        for _ in range(2):  # cold, then warm
+            before = lookups()
+            check_surjectivity(F2, D((1, 0, 1, 1)), D((2, 2, 2, 2)), mode=mode)
+            assert lookups() - before == 3
+
     def test_p2_o1_o1(self):
         report = check_surjectivity(P2, D((0, 0, 1)), D((0, 0, 1)), mode="both")
         assert report.surjective
@@ -685,7 +718,7 @@ class TestSpans:
         d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
         report = check_surjectivity(F2, d, e, mode="structured")
         assert all(c0 == c1 for _, c0, c1, *_ in report.spans) and len(report.spans) == 48
-        ctx = mult._StructuredContext(F2, d, e)
+        ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
         singles = [mult._decompose_structured_in_context(ctx, w.p) for w in report.witnesses]
         assert singles == list(report.witnesses)
         assert {p.value: n for p, n in report.path_counts.items()} == {

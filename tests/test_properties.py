@@ -293,6 +293,24 @@ def test_polygon_of_matches_halfplane_intersection(fan_divisor):
     assert (poly.vrep, poly.dim) == (reference.vrep, reference.dim)
 
 
+@given(fan_with_corner_divisor())
+@settings(max_examples=300, deadline=None)
+@example((generate_family("f2"), TorusDivisor((0, 1, 0, 0))))  # effective only
+@example((generate_family("f2"), TorusDivisor((-1, 0, 0, 0))))  # no sections
+def test_corner_box_holds_the_polygon_of_every_divisor(fan_divisor):
+    # <u, w> >= <m_i, w> on P_d for each w in cone(v_i, v_{i+1}), so the box of the
+    # corners holds P_d, globally generated or not, and is P_d's own box when the
+    # corners are its vertices
+    fan, d = fan_divisor
+    rec = _record(fan, d)
+    x0, y0, x1, y1 = rec.box
+    assert all(x0 <= v.x <= x1 and y0 <= v.y <= y1 for v in polygon_of(fan, d).vrep)
+    assert all(x0 <= x <= x1 and y0 <= lo <= hi <= y1 for x, lo, hi in rec.columns())
+    if rec.ring is not None:
+        xs, ys = zip(*rec.ring)
+        assert rec.box == (min(xs), min(ys), max(xs), max(ys))
+
+
 @st.composite
 def fan_with_two_gg(draw, blowups=2):
     # rounding any effective divisor yields a globally generated one, so gg

@@ -104,18 +104,24 @@ class TestReduce:
 
     def test_rounding_reads_no_column(self, monkeypatch):
         # F2 (10^6, 10^6, 0, 10^6) has 2,000,001 columns; the corner-ring rule
-        # lowers a_2 once and reads none of them
+        # lowers a_2 once and reads none of them, and classify's sections test
+        # before it reads the first
         import toricmult.reduction as reduction
 
-        def refuse(rec):
-            raise AssertionError("the rounding swept the columns")
+        columns, drawn = reduction._DivisorRecord.columns, []
 
-        monkeypatch.setattr(reduction._DivisorRecord, "columns", refuse)
+        def counted(rec):
+            for col in columns(rec):
+                drawn.append(col)
+                yield col
+
+        monkeypatch.setattr(reduction._DivisorRecord, "columns", counted)
         d = D((10**6, 10**6, 0, 10**6))
         start = time.perf_counter()
         res = reduce_to_globally_generated(F2, d)
         report = edge_lattice_report(F2, res)
         assert time.perf_counter() - start < 0.1
+        assert len(drawn) == 1
         assert res.reduced == D((10**6, 5 * 10**5, 0, 10**6)) and res.J == frozenset({2})
         assert report == [(2, 1)]
 
@@ -319,8 +325,11 @@ class TestSweep:
     ):
         import toricmult.reduction as reduction
 
-        def no_table(rec):
-            raise RuntimeError("the pipeline check built the table of P_{L+E'}")
+        tables, table = [], reduction._DivisorRecord.table
+
+        def read(rec):
+            tables.append(rec.coeffs)
+            return table(rec)
 
         rounded = []
         rounding = reduction._moving_part
@@ -329,18 +338,22 @@ class TestSweep:
             rounded.append(rounding(fan, e))
             return rounded[-1]
 
-        monkeypatch.setattr(reduction._DivisorRecord, "table", no_table)
+        monkeypatch.setattr(reduction._DivisorRecord, "table", read)
         monkeypatch.setattr(reduction, "_moving_part", counted)
         l_div = D((1, 0, 1, 1))
         # globally generated, not ample, then ample: E' = E, an empty collar
         for pattern in ("k,0,1,0", "1,0,k,1"):
             rounded.clear()
+            tables.clear()
             sweep = sweep_cokernel(F2, l_div, e_max=4, filter_pattern=pattern)
             assert sweep.max_coker == 0
             # the rounding still runs on every instance
             assert rounded == [e for e, _ in sweep.instances]
-        with pytest.raises(RuntimeError, match="built the table"):  # E = (0,1,0,0) rounds to 0
-            sweep_cokernel(F2, l_div, e_max=1, filter_pattern="0,k,0,0")
+            # only the tables of P_L and of each P_E are read, none of a P_{L+E'}
+            assert tables == [l_div.coeffs] + [e.coeffs for e, _ in sweep.instances]
+        tables.clear()
+        sweep_cokernel(F2, l_div, e_max=1, filter_pattern="0,k,0,0")
+        assert tables == [l_div.coeffs, (0, 1, 0, 0), l_div.coeffs]  # E' = 0: P_{L+E'} = P_L
 
     def test_pipeline_check_rejects_a_dropped_missing_point(self, monkeypatch):
         import toricmult.reduction as reduction
@@ -416,6 +429,7 @@ class TestSweep:
             return columns(rec)
 
         monkeypatch.setattr(reduction._DivisorRecord, "columns", counted)
+        toricmult.surface._polygon_of_cached.cache_clear()  # so that no table of P_L is kept
         l_div = D((1, 0, 1, 1))
         sweep = sweep_cokernel(F2, l_div, e_max=3, filter_pattern="0,k,1,0")
         # P_L once for the whole sweep, then P_E and P_{L+E} once per instance,

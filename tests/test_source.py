@@ -1,6 +1,7 @@
 """Source-level invariants of the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import toricmult
@@ -75,3 +76,15 @@ def test_fractions_only_in_lattice_and_svg():
             if any(m.split(".")[0] == "fractions" for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"fractions imported outside lattice.py and svg.py: {found}"
+
+
+def test_readme_example_prints_what_its_comments_say(capsys):
+    # each print line of README's example ends in the output it gives
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S).group(1)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert prints and all("  # " in line for line in prints)
+    exec(compile(block, str(readme), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        line.split("  # ", 1)[1].strip() for line in prints
+    ]

@@ -1,5 +1,7 @@
 """Fans, divisors, polygons, positivity, families, sampling."""
 
+import time
+
 import pytest
 
 from toricmult.errors import (
@@ -71,6 +73,18 @@ class TestValidateFan:
         rays = [(1, 0), (0, 1), (-1, -1)] * 2
         with pytest.raises((NonCompleteFanError, DuplicateRayError)):
             validate_fan(rays)
+
+    @pytest.mark.parametrize("k", [10, 1200])
+    def test_more_rays_than_the_bound_refused_first(self, k):
+        # (1,0), (1,1), ..., (1,k), (0,1), (-1,-1) is smooth and complete with k + 3
+        # rays; admitted at k = 1200, it would cost classify 25-114 s in
+        # intersect_halfplanes
+        rays = [(1, 0)] + [(1, i) for i in range(1, k + 1)] + [(0, 1), (-1, -1)]
+        start = time.perf_counter()
+        with pytest.raises(FanSizeError, match=f"{k + 3} rays exceed the bound of 12"):
+            validate_fan(rays)
+        assert time.perf_counter() - start < 0.1
+        assert validate_fan([(1, 0)] + [(1, i) for i in range(1, 10)] + [(0, 1), (-1, -1)]).n == 12
 
     def test_rotation_normalized(self):
         a = validate_fan([(0, 1), (-1, -1), (1, 0)])
