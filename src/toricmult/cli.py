@@ -152,12 +152,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         keep_reports=args.out is not None,
         jobs=args.jobs,
     )
+    if args.out:  # first, so that a file it cannot write prints nothing
+        write_csv(sweep_rows(fan, sweep), args.out)
     print(f"instances: {len(sweep.instances)}")
     print(f"max coker_dim: {sweep.max_coker}")
     print(f"stabilization coefficient: {sweep.stabilization_coeff}")
     print(f"sampled: {'true' if sweep.sampled else 'false'}")
     if args.out:
-        write_csv(sweep_rows(fan, sweep), args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import floordiv
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CoordinateOverflowError,
@@ -465,52 +465,6 @@ def _column_table(poly: ConvexLatticePolygon) -> dict[int, tuple[int, int]]:
     """{x: (ylo, yhi)} from :func:`_columns`, in increasing x: (x, y) is a
     lattice point of the region iff ylo <= y <= yhi in column x."""
     return {x: (ylo, yhi) for x, ylo, yhi in _columns(poly)}
-
-
-def _column_pairs(
-    table_a: dict[int, tuple[int, int]], table_b: dict[int, tuple[int, int]], x: int
-) -> Iterator[tuple[tuple[int, int, int], int, int]]:
-    """Column x of the sumset of two regions' lattice points, as intervals.
-
-    For each column x1 of A, in increasing order, with a column x - x1 of B,
-    the sums of the two columns' points fill lo1 + lo2 .. hi1 + hi2 of
-    column x, and the smallest q1 in A for a y there is (x1, max(lo1,
-    y - hi2)); yields ((x1, lo1, hi2), lo1 + lo2, hi1 + hi2).
-    """
-    if table_a and table_b:
-        first = max(next(iter(table_a)), x - next(reversed(table_b)))
-        last = min(next(reversed(table_a)), x - next(iter(table_b)))
-        for x1 in range(first, last + 1):
-            a, b = table_a.get(x1), table_b.get(x - x1)
-            if a is not None and b is not None:
-                yield (x1, a[0], b[1]), a[0] + b[0], a[1] + b[1]
-
-
-K = TypeVar("K")
-
-
-def _first_cover(
-    intervals: Iterable[tuple[K, int, int]], gaps: list[tuple[int, int]]
-) -> tuple[list[tuple[int, int, K]], list[tuple[int, int]]]:
-    """Give each y of gaps (disjoint, increasing ranges) to the first (key, a, b)
-    of intervals with a <= y <= b: the pieces (c0, c1, key) so given and the
-    ranges left.  intervals is read only until nothing is left."""
-    pieces: list[tuple[int, int, K]] = []
-    for key, a, b in intervals:
-        rest = []
-        for g0, g1 in gaps:
-            if b < g0 or a > g1:
-                rest.append((g0, g1))
-                continue
-            pieces.append((max(a, g0), min(b, g1), key))
-            if g0 < a:
-                rest.append((g0, a - 1))
-            if b < g1:
-                rest.append((b + 1, g1))
-        gaps = rest
-        if not gaps:
-            break
-    return pieces, gaps
 
 
 def lattice_point_count(poly: ConvexLatticePolygon) -> int:

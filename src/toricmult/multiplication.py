@@ -14,22 +14,26 @@ P_E intersect (p - P_D):
     homothetic triangles;
 (d) fallback: the exhaustive search, recorded in the witness's path.
 
-Steps (a), (b) and the oracle run per column of the sum polygon: u + P_E,
-q2 + P_D and a column of P_D plus one of P_E each fill a y-interval of a
-column, and each point goes to the first interval, in the proof's order,
-that holds it.  Only the points (a) and (b) leave reach (c) and (d).  A
-single point takes the same route on its one-point range.
+Steps (a), (b) and the oracle are one column cover (_cover), run per column x
+of the sum polygon, and differ only by their keys: the vertices u of P_D as
+one-point columns, the boundary points q2 of P_E, or the columns of P_D by
+increasing x1.  A key at x' plus column x - x' of the other factor fills a
+y-interval of column x, and each point goes to the first key, in the proof's
+order, whose interval holds it.  Only the points (a) and (b) leave reach (c)
+and (d).  A single point takes the same route on its one-point range.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
-Step (a)'s vertex u gives (u.x, u.y, c1 - u.y), step (b)'s q2 gives (x - q2.x,
-c0 - q2.y, q2.y), and steps (c) and (d) one-point spans.  Every span is checked
-against both factors' column tables.  Along an (a) or (b) span one summand is
-fixed, u in P_D or q2 in P_E: it is checked once, when the context lists it,
-and the moving summand against the column it was clipped from as the span is
-kept.  Spans of (c), (d) and the oracle are checked at their two ends, between
-which q1.y and q2.y never decrease.  A failing span is scanned, so the error
-names the first point, in (x, y) order, whose witness leaves a factor.
+The cover reads x1 and lo1 off the column of P_D and hi2 off that of P_E:
+step (a)'s vertex u gives (u.x, u.y, hi of column x - u.x of P_E), step (b)'s
+q2 gives (x - q2.x, lo of column x - q2.x of P_D, q2.y), and steps (c) and (d)
+one-point spans.  Every span is checked against both factors' column tables.
+Along an (a) or (b) span one summand is fixed, u in P_D or q2 in P_E: it is
+checked once, when the context lists it, and the moving summand stays in the
+column it was clipped from.  Spans of (c), (d) and the oracle are checked at
+their two ends, between which q1.y and q2.y never decrease.  A failing span is
+scanned, so the error names the first point, in (x, y) order, whose witness
+leaves a factor.
 
 A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
 and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
@@ -50,6 +54,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -66,9 +71,7 @@ from .lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
-    _column_pairs,
     _column_table,
-    _first_cover,
     _primitive_pair,
     decompose_interval,
     face_in_direction,
@@ -88,6 +91,8 @@ POINT_BUDGET = 10**6
 
 #: A polygon's lattice points as {x: (lo, hi)}, from lattice._column_table.
 _Table = dict[int, tuple[int, int]]
+#: A column (x, (lo, hi)) of a factor, or a point (x, (y, y)) of it: a key of _cover.
+_Key = tuple[int, tuple[int, int]]
 
 
 class DecompositionPath(Enum):
@@ -203,10 +208,53 @@ def _check_span(table_d: _Table, table_e: _Table, span: Span) -> None:
             raise TheoremViolationError(f"witness check failed at ({x}, {y})")
 
 
-def _oracle_column(table_d: _Table, table_e: _Table, x: int, lo: int, hi: int) -> list[Span]:
-    """The exhaustive search's checked spans on the points (x, lo..hi), by increasing y."""
-    pieces, _ = _first_cover(_column_pairs(table_d, table_e, x), [(lo, hi)])
-    spans = sorted((x, c0, c1, *key, DecompositionPath.FALLBACK_SEARCH) for c0, c1, key in pieces)
+def _cover(
+    x: int, gaps: list[tuple[int, int]], keys: Iterable[_Key], partner: _Table,
+    path: DecompositionPath, spans: list[Span], counts: Counter[DecompositionPath]
+) -> list[tuple[int, int]]:
+    """Give each y of gaps (disjoint ranges, by increasing y) in column x to the
+    first key column (kx, (klo, khi)) of one factor, in the order of keys, whose
+    sum with column x - kx of the other factor's table partner holds it: a span
+    per piece appended to spans, the points covered added to counts[path], the
+    gaps left returned.  Keys are columns of P_D, but points of P_E on path
+    BOUNDARY_LATTICE; either way the span takes x1 and lo1 from the P_D column
+    and hi2 from the P_E column, so each witness has the smallest q1 its key
+    allows.  keys is read only until no gap is left."""
+    key_in_d = path is not DecompositionPath.BOUNDARY_LATTICE
+    get, covered = partner.get, 0
+    for kx, (klo, khi) in keys:
+        if (col := get(x - kx)) is None:
+            continue
+        olo, ohi = col
+        a, b, rest = klo + olo, khi + ohi, []
+        for gap in gaps:
+            g0, g1 = gap
+            if b < g0 or a > g1:
+                rest.append(gap)
+                continue
+            c0, c1 = a if a > g0 else g0, b if b < g1 else g1
+            spans.append((x, c0, c1, kx, klo, ohi, path) if key_in_d
+                         else (x, c0, c1, x - kx, olo, khi, path))
+            covered += c1 - c0 + 1
+            if g0 < a:
+                rest.append((g0, a - 1))
+            if b < g1:
+                rest.append((b + 1, g1))
+        if not (gaps := rest):
+            break
+    counts[path] += covered
+    return gaps
+
+
+def _oracle_column(
+    table_d: _Table, table_e: _Table, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
+) -> list[Span]:
+    """The exhaustive search's checked spans on the points (x, lo..hi), by increasing
+    y, their points added to counts: the keys are P_D's columns by increasing x1."""
+    spans: list[Span] = []
+    path = DecompositionPath.FALLBACK_SEARCH
+    _cover(x, [(lo, hi)], table_d.items(), table_e, path, spans, counts)
+    spans.sort()  # by c0: the spans of a column share x and are disjoint
     for span in spans:
         _check_span(table_d, table_e, span)
     return spans
@@ -216,7 +264,7 @@ def _fallback_witness(
     table_d: _Table, table_e: _Table, p: LatticeVector
 ) -> DecompositionWitness | None:
     """The exhaustive search's witness for p, on the one-point range [p.y, p.y]."""
-    return next(_span_witnesses(_oracle_column(table_d, table_e, p.x, p.y, p.y)), None)
+    return next(_span_witnesses(_oracle_column(table_d, table_e, p.x, p.y, p.y, Counter())), None)
 
 
 def decompose_bruteforce(
@@ -382,24 +430,25 @@ class _StructuredContext:
         self.fan, self.rec_d, self.rec_e = fan, rec_d, rec_e
         self.table_d, self.table_e = rec_d.table(), rec_e.table()
         self._reductions: dict[int, TriangleReduction | None] = {}
-        # (a) q1 = u, the vertices (x, y) of P_D in sorted order
-        self.d_vertices = sorted(rec_d.ring)
+        # (a) q1 = u, the vertices of P_D in sorted order, as one-point columns (ux, (uy, uy))
+        self.d_vertices: list[_Key] = [(ux, (uy, uy)) for ux, uy in sorted(rec_d.ring)]
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
-        self.boundary: list[tuple[int, int]] | None = None
-        # the fixed summands, checked once as listed, that leave their factor's table
-        self.outside = {u for u in self.d_vertices if not _inside(self.table_d, *u)}
+        self.boundary: list[_Key] | None = None
+        # whether a fixed summand, checked once as listed, leaves its factor's table
+        self.outside = not all(_inside(self.table_d, ux, uy) for ux, uy in rec_d.ring)
 
-    def boundary_points(self) -> list[tuple[int, int]]:
-        """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending; k stops
-        short of the next edge's start (a segment runs there and back, a point is one edge)."""
+    def boundary_points(self) -> list[_Key]:
+        """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending, as
+        one-point columns; k stops short of the next edge's start (a segment runs there
+        and back, a point is one edge)."""
         if self.boundary is None:
             verts, boundary = list(self.rec_e.ring), []
             for (mx, my), (nx, ny) in zip(verts, verts[1:] + verts[:1]):
                 dx, dy = nx - mx, ny - my
                 g = math.gcd(dx, dy) or 1
                 boundary += [(mx + k * dx // g, my + k * dy // g) for k in range(g)]
-            self.boundary = boundary
-            self.outside |= {q for q in boundary if not _inside(self.table_e, *q)}
+            self.boundary = [(qx, (qy, qy)) for qx, qy in boundary]
+            self.outside |= not all(_inside(self.table_e, qx, qy) for qx, qy in boundary)
         return self.boundary
 
     def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
@@ -508,50 +557,21 @@ def _structured_column(
     ctx: _StructuredContext, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
 ) -> list[Span]:
     """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as checked
-    spans by increasing y, their points added to counts by path: (a) gives y to
-    the first vertex u of P_D with (x, y) in u + P_E, (b) to the first boundary
-    point q2 of P_E with (x, y) in q2 + P_D, each translate clipped against the
-    gaps left, and (c) and (d) take each point left on its own."""
+    spans by increasing y, their points added to counts by path: (a) covers
+    with the vertices of P_D as keys, (b) what is left with the boundary points
+    of P_E, and (c) and (d) take each point left on its own."""
     spans: list[Span] = []
-    gaps, scan, outside = [(lo, hi)], False, ctx.outside
-    for path in (DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE):
-        step_a = path is DecompositionPath.INTERIOR_VERTEX
-        keys = ctx.d_vertices if step_a else ctx.boundary_points()
-        get, covered = (ctx.table_e if step_a else ctx.table_d).get, 0
-        for q in keys:
-            qx, qy = q
-            if (col := get(x - qx)) is None:
-                continue
-            clo, chi = col
-            a, b, rest = clo + qy, chi + qy, []
-            for gap in gaps:
-                g0, g1 = gap
-                if b < g0 or a > g1:
-                    rest.append(gap)
-                    continue
-                c0, c1 = a if a > g0 else g0, b if b < g1 else g1
-                # the moving summand runs over c0 - qy..c1 - qy of col; q was checked when listed
-                if c0 - qy < clo or c1 - qy > chi or (outside and q in outside):
-                    scan = True
-                spans.append((x, c0, c1, qx, qy, c1 - qy, path) if step_a
-                             else (x, c0, c1, x - qx, c0 - qy, qy, path))
-                covered += c1 - c0 + 1
-                if g0 < a:
-                    rest.append((g0, a - 1))
-                if b < g1:
-                    rest.append((b + 1, g1))
-            if not (gaps := rest):
-                break
-        counts[path] += covered
-        if not gaps:
-            break
+    vertex, edge = DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
+    gaps = _cover(x, [(lo, hi)], ctx.d_vertices, ctx.table_e, vertex, spans, counts)
+    if gaps:
+        gaps = _cover(x, gaps, ctx.boundary_points(), ctx.table_d, edge, spans, counts)
     for g0, g1 in gaps:
         for y in range(g0, g1 + 1):
             spans.append(span := _regions_or_fallback(ctx, x, y))
             _check_span(ctx.table_d, ctx.table_e, span)
             counts[span[6]] += 1
     spans.sort()  # by c0: the spans of a column share x and are disjoint
-    if scan:  # raises at the first failing point, as a check of every span would
+    if ctx.outside:  # raises at the first failing point, as a check of every span would
         for span in spans:
             _check_span(ctx.table_d, ctx.table_e, span)
     return spans
@@ -567,7 +587,7 @@ def _regions_or_fallback(ctx: _StructuredContext, x: int, y: int) -> Span:
             w = _try_regions(ctx, red, LatticeVector(x, y))
             if w is not None:
                 return (x, y, y, w.q1.x, w.q1.y, w.q2.y, w.path)
-    spans = _oracle_column(ctx.table_d, ctx.table_e, x, y, y)
+    spans = _oracle_column(ctx.table_d, ctx.table_e, x, y, y, Counter())
     if not spans:
         raise TheoremViolationError(
             f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"
@@ -629,23 +649,22 @@ def check_surjectivity(
     rec_d, rec_e = _record(fan, d), _record(fan, e)
     if mode != "structured":  # before the context checks the hypotheses
         _refuse_over_pair_budget(rec_d, rec_e)
-    ctx = None if mode == "brute" else _StructuredContext(fan, rec_d, rec_e)
-    if ctx is None:
+    if mode == "brute":
         table_d, table_e = rec_d.table(), rec_e.table()
         if not (table_d and table_e):
             raise PreconditionError("brute mode requires sections on both factors")
+        column = partial(_oracle_column, table_d, table_e)
     else:
+        ctx = _StructuredContext(fan, rec_d, rec_e)
         table_d, table_e = ctx.table_d, ctx.table_e
+        column = partial(_structured_column, ctx)
     total = 0
     spans: list[Span] = []
     path_counts: Counter[DecompositionPath] = Counter()
     try:
         for x, lo, hi in rec_sum.columns():
             total += hi - lo + 1
-            if ctx is None:
-                spans += _oracle_column(table_d, table_e, x, lo, hi)
-                continue
-            spans += _structured_column(ctx, x, lo, hi, path_counts)
+            spans += column(x, lo, hi, path_counts)
             if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
                 raise TheoremViolationError(
                     f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
@@ -653,8 +672,6 @@ def check_surjectivity(
                 )
     except TheoremViolationError as exc:
         raise _violation(str(exc), f"verify FAN L E --mode {mode}", fan, d, e) from exc
-    if ctx is None:
-        path_counts[DecompositionPath.FALLBACK_SEARCH] = sum(s[2] - s[1] + 1 for s in spans)
     path_counts = +path_counts  # no zero counts
     decomposed = path_counts.total()
     return SurjectivityReport(

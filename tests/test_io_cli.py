@@ -21,7 +21,13 @@ from toricmult.serialization import (
     write_fan,
 )
 from toricmult.reduction import sweep_cokernel
-from toricmult.surface import TorusDivisor, hirzebruch, projective_plane, validate_fan
+from toricmult.surface import (
+    TorusDivisor,
+    hirzebruch,
+    product_p1_p1,
+    projective_plane,
+    validate_fan,
+)
 from toricmult.svg import emit_svg
 
 F2 = hirzebruch(2)
@@ -163,6 +169,26 @@ class TestSvg:
         with pytest.raises(EmptyInputError):
             emit_svg(p2, (D((0, 0, -1)), D((0, 0, 1))), None, tmp_path / "no.svg")
 
+    def test_a_segment_factor_is_drawn_as_a_line(self, tmp_path):
+        # P_L of (1,0,0,0) on P1xP1 is the segment from (-1, 0) to (0, 0); the canvas
+        # starts a unit left of P_{L+E}, at x = -3, and ends a unit above it, at y = 2
+        l_div, e_div = D((1, 0, 0, 0)), D((1, 1, 1, 1))
+        out = tmp_path / "fig.svg"
+        emit_svg(product_p1_p1(), (l_div, e_div), None, out)
+        lines = [line for line in out.read_text().splitlines() if line.startswith("<line")]
+        assert lines == [
+            '<line x1="64.00" y1="64.00" x2="96.00" y2="64.00" '
+            'fill="none" stroke="#202020" stroke-width="2" stroke-dasharray="6 3"/>'
+        ]
+
+    def test_a_point_factor_is_drawn_as_a_circle(self, tmp_path):
+        # P_L of (0,0,0) on P2 is the origin, P_{L+E} conv{(-1, 0), (0, 0), (-1, 1)}
+        out = tmp_path / "fig.svg"
+        emit_svg(projective_plane(), (D((0, 0, 0)), D((1, 0, 0))), None, out)
+        text = out.read_text()
+        assert text.count('r="5"') == 1 and "<line" not in text
+        assert '<circle cx="64.00" cy="64.00" r="5" fill="none" stroke="#202020"' in text
+
     def test_point_budget_refuses_before_listing(self, monkeypatch, tmp_path):
         # P2 (1000,1000,1000)^2: about 1.8 * 10^7 points of P_{L+E}
         def listed(poly):
@@ -279,6 +305,16 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert all(line.split(",")[8] == "false" for line in lines[1:])
 
+    def test_sweep_out_into_a_missing_directory_prints_nothing(
+        self, f2_file, l_file, tmp_path, capsys
+    ):
+        out_path = tmp_path / "missing" / "rows.csv"
+        argv = ["sweep", f2_file, l_file, "--max-coeff", "4", "--seed", "1", "--out", str(out_path)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2]")
+        assert not out_path.exists()
+
     def test_sweep_rejects_jobs_below_one(self, f2_file, l_file, capsys):
         code = run_cli(
             ["sweep", f2_file, l_file, "--max-coeff", "2", "--seed", "1", "--jobs", "0"]
@@ -305,6 +341,13 @@ class TestCli:
         out_path = tmp_path / "fig.svg"
         assert run_cli(["plot", f2_file, l_file, e_file, "--out", str(out_path)]) == 0
         assert out_path.read_text().startswith("<?xml")
+
+    def test_plot_into_a_missing_directory_fails(self, f2_file, l_file, e_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "fig.svg"
+        assert run_cli(["plot", f2_file, l_file, e_file, "--out", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2]")
+        assert not out_path.exists()
 
     def test_plot_refuses_over_the_point_budget(self, tmp_path, capsys):
         # P2 (1000,1000,1000)^2 passes the cokernel's pair budget (3,001 x 3,001

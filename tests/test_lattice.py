@@ -17,10 +17,7 @@ from toricmult.lattice import (
     LatticeVector,
     PolygonDim,
     RationalPoint,
-    _column_pairs,
-    _column_table,
     _columns,
-    _first_cover,
     decompose_interval,
     face_in_direction,
     hull,
@@ -194,21 +191,6 @@ class TestLatticePoints:
 
 
 class TestColumnCovers:
-    def test_first_cover_gives_each_y_its_first_interval(self):
-        def intervals():
-            yield "a", 2, 4
-            yield "b", 0, 9
-            raise AssertionError("read past the interval that covered the rest")
-
-        pieces, gaps = _first_cover(intervals(), [(0, 3), (5, 7)])
-        assert sorted(pieces) == [(0, 1, "b"), (2, 3, "a"), (5, 7, "b")]
-        assert gaps == []
-
-    def test_first_cover_leaves_uncovered_ranges_in_order(self):
-        pieces, gaps = _first_cover([("a", 3, 3), ("b", 9, 12)], [(0, 5), (8, 10)])
-        assert pieces == [(3, 3, "a"), (9, 10, "b")]
-        assert gaps == [(0, 2), (4, 5), (8, 8)]
-
     def test_columns_of_a_thin_polygon_skip_empty_ones(self):
         # column 1 of conv{(0,0), (3,1), (3,2)} runs from y = 1/3 to 2/3
         thin = hull([V(0, 0), V(3, 1), V(3, 2)])
@@ -217,18 +199,6 @@ class TestColumnCovers:
         assert list(_columns(ConvexLatticePolygon.empty())) == []
         upright = ConvexLatticePolygon._from_hom_vertices([(3, -1, 2), (3, 7, 2)])
         assert list(_columns(upright)) == []  # x = 3/2 holds no lattice column
-
-    def test_column_pairs_are_the_sumset_columns(self):
-        # against every pairwise sum of two polygons' lattice points
-        a = hull([V(0, 0), V(3, 1), V(1, 3)])
-        b = hull([V(-1, 0), V(1, -1), V(0, 2)])
-        table_a, table_b = _column_table(a), _column_table(b)
-        sums = {p + q for p in lattice_points(a) for q in lattice_points(b)}
-        for x in range(-3, 7):
-            pairs = list(_column_pairs(table_a, table_b, x))
-            assert [key[0] for key, _, _ in pairs] == sorted(key[0] for key, _, _ in pairs)
-            covered = {V(x, y) for _, lo, hi in pairs for y in range(lo, hi + 1)}
-            assert covered == {p for p in sums if p.x == x}
 
 
 class TestPickCount:
@@ -377,6 +347,14 @@ class TestDecomposeInterval:
     def test_out_of_range(self):
         with pytest.raises(DecompositionRangeError):
             decompose_interval((0, 1), (0, 1), 3)
+
+    def test_rejects_a_non_integer_second_interval(self):
+        with pytest.raises(PreconditionError, match="I2 must have integer endpoints"):
+            decompose_interval((0, 1), (Fraction(1, 2), 1), 1)
+
+    def test_rejects_an_empty_interval(self):
+        with pytest.raises(PreconditionError, match="intervals must be nonempty"):
+            decompose_interval((2, 1), (0, 1), 1)
 
     def test_exhaustive_small_intervals(self):
         # contract check against exhaustive search for all small instances

@@ -3,6 +3,7 @@
 import re
 import time
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,20 +12,26 @@ from toricmult.cli import run_cli
 from toricmult.errors import (
     BudgetExceededError,
     DecompositionRangeError,
+    EmptyInputError,
     PreconditionError,
     TheoremViolationError,
 )
 from toricmult.lattice import (
+    ConvexLatticePolygon,
+    HalfPlane,
     LatticeVector,
     PolygonDim,
     RationalPoint,
     _column_table,
     hull,
+    intersect_halfplanes,
     lattice_points,
 )
 from toricmult.multiplication import (
     DecompositionPath,
     DecompositionWitness,
+    _cover,
+    _span_witnesses,
     check_surjectivity,
     cokernel_dim,
     decompose_bruteforce,
@@ -63,6 +70,66 @@ def assert_valid(witness, p_d, p_e):
     assert p_e.contains(witness.q2)
 
 
+class TestCover:
+    """The one column cover behind steps (a), (b) and the exhaustive search."""
+
+    FALLBACK = DecompositionPath.FALLBACK_SEARCH
+
+    def test_gives_each_y_its_first_key(self):
+        # keys (kx, (klo, khi)) of P_D against the one-point columns of P_E at x - kx
+        def keys():
+            yield 0, (2, 4)
+            yield 1, (0, 9)
+            raise AssertionError("read past the key that covered the rest")
+
+        spans, counts = [], Counter()
+        partner = {5: (0, 0), 4: (0, 0)}
+        assert _cover(5, [(0, 3), (5, 7)], keys(), partner, self.FALLBACK, spans, counts) == []
+        assert counts == {self.FALLBACK: 7}
+        assert [span[:6] for span in spans] == [
+            (5, 2, 3, 0, 2, 0), (5, 0, 1, 1, 0, 0), (5, 5, 7, 1, 0, 0)
+        ]
+
+    def test_leaves_uncovered_ranges_in_order(self):
+        keys, partner = [(0, (3, 3)), (1, (9, 12))], {5: (0, 0), 4: (0, 0)}
+        spans, counts = [], Counter()
+        gaps = _cover(5, [(0, 5), (8, 10)], keys, partner, self.FALLBACK, spans, counts)
+        assert gaps == [(0, 2), (4, 5), (8, 8)] and counts == {self.FALLBACK: 3}
+        assert [span[1:3] for span in spans] == [(3, 3), (9, 10)]
+
+    def test_step_b_keys_are_points_of_the_second_factor(self):
+        # q2 = (2, 1) in P_E against column 3 of P_D: q1 = (3, y - 1) for y in 0..5
+        spans, counts = [], Counter()
+        path = DecompositionPath.BOUNDARY_LATTICE
+        assert _cover(5, [(-9, 9)], [(2, (1, 1))], {3: (-1, 4)}, path, spans, counts) == [
+            (-9, -1), (6, 9)
+        ]
+        assert spans == [(5, 0, 5, 3, -1, 1, path)] and counts == {path: 6}
+        assert [(w.q1, w.q2) for w in _span_witnesses(spans)] == [
+            (V(3, y - 1), V(2, 1)) for y in range(0, 6)
+        ]
+
+    def test_columns_of_p_d_cover_the_sumset_with_the_smallest_q1(self):
+        # against every pairwise sum of two polygons' lattice points
+        a = hull([V(0, 0), V(3, 1), V(1, 3)])
+        b = hull([V(-1, 0), V(1, -1), V(0, 2)])
+        table_a, table_b = _column_table(a), _column_table(b)
+        splits = {}
+        for q1 in lattice_points(a):
+            for q2 in lattice_points(b):
+                splits.setdefault(q1 + q2, []).append(q1)
+        for x in range(-3, 7):
+            spans, counts = [], Counter()
+            gaps = _cover(x, [(-9, 9)], table_a.items(), table_b, self.FALLBACK, spans, counts)
+            witnesses = list(_span_witnesses(spans))
+            assert {w.p for w in witnesses} == {p for p in splits if p.x == x}
+            assert counts[self.FALLBACK] == len(witnesses)
+            assert {(x, y) for g0, g1 in gaps for y in range(g0, g1 + 1)} == {
+                (x, y) for y in range(-9, 10) if V(x, y) not in splits
+            }
+            assert all(w.q1 == min(splits[w.p], key=V.as_tuple) for w in witnesses)
+
+
 class TestDecomposeBruteforce:
     def test_unit_triangles_corner(self):
         w = decompose_bruteforce(UNIT, UNIT, V(1, 1))
@@ -84,6 +151,12 @@ class TestDecomposeBruteforce:
 
     def test_far_away_point_gives_none(self):
         assert decompose_bruteforce(UNIT, UNIT, V(5, 5)) is None
+
+    def test_rejects_an_empty_polygon(self):
+        empty = ConvexLatticePolygon.empty()
+        for p_d, p_e in ((empty, UNIT), (UNIT, empty)):
+            with pytest.raises(EmptyInputError, match="requires nonempty polygons"):
+                decompose_bruteforce(p_d, p_e, V(0, 0))
 
 
 class TestTriangleReduce:
@@ -126,6 +199,15 @@ class TestTriangleReduce:
         red = triangle_reduce(F2, D((1, 1, 1, 1)), RationalPoint(-1, 0), edge_index=1)
         assert classify(F2, D(red.c)).is_globally_generated()
 
+    def test_rejects_an_edge_index_beyond_the_rays(self):
+        with pytest.raises(PreconditionError, match=re.escape("edge index must be in [1, 4]")):
+            triangle_reduce(F2, D((1, 1, 1, 1)), RationalPoint(0, 0), edge_index=9)
+
+    def test_rejects_an_edge_that_is_a_point(self):
+        # P_{(1,0,0,0)} on F2 is the segment from (-1, 0) to (0, 0); sigma_1 is its end (-1, 0)
+        with pytest.raises(PreconditionError, match="sigma_1 is not a nondegenerate edge"):
+            triangle_reduce(F2, D((1, 0, 0, 0)), RationalPoint(0, 0), edge_index=1)
+
 
 class TestDecomposeHomothetic:
     def test_unit_pair(self):
@@ -161,6 +243,28 @@ class TestDecomposeHomothetic:
     def test_rejects_segment(self):
         with pytest.raises(PreconditionError):
             decompose_homothetic_triangles(UNIT, hull([V(0, 0), V(1, 0)]), V(1, 0))
+
+    def test_rejects_an_empty_triangle(self):
+        with pytest.raises(EmptyInputError, match="requires nonempty inputs"):
+            decompose_homothetic_triangles(ConvexLatticePolygon.empty(), UNIT, V(0, 0))
+
+    def test_rejects_a_non_lattice_triangle(self):
+        # conv{(0, 0), (1/2, 0), (0, 1)}
+        half = intersect_halfplanes(
+            [HalfPlane(V(1, 0), 0), HalfPlane(V(0, 1), 0), HalfPlane(V(-2, -1), 1)]
+        )
+        with pytest.raises(PreconditionError, match="requires lattice triangles"):
+            decompose_homothetic_triangles(half, UNIT, V(0, 0))
+
+    def test_rejects_a_square(self):
+        square = hull([V(0, 0), V(1, 0), V(1, 1), V(0, 1)])
+        with pytest.raises(PreconditionError, match="inputs must be triangles"):
+            decompose_homothetic_triangles(square, square, V(0, 0))
+
+    def test_rejects_a_point_outside_the_sum(self):
+        outside = re.escape("(9, 9) lies outside the sum")
+        with pytest.raises(DecompositionRangeError, match=outside):
+            decompose_homothetic_triangles(UNIT, UNIT, V(9, 9))
 
 
 class TestDecomposeStructured:

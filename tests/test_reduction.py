@@ -448,6 +448,16 @@ class TestSweep:
         assert len(sweep.instances) == 3
         assert sweep.stabilization_coeff == 9
 
+    def test_instances_without_sections_are_skipped(self):
+        # E = (k, -3, 0) on P2 has sections only from k = 3: P_E is x >= -k, y >= 3, x + y <= 0
+        sweep = sweep_cokernel(P2, D((1, 1, 1)), e_max=4, filter_pattern="k,-3,0")
+        assert sweep.instances == ((D((3, -3, 0)), 0), (D((4, -3, 0)), 0))
+        assert (sweep.max_coker, sweep.stabilization_coeff) == (0, 3)
+
+    def test_a_family_without_sections_is_refused(self):
+        with pytest.raises(PreconditionError, match="sweep produced no instances with sections"):
+            sweep_cokernel(P2, D((1, 1, 1)), e_max=2, filter_pattern="k,-3,0")
+
     def test_pipeline_check_lists_no_lattice_point(self, no_point_lists):
         l_div = D((1, 0, 1, 1))
         args = dict(e_max=8, budget=200, seed=5, keep_reports=True)
