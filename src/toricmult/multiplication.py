@@ -17,10 +17,11 @@ P_E intersect (p - P_D):
 Steps (a), (b) and the oracle are one column cover (_cover), run per column x
 of the sum polygon, and differ only by their keys: the vertices u of P_D as
 one-point columns, the boundary points q2 of P_E, or the columns of P_D by
-increasing x1.  A key at x' plus column x - x' of the other factor fills a
-y-interval of column x, and each point goes to the first key, in the proof's
-order, whose interval holds it.  Only the points (a) and (b) leave reach (c)
-and (d).  A single point takes the same route on its one-point range.
+increasing x1 that can meet a column of P_E.  A key at x' plus column x - x'
+of the other factor fills a y-interval of column x, and each point goes to the
+first key, in the proof's order, whose interval holds it.  Only the points (a)
+and (b) leave reach (c) and (d).  A single point takes the same route on its
+one-point range.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
@@ -210,17 +211,17 @@ def _check_span(table_d: _Table, table_e: _Table, span: Span) -> None:
 
 def _cover(
     x: int, gaps: list[tuple[int, int]], keys: Iterable[_Key], partner: _Table,
-    path: DecompositionPath, spans: list[Span], counts: Counter[DecompositionPath]
+    path: DecompositionPath, spans: list[Span], counts: Counter[DecompositionPath],
+    *, keys_in_e: bool = False,
 ) -> list[tuple[int, int]]:
     """Give each y of gaps (disjoint ranges, by increasing y) in column x to the
     first key column (kx, (klo, khi)) of one factor, in the order of keys, whose
     sum with column x - kx of the other factor's table partner holds it: a span
     per piece appended to spans, the points covered added to counts[path], the
-    gaps left returned.  Keys are columns of P_D, but points of P_E on path
-    BOUNDARY_LATTICE; either way the span takes x1 and lo1 from the P_D column
-    and hi2 from the P_E column, so each witness has the smallest q1 its key
-    allows.  keys is read only until no gap is left."""
-    key_in_d = path is not DecompositionPath.BOUNDARY_LATTICE
+    gaps left returned.  Keys are columns of P_D and partner is P_E's table, or
+    the other way round when keys_in_e; either way the span takes x1 and lo1
+    from the P_D column and hi2 from the P_E column, so each witness has the
+    smallest q1 its key allows.  keys is read only until no gap is left."""
     get, covered = partner.get, 0
     for kx, (klo, khi) in keys:
         if (col := get(x - kx)) is None:
@@ -233,8 +234,8 @@ def _cover(
                 rest.append(gap)
                 continue
             c0, c1 = a if a > g0 else g0, b if b < g1 else g1
-            spans.append((x, c0, c1, kx, klo, ohi, path) if key_in_d
-                         else (x, c0, c1, x - kx, olo, khi, path))
+            spans.append((x, c0, c1, x - kx, olo, khi, path) if keys_in_e
+                         else (x, c0, c1, kx, klo, ohi, path))
             covered += c1 - c0 + 1
             if g0 < a:
                 rest.append((g0, a - 1))
@@ -250,10 +251,15 @@ def _oracle_column(
     table_d: _Table, table_e: _Table, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
 ) -> list[Span]:
     """The exhaustive search's checked spans on the points (x, lo..hi), by increasing
-    y, their points added to counts: the keys are P_D's columns by increasing x1."""
+    y, their points added to counts: the keys are P_D's columns by increasing x1,
+    cut to the x1 whose column x - x1 of P_E can exist."""
     spans: list[Span] = []
-    path = DecompositionPath.FALLBACK_SEARCH
-    _cover(x, [(lo, hi)], table_d.items(), table_e, path, spans, counts)
+    if table_d and table_e:
+        first = max(next(iter(table_d)), x - next(reversed(table_e)))
+        last = min(next(reversed(table_d)), x - next(iter(table_e)))
+        get = table_d.get
+        keys = ((x1, col) for x1 in range(first, last + 1) if (col := get(x1)) is not None)
+        _cover(x, [(lo, hi)], keys, table_e, DecompositionPath.FALLBACK_SEARCH, spans, counts)
     spans.sort()  # by c0: the spans of a column share x and are disjoint
     for span in spans:
         _check_span(table_d, table_e, span)
@@ -564,7 +570,8 @@ def _structured_column(
     vertex, edge = DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
     gaps = _cover(x, [(lo, hi)], ctx.d_vertices, ctx.table_e, vertex, spans, counts)
     if gaps:
-        gaps = _cover(x, gaps, ctx.boundary_points(), ctx.table_d, edge, spans, counts)
+        keys = ctx.boundary_points()
+        gaps = _cover(x, gaps, keys, ctx.table_d, edge, spans, counts, keys_in_e=True)
     for g0, g1 in gaps:
         for y in range(g0, g1 + 1):
             spans.append(span := _regions_or_fallback(ctx, x, y))

@@ -31,6 +31,7 @@ from toricmult.multiplication import (
     DecompositionPath,
     DecompositionWitness,
     _cover,
+    _oracle_column,
     _span_witnesses,
     check_surjectivity,
     cokernel_dim,
@@ -100,8 +101,8 @@ class TestCover:
     def test_step_b_keys_are_points_of_the_second_factor(self):
         # q2 = (2, 1) in P_E against column 3 of P_D: q1 = (3, y - 1) for y in 0..5
         spans, counts = [], Counter()
-        path = DecompositionPath.BOUNDARY_LATTICE
-        assert _cover(5, [(-9, 9)], [(2, (1, 1))], {3: (-1, 4)}, path, spans, counts) == [
+        path, keys, partner = DecompositionPath.BOUNDARY_LATTICE, [(2, (1, 1))], {3: (-1, 4)}
+        assert _cover(5, [(-9, 9)], keys, partner, path, spans, counts, keys_in_e=True) == [
             (-9, -1), (6, 9)
         ]
         assert spans == [(5, 0, 5, 3, -1, 1, path)] and counts == {path: 6}
@@ -128,6 +129,26 @@ class TestCover:
                 (x, y) for y in range(-9, 10) if V(x, y) not in splits
             }
             assert all(w.q1 == min(splits[w.p], key=V.as_tuple) for w in witnesses)
+
+    def test_oracle_reads_only_the_columns_that_can_meet(self):
+        # a segment of n + 1 points against a single point: one column of P_D can
+        # reach each sum column, so the search costs O(1) lookups per column, not O(n)
+        class CountingTable(dict):
+            lookups = 0
+
+            def get(self, *args):
+                CountingTable.lookups += 1
+                return super().get(*args)
+
+        n = 2000
+        table_d = CountingTable({x: (0, 0) for x in range(n + 1)})
+        table_e = CountingTable({0: (0, 0)})
+        counts = Counter()
+        for x in range(-1, n + 2):
+            spans = _oracle_column(table_d, table_e, x, 0, 0, counts)
+            assert spans == ([(x, 0, 0, x, 0, 0, self.FALLBACK)] if 0 <= x <= n else [])
+        assert counts == {self.FALLBACK: n + 1}
+        assert CountingTable.lookups <= 4 * (n + 3)
 
 
 class TestDecomposeBruteforce:
