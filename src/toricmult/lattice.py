@@ -234,11 +234,6 @@ def _lattice_ring(points: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], .
     return tuple(verts[start:] + verts[:start])
 
 
-def _primitive_pair(x: int, y: int) -> tuple[int, int]:
-    g = math.gcd(abs(x), abs(y))
-    return (x // g, y // g) if g else (0, 0)
-
-
 @dataclass(frozen=True)
 class ConvexLatticePolygon:
     """Canonical convex region: vrep CCW from the lexicographic minimum.

@@ -9,8 +9,9 @@ P_E intersect (p - P_D):
 (a) vertex: a fiber vertex interior to P_E is p - u for a vertex u of P_D;
 (b) edge: otherwise the fiber meets the boundary of P_E, so look for a
     lattice point m + k t of an edge of P_E in p - P_D;
-(c) triangle regions: reduce an edge to its corner triangle in an adapted
-    lattice basis, then split by horizontal/vertical intervals or by
+(c) triangle regions: cut an edge of P_E down to its corner triangle, read
+    off the corner ring of the edge's minimal offsets, and split p in the
+    triangle's frame, by the integer row or column of P_D through p or by
     homothetic triangles;
 (d) fallback: the exhaustive search, recorded in the witness's path.
 
@@ -31,10 +32,10 @@ q2 gives (x - q2.x, lo of column x - q2.x of P_D, q2.y), and steps (c) and (d)
 one-point spans.  Every span is checked against both factors' column tables.
 Along an (a) or (b) span one summand is fixed, u in P_D or q2 in P_E: it is
 checked once, when the context lists it, and the moving summand stays in the
-column it was clipped from.  Spans of (c), (d) and the oracle are checked at
-their two ends, between which q1.y and q2.y never decrease.  A failing span is
-scanned, so the error names the first point, in (x, y) order, whose witness
-leaves a factor.
+column it was clipped from.  A step-(c) witness is checked where it is found.
+Spans of (d) and the oracle are checked by the oracle at their two ends,
+between which q1.y and q2.y never decrease.  A failing span is scanned, so the
+error names the first point, in (x, y) order, whose witness leaves a factor.
 
 A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
 and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
@@ -68,19 +69,16 @@ from .errors import (
 )
 from .lattice import (
     ConvexLatticePolygon,
-    HalfPlane,
     LatticeVector,
     PolygonDim,
     RationalPoint,
     _column_table,
-    _primitive_pair,
-    decompose_interval,
-    face_in_direction,
+    _lattice_ring,
+    _ring_columns,
     hull,
-    intersect_halfplanes,
     minkowski_sum,
 )
-from .surface import Fan, TorusDivisor, _DivisorRecord, _record, classify, polygon_of
+from .surface import Fan, TorusDivisor, _corner_ring, _DivisorRecord, _record
 
 #: The exhaustive search, cokernel_dim and the sweep refuse more pairs of
 #: lattice columns w_D x w_E of the two factors than this.
@@ -291,84 +289,56 @@ def decompose_bruteforce(
 # -- triangle reduction ---------------------------------------------------------
 
 
-def _frame_data(
-    fan: Fan, triangle: ConvexLatticePolygon, m1: LatticeVector, m2: LatticeVector
-) -> tuple[int, int, int]:
-    """(k0, a, b): 0-based corner ray index and leg lengths of the triangle.
-
-    The two edges not spanned by {m1, m2} must be supported by consecutive
-    fan rays v_k, v_{k+1}; the legs are measured in the dual basis.
-    """
-    if not triangle.has_lattice_vertices():
-        raise TheoremViolationError("reduced triangle has a non-lattice vertex on a smooth fan")
-    verts = triangle.lattice_vertices()
-    others = [w for w in verts if w not in (m1, m2)]
-    if len(verts) != 3 or len(others) != 1:
-        raise TheoremViolationError("reduction did not produce a triangle on the edge endpoints")
-    t = others[0]
-    idx = verts.index(t)
-    prev_v = verts[(idx - 1) % 3]
-    next_v = verts[(idx + 1) % 3]
-    d_in = t - prev_v
-    d_out = next_v - t
-    n_in = LatticeVector(*_primitive_pair(-d_in.y, d_in.x))
-    n_out = LatticeVector(*_primitive_pair(-d_out.y, d_out.x))
-    i_in = fan.index_of(n_in)
-    i_out = fan.index_of(n_out)
-    if i_in is None or i_out is None or (i_in + 1) % fan.n != i_out:
-        raise TheoremViolationError(
-            "triangle legs are not supported by consecutive fan rays"
-        )
-    vk, vk1 = fan.rays[i_in], fan.rays[i_out]
-    # dual-basis coordinates relative to the right-angle vertex t
-    a = vk.dot(next_v) - vk.dot(t)
-    b = vk1.dot(prev_v) - vk1.dot(t)
-    if a <= 0 or b <= 0:
-        raise TheoremViolationError("adapted frame produced non-positive legs")
-    return i_in, a, b
-
-
 def triangle_reduce(
     fan: Fan, e: TorusDivisor, q: RationalPoint, edge_index: int
 ) -> TriangleReduction:
     """Cut the polygon of a globally generated divisor down to an edge's corner.
 
     q must lie strictly inside edge sigma_{edge_index} (1-based, by ray).  The
-    minimal offsets supporting the edge's endpoints carve out either the edge
-    itself or a triangle inside the polygon whose other two edges sit on
-    consecutive rays.
+    minimal offsets c supporting the edge's ends m1, m2 carve out either the
+    edge itself or a triangle inside the polygon whose other two edges sit on
+    consecutive rays.  All of it is read in integers off corner rings (see
+    surface.polygon_of): the ends are the corners of e's ring on the edge's
+    line, and c_i = max(-<m1, v_i>, -<m2, v_i>) is globally generated (its
+    support function interpolates the concave one of [m1, m2]), so P_c is the
+    polygon of c's ring, with m1 and m2 among its corners and P_c in P_e as
+    c <= e.  The frame is the one corner m_k of c's ring that is the third
+    vertex with both neighbouring edge lengths l_{k-1}, l_k > 0: its edges lie
+    on rays k and k+1, and in the basis dual to (v_k, v_{k+1}) the legs are
+    (l_k, l_{k-1}).
     """
-    if not classify(fan, e).is_globally_generated():
+    rec = _record(fan, e)
+    if rec.least < 0:
         raise PreconditionError("triangle_reduce requires a globally generated divisor")
     if not (1 <= edge_index <= fan.n):
         raise PreconditionError(f"edge index must be in [1, {fan.n}]")
-    p_e = polygon_of(fan, e)
-    j = edge_index - 1
-    face = face_in_direction(p_e, fan.rays[j], e.coeffs[j])
-    if face.dim is not PolygonDim.SEGMENT:
+    (vx, vy), a = fan.xy[edge_index - 1], e.coeffs[edge_index - 1]
+    ends = sorted(m for m in rec.ring if vx * m[0] + vy * m[1] == -a)
+    if len(ends) != 2:
         raise PreconditionError(f"sigma_{edge_index} is not a nondegenerate edge")
-    end_a, end_b = face.vrep
-    if not face.has_lattice_vertices():
-        raise PreconditionError("edge endpoints are not lattice points")
-    m1, m2 = end_a.to_lattice(), end_b.to_lattice()
-    if not face.contains(q) or q in face.vrep:
+    (ax, ay), (bx, by) = ends
+    qx, qy, w = q.x_num, q.y_num, q.den  # on the line and strictly between the ends
+    if vx * qx + vy * qy != -a * w or not (ax * w, ay * w) < (qx, qy) < (bx * w, by * w):
         raise PreconditionError(f"{q} is not interior to edge sigma_{edge_index}")
-    c = tuple(max(-m1.dot(v), -m2.dot(v)) for v in fan.rays)
-    triangle = intersect_halfplanes([HalfPlane(v, ci) for v, ci in zip(fan.rays, c)])
-    for w in triangle.vrep:
-        if not p_e.contains(w):
-            raise TheoremViolationError("reduced region escapes the original polygon")
-    for m in (end_a, end_b):
-        if m not in triangle.vrep:
-            raise TheoremViolationError("edge endpoint is not a vertex of the reduction")
+    c = tuple(max(-ux * ax - uy * ay, -ux * bx - uy * by) for ux, uy in fan.xy)
+    corners, lengths = _corner_ring(fan.xy, c)
+    if min(lengths) < 0:
+        raise TheoremViolationError("the reduction of an edge is not globally generated")
+    ring = _lattice_ring(corners)
     legs: tuple[int, int] | None = None
     corner: int | None = None
-    if triangle.dim is PolygonDim.POLYGON:
-        k0, a, b = _frame_data(fan, triangle, m1, m2)
-        legs = (a, b)
-        corner = k0 + 1
+    if len(ring) == 3:
+        k = next((k for k, m in enumerate(corners)
+                  if m not in ends and lengths[k - 1] > 0 < lengths[k]), None)
+        if k is None:
+            raise TheoremViolationError("triangle legs are not supported by consecutive fan rays")
+        legs, corner = (lengths[k], lengths[k - 1]), k + 1
     return TriangleReduction(
-        sigma_endpoints=(m1, m2), c=c, triangle=triangle, legs=legs, corner_ray_index=corner
+        sigma_endpoints=(LatticeVector(ax, ay), LatticeVector(bx, by)),
+        c=c,
+        triangle=ConvexLatticePolygon._from_lattice_ring(ring),
+        legs=legs,
+        corner_ray_index=corner,
     )
 
 
@@ -424,7 +394,9 @@ class _StructuredContext:
     in the order the proof tries them.  All of it is read off the records of D
     and E in integers: positivity from the least edge length, as classify
     decides it, the tables as the records keep them (shared, never mutated),
-    and every vertex, steps (c) and (d) included, from the rings."""
+    and every vertex from the rings.  Step (c) reads the same way: each edge's
+    reduction off the corner ring of its minimal offsets c, and its frame's
+    chords as integer columns of P_D's mapped ring."""
 
     def __init__(self, fan: Fan, rec_d: _DivisorRecord, rec_e: _DivisorRecord):
         if rec_d.least <= 0:
@@ -476,86 +448,64 @@ class _StructuredContext:
 def _try_regions(
     ctx: _StructuredContext, red: TriangleReduction, p: LatticeVector
 ) -> DecompositionWitness | None:
-    """Decompose p against P_D plus the reduced corner triangle.
+    """Step (c): decompose p against P_D plus the reduced corner triangle.
 
-    Works in the basis dual to the two consecutive rays supporting the
-    triangle's legs, translated so the right-angle vertex (and the matching
-    vertex of P_D) is the origin: the triangle becomes conv{(0,0),(a,0),(0,b)}
-    and P_D sits in the first quadrant with vertex (0,0).
+    Works in the frame of the triangle's corner k, the det-1 lattice map u ->
+    (<v_k, u>, <v_{k+1}, u>) shifted by D's offsets (a_k, a_{k+1}) for P_D and
+    by c's for the triangle: the triangle becomes conv{(0,0),(a,0),(0,b)} for
+    its legs (a, b), P_D sits in the first quadrant with its corner m_k (a
+    vertex, D being ample) at the origin, and p goes to (px, py).  The frame's
+    lattice points are integer ranges read off P_D's mapped ring: column px,
+    and row py as a column of the ring with its coordinates swapped.  Region A
+    puts q2 on the base leg: with lo..hi on row py, q1 = (max(lo, px - a), py)
+    whenever lo <= px <= hi + a.  Region B does the same on column px and the
+    upright leg.  Region C splits p across the largest multiple of the triangle
+    at a vertex of the frame that the frame holds, plus the triangle
+    (decompose_homothetic_triangles).
     """
     if red.legs is None or red.corner_ray_index is None:
         return None
-    k0 = red.corner_ray_index - 1
-    fan = ctx.fan
-    vk, vk1 = fan.rays[k0], fan.ray(k0 + 1)
+    n, k = ctx.fan.n, red.corner_ray_index - 1
+    (v0x, v0y), (v1x, v1y) = ctx.fan.xy[k], ctx.fan.xy[(k + 1) % n]
     a_leg, b_leg = red.legs
-    ad, bd = ctx.rec_d.coeffs[k0], ctx.rec_d.coeffs[(k0 + 1) % fan.n]
-    cp, cp1 = red.c[k0], red.c[(k0 + 1) % fan.n]
-
-    pd_frame = hull(
-        LatticeVector(vk.x * x + vk.y * y + ad, vk1.x * x + vk1.y * y + bd)
-        for x, y in ctx.rec_d.ring
+    ad, bd = ctx.rec_d.coeffs[k], ctx.rec_d.coeffs[(k + 1) % n]
+    cp, cp1 = red.c[k], red.c[(k + 1) % n]
+    ring = _lattice_ring(
+        [(v0x * x + v0y * y + ad, v1x * x + v1y * y + bd) for x, y in ctx.rec_d.ring]
     )
-    origin = RationalPoint(0, 0)
-    if origin not in pd_frame.vrep:
-        return None  # the two rays do not share a vertex of P_D; frame unusable
-    px = vk.dot(p) + ad + cp
-    py = vk1.dot(p) + bd + cp1
+    cols = {x: (lo, hi) for x, lo, hi in _ring_columns(ring)}
+    swapped = _lattice_ring([(y, x) for x, y in reversed(ring)])  # reversed: CCW again
+    rows = {y: (lo, hi) for y, lo, hi in _ring_columns(swapped)}
+    px = v0x * p.x + v0y * p.y + ad + cp
+    py = v1x * p.x + v1y * p.y + bd + cp1
 
-    def from_frame(w: tuple[int, int], off0: int, off1: int) -> LatticeVector:
-        r0, r1 = w[0] - off0, w[1] - off1
-        return LatticeVector(vk1.y * r0 - vk.y * r1, -vk1.x * r0 + vk.x * r1)
-
-    def emit(
-        q1f: tuple[int, int], q2f: tuple[int, int], path: DecompositionPath
-    ) -> DecompositionWitness:
-        q2 = from_frame(q2f, cp, cp1)
-        if not _inside(ctx.table_d, p.x - q2.x, p.y - q2.y) or not _inside(ctx.table_e, q2.x, q2.y):
+    def emit(q2x: int, q2y: int, path: DecompositionPath) -> DecompositionWitness:
+        r0, r1 = q2x - cp, q2y - cp1  # q2 back from the triangle's frame
+        q2 = LatticeVector(v1y * r0 - v0y * r1, -v1x * r0 + v0x * r1)
+        if not (_inside(ctx.table_d, p.x - q2.x, p.y - q2.y) and _inside(ctx.table_e, q2.x, q2.y)):
             raise TheoremViolationError(f"witness check failed at {p}")
         return DecompositionWitness(p, p - q2, q2, path)
 
-    # horizontal strip: q2 on the base edge of the triangle
-    chord = face_in_direction(pd_frame, LatticeVector(0, 1), -py)
-    if not chord.is_empty():
-        xs = [e.x for e in chord.vrep]
-        try:
-            c1, c2 = decompose_interval((min(xs), max(xs)), (0, a_leg), px)
-        except (PreconditionError, DecompositionRangeError):
-            pass
-        else:
-            return emit((c1, py), (c2, 0), DecompositionPath.TRIANGLE_REGION_A)
-    # vertical strip: q2 on the upright edge
-    chord = face_in_direction(pd_frame, LatticeVector(1, 0), -px)
-    if not chord.is_empty():
-        ys = [e.y for e in chord.vrep]
-        try:
-            c1, c2 = decompose_interval((min(ys), max(ys)), (0, b_leg), py)
-        except (PreconditionError, DecompositionRangeError):
-            pass
-        else:
-            return emit((px, c1), (0, c2), DecompositionPath.TRIANGLE_REGION_B)
-    # corner homothets: q1 in a translated multiple of the triangle
+    if (row := rows.get(py)) is not None and row[0] <= px <= row[1] + a_leg:
+        return emit(px - max(row[0], px - a_leg), 0, DecompositionPath.TRIANGLE_REGION_A)
+    if (col := cols.get(px)) is not None and col[0] <= py <= col[1] + b_leg:
+        return emit(0, py - max(col[0], py - b_leg), DecompositionPath.TRIANGLE_REGION_B)
     delta = hull([LatticeVector(0, 0), LatticeVector(a_leg, 0), LatticeVector(0, b_leg)])
-    frame = _column_table(pd_frame)
-    _, _, xmax, ymax = pd_frame.bounding_box()
-    for w in sorted(pd_frame.lattice_vertices()):
-        c_hi = min((int(xmax) - w.x) // a_leg, (int(ymax) - w.y) // b_leg)
-        c_best = 0
-        for cc in range(c_hi, 0, -1):
-            if _inside(frame, w.x + cc * a_leg, w.y) and _inside(frame, w.x, w.y + cc * b_leg):
-                c_best = cc
-                break
-        rx, ry = px - w.x, py - w.y
+    xmax, ymax = max(x for x, _ in ring), max(y for _, y in ring)
+    for wx, wy in sorted(ring):
+        c_hi = min((xmax - wx) // a_leg, (ymax - wy) // b_leg)
+        c_best = next((cc for cc in range(c_hi, 0, -1) if _inside(cols, wx + cc * a_leg, wy)
+                       and _inside(cols, wx, wy + cc * b_leg)), 0)
+        rx, ry = px - wx, py - wy
         if rx < 0 or ry < 0 or b_leg * rx + a_leg * ry > (c_best + 1) * a_leg * b_leg:
             continue
-        t1 = hull(
-            [w, LatticeVector(w.x + c_best * a_leg, w.y), LatticeVector(w.x, w.y + c_best * b_leg)]
-        )
+        t1 = hull([LatticeVector(wx, wy), LatticeVector(wx + c_best * a_leg, wy),
+                   LatticeVector(wx, wy + c_best * b_leg)])
         try:
-            q1f, q2f = decompose_homothetic_triangles(t1, delta, LatticeVector(px, py))
+            _, q2f = decompose_homothetic_triangles(t1, delta, LatticeVector(px, py))
         except (PreconditionError, DecompositionRangeError):
             continue
-        return emit(q1f.as_tuple(), q2f.as_tuple(), DecompositionPath.TRIANGLE_REGION_C)
+        return emit(q2f.x, q2f.y, DecompositionPath.TRIANGLE_REGION_C)
     return None
 
 
@@ -572,10 +522,9 @@ def _structured_column(
     if gaps:
         keys = ctx.boundary_points()
         gaps = _cover(x, gaps, keys, ctx.table_d, edge, spans, counts, keys_in_e=True)
-    for g0, g1 in gaps:
+    for g0, g1 in gaps:  # step (c)'s witnesses and step (d)'s spans come checked
         for y in range(g0, g1 + 1):
             spans.append(span := _regions_or_fallback(ctx, x, y))
-            _check_span(ctx.table_d, ctx.table_e, span)
             counts[span[6]] += 1
     spans.sort()  # by c0: the spans of a column share x and are disjoint
     if ctx.outside:  # raises at the first failing point, as a check of every span would

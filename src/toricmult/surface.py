@@ -69,13 +69,6 @@ class Fan:
         """Ray by cyclic 0-based index."""
         return self.rays[i % len(self.rays)]
 
-    def index_of(self, v: LatticeVector) -> int | None:
-        """0-based position of a ray, or None."""
-        try:
-            return self.rays.index(v)
-        except ValueError:
-            return None
-
     def canonical_label(self) -> str:
         return ";".join(f"{v.x} {v.y}" for v in self.rays)
 

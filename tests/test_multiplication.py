@@ -47,6 +47,7 @@ from toricmult.surface import (
     _record,
     blowup,
     classify,
+    generate_family,
     hirzebruch,
     polygon_of,
     product_p1_p1,
@@ -462,6 +463,70 @@ class TestTriangleRegions:
                 assert_valid(w, polygon_of(F2, d), polygon_of(F2, e))
                 seen[w.path.value] = seen.get(w.path.value, 0) + 1
             assert seen == expected
+
+    def test_each_step_c_and_d_answer_is_checked_once(self, monkeypatch):
+        # a step-(c) witness is checked by _try_regions and a step-(d) span by the
+        # oracle; the route checks neither again (ctx.outside is False here)
+        import toricmult.multiplication as mult
+
+        checked = []
+        check = mult._check_span
+        monkeypatch.setattr(mult, "_check_span", lambda *a: checked.append(a[2]) or check(*a))
+        d = D((1, 0, 1, 1))
+        # E = (2,2,2,2): the 6 checks are region C's homothetic searches
+        for e, points, checks in [(D((0, 0, 2, 0)), 12, 12), (D((2, 2, 2, 2)), 48, 6)]:
+            checked.clear()
+            ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
+            ctx.d_vertices, ctx.boundary = [], []  # steps (a) and (b) find nothing
+            pts = lattice_points(polygon_of(F2, d + e))
+            for p in pts:
+                mult._decompose_structured_in_context(ctx, p)
+            assert not ctx.outside and (len(pts), len(checked)) == (points, checks)
+
+    def test_regions_on_random_blowups(self):
+        # every point that step (c) answers, on 40 random contexts of up to 12 rays,
+        # splits into a point of P_D plus a point of P_E in the corner triangle
+        import random
+
+        from toricmult.multiplication import _StructuredContext, _try_regions
+        from toricmult.reduction import reduce_to_globally_generated
+
+        rng = random.Random(1)
+
+        def gg(fan):
+            while True:
+                d = D(tuple(rng.randint(0, 3) for _ in range(fan.n)))
+                if lattice_points(polygon_of(fan, d)):
+                    return reduce_to_globally_generated(fan, d).reduced
+
+        seen, contexts = Counter(), 0
+        while contexts < 40:
+            fan = generate_family(rng.choice(["p2", "p1xp1", "f1", "f2", "f3", "f5"]))
+            for _ in range(rng.randint(0, 12 - fan.n)):
+                fan = blowup(fan, rng.randint(1, fan.n))
+            e = gg(fan)
+            d = next((s for s in (gg(fan) + gg(fan) for _ in range(20))
+                      if classify(fan, s) is PositivityClass.AMPLE), None)
+            if d is None or polygon_of(fan, e).dim is not PolygonDim.POLYGON:
+                continue
+            contexts += 1
+            ctx = _StructuredContext(fan, _record(fan, d), _record(fan, e))
+            p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
+            for j0 in range(fan.n):
+                red = ctx.reduction_for_edge(j0)
+                if red is None or red.legs is None:
+                    continue
+                for p in lattice_points(polygon_of(fan, d + e)):
+                    w = _try_regions(ctx, red, p)
+                    if w is not None:
+                        assert_valid(w, p_d, p_e)
+                        assert red.triangle.contains(w.q2)
+                        seen[w.path] += 1
+        assert set(seen) == {
+            DecompositionPath.TRIANGLE_REGION_A,
+            DecompositionPath.TRIANGLE_REGION_B,
+            DecompositionPath.TRIANGLE_REGION_C,
+        }
 
     @pytest.mark.parametrize("error", [PreconditionError, TheoremViolationError])
     def test_step_c_errors_reach_the_caller(self, monkeypatch, error):

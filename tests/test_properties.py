@@ -6,6 +6,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, example, given, settings
 
 from toricmult.lattice import (
@@ -13,6 +14,7 @@ from toricmult.lattice import (
     HalfPlane,
     LatticeVector,
     PolygonDim,
+    RationalPoint,
     decompose_interval,
     face_in_direction,
     hull,
@@ -30,8 +32,9 @@ from toricmult.multiplication import (
     cokernel_dim,
     decompose_bruteforce,
     decompose_structured,
+    triangle_reduce,
 )
-from toricmult.errors import TheoremViolationError
+from toricmult.errors import PreconditionError, TheoremViolationError
 from toricmult.reduction import (
     _collar,
     _sweep_instance,
@@ -309,6 +312,66 @@ def test_corner_box_holds_the_polygon_of_every_divisor(fan_divisor):
     if rec.ring is not None:
         xs, ys = zip(*rec.ring)
         assert rec.box == (min(xs), min(ys), max(xs), max(ys))
+
+
+@st.composite
+def fan_with_gg_divisor(draw):
+    # fan_with_corner_divisor's fans, the divisor rounded: every kind of edge of
+    # a globally generated polygon, whose reductions are triangles or segments
+    fan, d = draw(fan_with_corner_divisor())
+    assume(h0(fan, d) > 0)
+    return fan, reduce_to_globally_generated(fan, d).reduced
+
+
+def _triangle_reduce_reference(fan, e, j):
+    """triangle_reduce's answer on sigma_{j+1} by the rational route, or None when
+    that edge is a point: the ends by face_in_direction, the triangle by
+    intersect_halfplanes on (rays, c), and the legs in the basis dual to the rays
+    whose lines hold the triangle's two edges at its third vertex."""
+    face = face_in_direction(polygon_of(fan, e), fan.rays[j], e.coeffs[j])
+    if face.dim is not PolygonDim.SEGMENT:
+        return None
+    m1, m2 = face.lattice_vertices()
+    c = tuple(max(-m1.dot(v), -m2.dot(v)) for v in fan.rays)
+    triangle = intersect_halfplanes([HalfPlane(v, ci) for v, ci in zip(fan.rays, c)])
+    legs = corner = None
+    if triangle.dim is PolygonDim.POLYGON:
+        verts = triangle.lattice_vertices()
+        (t,) = [w for w in verts if w not in (m1, m2)]
+        i = verts.index(t)
+        before, after = verts[i - 1], verts[(i + 1) % 3]
+
+        def ray_of(d):  # the inward normal of the CCW edge d, a ray of the fan
+            g = math.gcd(d.x, d.y)
+            return fan.rays.index(V(-d.y // g, d.x // g))
+
+        k = ray_of(t - before)
+        assert ray_of(after - t) == (k + 1) % fan.n
+        legs, corner = (fan.rays[k].dot(after - t), fan.ray(k + 1).dot(before - t)), k + 1
+    return (m1, m2), c, triangle, legs, corner
+
+
+@given(fan_with_gg_divisor())
+@settings(max_examples=300, deadline=None)
+@example((generate_family("f2"), TorusDivisor((1, 1, 1, 1))))  # a triangle and a segment
+@example((generate_family("p1xp1"), TorusDivisor((1, 0, 0, 0))))  # P_e a segment
+@example((generate_family("p2"), TorusDivisor((0, 0, 0))))  # P_e a point
+def test_triangle_reduce_matches_the_rational_route(fan_divisor):
+    fan, e = fan_divisor
+    for j in range(fan.n):
+        reference = _triangle_reduce_reference(fan, e, j)
+        if reference is None:
+            with pytest.raises(PreconditionError, match=f"sigma_{j + 1} is not a nondegenerate"):
+                triangle_reduce(fan, e, RationalPoint(0, 0), j + 1)
+            continue
+        (m1, m2), *_ = reference
+        red = triangle_reduce(fan, e, RationalPoint(m1.x + m2.x, m1.y + m2.y, 2), j + 1)
+        got = red.sigma_endpoints, red.c, red.triangle, red.legs, red.corner_ray_index
+        assert got == reference
+        off_line = RationalPoint(m1.x + m2.x + fan.rays[j].x, m1.y + m2.y + fan.rays[j].y, 2)
+        for q in (RationalPoint.from_lattice(m1), RationalPoint.from_lattice(m2), off_line):
+            with pytest.raises(PreconditionError, match="is not interior to edge"):
+                triangle_reduce(fan, e, q, j + 1)
 
 
 @st.composite

@@ -78,6 +78,26 @@ def test_fractions_only_in_lattice_and_svg():
     assert not found, f"fractions imported outside lattice.py and svg.py: {found}"
 
 
+def test_certificate_route_imports_no_rational_polygon_step():
+    # step (c) reads corner rings and integer columns: it must not drift back
+    # to rational faces, half-plane intersections or interval splitting
+    banned = {
+        "face_in_direction", "intersect_halfplanes", "HalfPlane", "decompose_interval",
+        "_primitive_pair",
+    }
+    path = PACKAGE_DIR / "multiplication.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [
+        (alias.name.split(".")[-1], node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    names += [(n.attr, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    found = [f"{name} (line {line})" for name, line in names if name in banned]
+    assert not found, f"multiplication.py reaches for {found}"
+
+
 def test_readme_example_prints_what_its_comments_say(capsys):
     # each print line of README's example ends in the output it gives
     readme = Path(__file__).resolve().parent.parent / "README.md"
