@@ -477,20 +477,20 @@ def pick_count(poly: ConvexLatticePolygon) -> int:
         raise PreconditionError("pick_count requires a nonempty polygon")
     if not poly.has_lattice_vertices():
         raise PreconditionError("pick_count requires lattice vertices")
-    verts = poly.lattice_vertices()
-    if poly.dim is PolygonDim.POINT:
-        return 1
-    if poly.dim is PolygonDim.SEGMENT:
-        d = verts[1] - verts[0]
-        return math.gcd(abs(d.x), abs(d.y)) + 1
-    twice_area = 0
-    boundary = 0
-    n = len(verts)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        twice_area += p.x * q.y - p.y * q.x
-        boundary += math.gcd(abs(q.x - p.x), abs(q.y - p.y))
-    if twice_area <= 0 or (twice_area + boundary) % 2 != 0:
+    return _ring_count([(v.x_num, v.y_num) for v in poly.vrep])
+
+
+def _ring_count(ring: Sequence[tuple[int, int]]) -> int:
+    """The lattice points of the polygon of a vertex ring from :func:`_lattice_ring`,
+    by Pick's theorem: (2A + B) / 2 + 1 for twice the area 2A, the shoelace sum
+    of the ring, and the boundary count B, the sum of its edges' lattice
+    lengths.  A segment's ring runs there and back (2A = 0, B twice its length)
+    and a point's is one vertex (2A = B = 0), so both count right too."""
+    twice_area = boundary = 0
+    for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+        twice_area += px * qy - py * qx
+        boundary += math.gcd(qx - px, qy - py)
+    if twice_area < 0 or (twice_area + boundary) % 2 != 0:
         raise TheoremViolationError(
             f"Pick data inconsistent: twice area {twice_area}, boundary {boundary}"
         )

@@ -57,7 +57,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -606,9 +605,9 @@ def check_surjectivity(
     if mode != "structured":  # before the context checks the hypotheses
         _refuse_over_pair_budget(rec_d, rec_e)
     if mode == "brute":
-        table_d, table_e = rec_d.table(), rec_e.table()
-        if not (table_d and table_e):
+        if rec_d.moving is None or rec_e.moving is None:
             raise PreconditionError("brute mode requires sections on both factors")
+        table_d, table_e = rec_d.table(), rec_e.table()
         column = partial(_oracle_column, table_d, table_e)
     else:
         ctx = _StructuredContext(fan, rec_d, rec_e)
@@ -642,18 +641,43 @@ def check_surjectivity(
 
 def _refuse_over_point_budget(rec_sum: _DivisorRecord) -> None:
     """Refuse a sum polygon with more than POINT_BUDGET lattice points, counted
-    by columns, only up to the budget and only when its corner box exceeds it."""
+    exactly by Pick's theorem on its record's ring when its corner box exceeds it."""
     x0, y0, x1, y1 = rec_sum.box
-    if (x1 - x0 + 1) * (y1 - y0 + 1) > POINT_BUDGET and any(
-        n > POINT_BUDGET for n in accumulate(hi - lo + 1 for _, lo, hi in rec_sum.columns())
-    ):
+    if (x1 - x0 + 1) * (y1 - y0 + 1) > POINT_BUDGET and rec_sum.h0() > POINT_BUDGET:
         raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
 
 
+def _moving_sum(
+    rays: tuple[tuple[int, int], ...], rec_d: _DivisorRecord, rec_e: _DivisorRecord,
+    rec_sum: _DivisorRecord,
+) -> _DivisorRecord:
+    """The record of D' + E' for the moving parts D' and E' of two divisors with
+    sections, rec_sum when that is D + E.  Every sum of lattice points of P_D and
+    P_E lies in P_D' + P_E' = P_{D'+E'} (Fulton, 3.4: polygons of globally
+    generated divisors add), so the collar of P_{D+E} outside it is missed: more
+    than POINT_BUDGET collar points, counted by Pick's theorem, are refused as
+    the walk of the columns would refuse them, before any column is walked."""
+    coeffs = tuple(a + b for a, b in zip(rec_d.moving, rec_e.moving))
+    if coeffs == rec_sum.coeffs:
+        return rec_sum
+    rec = _DivisorRecord(rays, coeffs)
+    if rec_sum.h0() - rec.h0() > POINT_BUDGET:
+        raise BudgetExceededError(f"over {POINT_BUDGET} missing points")
+    return rec
+
+
 def _refuse_over_pair_budget(rec_d: _DivisorRecord, rec_e: _DivisorRecord) -> None:
-    """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E, counted
-    exactly (a sweep listing no point) only when the corner boxes exceed it."""
-    if (rec_d.box[2] - rec_d.box[0] + 1) * (rec_e.box[2] - rec_e.box[0] + 1) > PAIR_BUDGET:
+    """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E.  Each
+    step bounds the widths more tightly, and the next runs only while the
+    product exceeds the budget: the corner boxes, the x-ranges of the moving
+    parts' rings (each starts at its least x), then an exact count (a sweep
+    listing no point)."""
+    w_d, w_e = rec_d.box[2] - rec_d.box[0] + 1, rec_e.box[2] - rec_e.box[0] + 1
+    if w_d * w_e > PAIR_BUDGET:
+        w_d, w_e = (
+            0 if r.ring is None else max(r.ring)[0] - r.ring[0][0] + 1 for r in (rec_d, rec_e)
+        )
+    if w_d * w_e > PAIR_BUDGET:
         w_d, w_e = (sum(1 for _ in rec.columns()) for rec in (rec_d, rec_e))
         if w_d * w_e > PAIR_BUDGET:
             raise BudgetExceededError(
@@ -737,13 +761,14 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     the gaps these intervals leave in the columns of P_{D+E}, merged one
     column at a time in O(w_D w_E) time and O(min(w_D, w_E)) memory for
     column counts w_D, w_E.  Both divisors must have sections; more than
-    PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused.
+    PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused, the
+    latter first by the collar the moving parts leave (see _moving_sum).
     """
     rec_d, rec_e = _record(fan, d), _record(fan, e)
     _refuse_over_pair_budget(rec_d, rec_e)
-    table_d, table_e = rec_d.table(), rec_e.table()
-    if not table_d or not table_e:
+    if rec_d.moving is None or rec_e.moving is None:
         raise PreconditionError("cokernel requires sections on both factors")
-    h0_sum, gaps = _cokernel_gaps(table_d, table_e, _record(fan, d + e).columns())
-    h0_d, h0_e = (sum(hi - lo + 1 for lo, hi in t.values()) for t in (table_d, table_e))
-    return _cokernel_report(h0_d, h0_e, h0_sum, gaps)
+    rec_sum = _record(fan, d + e)
+    _moving_sum(fan.xy, rec_d, rec_e, rec_sum)
+    h0_sum, gaps = _cokernel_gaps(rec_d.table(), rec_e.table(), rec_sum.columns())
+    return _cokernel_report(rec_d.h0(), rec_e.h0(), h0_sum, gaps)

@@ -24,12 +24,13 @@ from .multiplication import (
     CokernelReport,
     _cokernel_gaps,
     _cokernel_report,
+    _moving_sum,
     _refuse_over_pair_budget,
     _violation,
 )
 from .surface import (
-    Fan, PositivityClass, TorusDivisor, _corner_ring, _DivisorRecord, _moving_part, _record,
-    classify, polygon_of,
+    Fan, PositivityClass, TorusDivisor, _corner_ring, _DivisorRecord, _record, classify,
+    polygon_of,
 )
 
 #: Full sweeps cap out here; larger grids switch to seeded stratified sampling.
@@ -71,15 +72,16 @@ class SweepResult:
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
     """Round d down to E', the globally generated divisor with the same sections.
 
-    Requires at least one section, which :func:`classify` decides first; then
-    :func:`surface._moving_part` removes the fixed components on the corner
-    ring's integers, with no column read (a globally generated d comes back
-    as it is).  P_E' is the hull of P_d's lattice points, read off its corners.
+    d's record (see :func:`surface._moving_part`) has removed the fixed
+    components on the corner ring's integers and decided whether d has
+    sections, with no column read; a globally generated d comes back as it is.
+    P_E' is the hull of P_d's lattice points, read off its corners.
     """
-    if classify(fan, d) is PositivityClass.NO_SECTIONS:
+    moving = _record(fan, d).moving
+    if moving is None:
         raise PreconditionError("reduction requires a divisor with sections")
-    reduced = _moving_part(fan, d)
-    moved = frozenset(i + 1 for i, (a, b) in enumerate(zip(d.coeffs, reduced.coeffs)) if b < a)
+    reduced = TorusDivisor._derived(moving)
+    moved = frozenset(i + 1 for i, (a, b) in enumerate(zip(d.coeffs, moving)) if b < a)
     return ReductionResult(d, reduced, moved, polygon_of(fan, reduced))
 
 
@@ -169,9 +171,7 @@ _WORKER: dict[str, object] = {}
 def _sweep_worker_init(fan: Fan, fixed_l: TorusDivisor) -> None:
     """Sweep the fixed P_L and count h0(L) once per process, for every instance."""
     rec_l = _record(fan, fixed_l)
-    table_l = rec_l.table()
-    h0_l = sum(hi - lo + 1 for lo, hi in table_l.values())
-    _WORKER["args"] = (fan, fixed_l, rec_l, table_l, h0_l)
+    _WORKER["args"] = (fan, fixed_l, rec_l, rec_l.table(), rec_l.h0())
 
 
 def _collar(
@@ -198,42 +198,41 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
     """cokernel_dim(L, E), or None when E has no sections, checked against the
     reduction pipeline behind the boundedness statement.
 
-    With E' the reduced divisor of E, the missing points must be exactly
-    the collar: the lattice points of P_{L+E} outside P_{L+E'}.  P_E and
-    P_E' have the same lattice points, so this says both that L x E' is
+    With E' the moving part that E's record keeps, the missing points must be
+    exactly the collar: the lattice points of P_{L+E} outside P_{L+E'}.  P_E
+    and P_{L+E} are read off the rings of E' and (L+E)', which have the same
+    lattice points (the tests pin this), so the check shows that L x E' is
     surjective and that every missing point lies in the collar the reduction
-    shaved off.  Once P_E's columns show sections, E' comes from E's
-    coefficients alone, never from the columns the sumset reads.  Both sides
-    are compared as column intervals: the sumset's gaps, and per column of
-    P_{L+E} the parts below and above P_{L+E'}; both lists are maximal,
-    disjoint and in (x, y) order, so they are equal exactly when their point
-    sets are, and only a mismatch is listed point by point.  E' = E has an
-    empty collar, so P_{L+E'} is not built then.  P_E and P_{L+E} are swept
-    once each, P_L and h0(L) once per process.  No instance reads another's
-    polygons, so they are built outside the polygon cache.
+    shaved off.  Both sides are compared as column intervals: the sumset's
+    gaps, and per column of P_{L+E} the parts below and above P_{L+E'}; both
+    lists are maximal, disjoint and in (x, y) order, so they are equal exactly
+    when their point sets are, and only a mismatch is listed point by point.
+    E' = E has an empty collar, so P_{L+E'} is not built then; a collar of
+    more than POINT_BUDGET points is refused first (see _moving_sum).  P_E and
+    P_{L+E} are swept once each, P_L and h0(L) once per process.  No instance
+    reads another's polygons, so they are built outside the polygon cache.
     """
     fan, fixed_l, rec_l, table_l, h0_l = _WORKER["args"]  # type: ignore[misc]
     e = TorusDivisor(coeffs)
     rec_e = _DivisorRecord(fan.xy, coeffs)
     _refuse_over_pair_budget(rec_l, rec_e)
-    if not (table_e := rec_e.table()):
+    if rec_e.moving is None:
         return None
-    cols_sum = list(_DivisorRecord(fan.xy, (fixed_l + e).coeffs).columns())
+    rec_sum = _DivisorRecord(fan.xy, (fixed_l + e).coeffs)
+    rec_reduced = _moving_sum(fan.xy, rec_l, rec_e, rec_sum)
+    table_e = rec_e.table()
+    cols_sum = list(rec_sum.columns())
     h0_sum, gaps = _cokernel_gaps(table_l, table_e, cols_sum)
-    if (reduced := _moving_part(fan, e)) == e:
-        collar = []
-    else:
-        collar = _collar(cols_sum, _DivisorRecord(fan.xy, (fixed_l + reduced).coeffs).table())
+    collar = [] if rec_reduced is rec_sum else _collar(cols_sum, rec_reduced.table())
     if gaps != collar and (missing := _points(gaps)) != (points := _points(collar)):
         extra, lost = sorted(set(missing) - set(points)), sorted(set(points) - set(missing))
         raise _violation(
             f"cokernel of {fixed_l} x {e} is not the collar outside the reduced "
-            f"sum polygon of {reduced}: missing points {extra} lie inside it, "
-            f"collar points {lost} were decomposed",
+            f"sum polygon of {TorusDivisor._derived(rec_e.moving)}: missing points "
+            f"{extra} lie inside it, collar points {lost} were decomposed",
             "cokernel FAN L E", fan, fixed_l, e,
         )
-    h0_e = sum(hi - lo + 1 for lo, hi in table_e.values())
-    return _cokernel_report(h0_l, h0_e, h0_sum, gaps)
+    return _cokernel_report(h0_l, rec_e.h0(), h0_sum, gaps)
 
 
 def sweep_cokernel(

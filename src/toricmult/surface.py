@@ -23,7 +23,6 @@ from .errors import (
     NonSmoothFanError,
     PreconditionError,
     SamplingBudgetError,
-    TheoremViolationError,
 )
 from .lattice import (
     ConvexLatticePolygon,
@@ -31,9 +30,9 @@ from .lattice import (
     LatticeVector,
     _INTERMEDIATE_BOUND,
     _angle_lt,
-    _columns,
     _lattice_ring,
     _ring_columns,
+    _ring_count,
     check_input_coord,
     intersect_halfplanes,
 )
@@ -160,17 +159,17 @@ def polygon_of(fan: Fan, d: TorusDivisor) -> ConvexLatticePolygon:
 
     Each 2-cone (v_i, v_{i+1}) has the corner m_i with <m_i, v_i> = -a_i and
     <m_i, v_{i+1}> = -a_{i+1}, an integer point since det(v_i, v_{i+1}) = 1.
-    d is globally generated exactly when every corner satisfies every
-    half-plane, and the polygon is then conv(m_i) (Fulton, Introduction to
-    Toric Varieties, 3.4).  m_{i+1} - m_i is l_i times v_{i+1} turned by -90
-    degrees, with l_i = <m_i, v_{i+2}> + a_{i+2}.  When every l_i >= 0 the
-    ring of corners turns once CCW, and along it each <m, v_k> + a_k first
-    grows from 0, then falls back to 0: every corner satisfies every
-    half-plane, and the vertices are the corners in cyclic order, repeats
-    dropped.  Any other divisor goes through :func:`intersect_halfplanes`.
-    Both routes read d's entry of the polygon cache (:class:`_DivisorRecord`):
-    a globally generated polygon is built anew from the entry's vertex ring on
-    each call, any other once and kept in the entry.
+    m_{i+1} - m_i is l_i times v_{i+1} turned by -90 degrees, with l_i =
+    <m_i, v_{i+2}> + a_{i+2}.  When every l_i >= 0 the ring of corners turns
+    once CCW, and along it each <m, v_k> + a_k first grows from 0, then falls
+    back to 0: every corner satisfies every half-plane, so d is globally
+    generated and the polygon is conv(m_i) (Fulton, Introduction to Toric
+    Varieties, 3.4), its vertices the corners in cyclic order, repeats dropped.
+    Such a polygon is built anew on each call from the vertex ring of d's entry
+    of the polygon cache (:class:`_DivisorRecord`).  Any other polygon may have
+    rational vertices: :func:`intersect_halfplanes` builds it on the first call
+    and the entry keeps it.  Only this function and the plot read it; every
+    count, column and test for sections reads the ring of d's moving part.
     """
     return _record(fan, d).polygon
 
@@ -191,38 +190,44 @@ TABLE_CAP = 32
 
 
 class _DivisorRecord:
-    """A divisor's polygon data, read off its corner ring (see :func:`polygon_of`).
+    """A divisor's polygon data, read in integers off its corner ring (see
+    :func:`polygon_of`).
 
     least is the least edge length l_i, so the divisor is globally generated
     iff least >= 0 and ample iff least > 0, the rule of :func:`classify`.  box
     is (xmin, ymin, xmax, ymax) of the corners m_i, and it holds the polygon of
     every divisor: <u, w> >= <m_i, w> on the polygon for each w in cone(v_i,
     v_{i+1}), since <u, v_i> >= -a_i = <m_i, v_i> and likewise for v_{i+1}, so
-    the corner whose cone holds (1, 0) bounds x from below, and so on.  ring is the
-    polygon's vertices as int pairs, CCW from the lexicographic minimum, for a
-    globally generated divisor, and None for any other: this record alone
-    decides whether a polygon is stored as its ring or built by
-    :func:`intersect_halfplanes`.  columns walks the ring without building the
-    polygon.  The polygon of a ring is built on each read (it is larger than
-    the ring); any other polygon on the first and kept.  The column table
-    {x: (lo, hi)} is built on first read and kept up to TABLE_CAP columns.
-    Readers share a kept table and never mutate it.
+    the corner whose cone holds (1, 0) bounds x from below, and so on.  moving
+    is the coefficients of the moving part E' (see :func:`_moving_part`, whose
+    "no sections" stop reads the box), the divisor's own when it is globally
+    generated and None when it has no sections; ring is the vertices of P_E'
+    as int pairs, CCW from the lexicographic minimum, or None without
+    sections.  P_E and P_E' have the same lattice points, so columns, table
+    and h0 read the ring alone.  polygon is P_E itself: a globally generated
+    divisor's is built from the ring on each read (it is larger than the
+    ring), any other's by :func:`intersect_halfplanes` on the first and kept.
+    The column table {x: (lo, hi)} is built on first read and kept up to
+    TABLE_CAP columns.  Readers share a kept table and never mutate it.
     """
 
-    __slots__ = ("rays", "coeffs", "least", "box", "ring", "_polygon", "_table")
+    __slots__ = ("rays", "coeffs", "least", "box", "moving", "ring", "_polygon", "_table")
 
     def __init__(self, rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]):
         corners, lengths = _corner_ring(rays, coeffs)
         xs, ys = zip(*corners)
         self.rays, self.coeffs, self.least = rays, coeffs, min(lengths)
         self.box = min(xs), min(ys), max(xs), max(ys)
-        self.ring = _lattice_ring(corners) if self.least >= 0 else None
+        self.moving = coeffs if self.least >= 0 else _moving_part(rays, coeffs, lengths, self.box)
+        if self.moving is not None and self.moving is not coeffs:
+            corners = _corner_ring(rays, self.moving)[0]
+        self.ring = None if self.moving is None else _lattice_ring(corners)
         self._polygon: ConvexLatticePolygon | None = None
         self._table: dict[int, tuple[int, int]] | None = None
 
     @property
     def polygon(self) -> ConvexLatticePolygon:
-        if self.ring is not None:
+        if self.least >= 0:
             return ConvexLatticePolygon._from_lattice_ring(self.ring)
         if self._polygon is None:
             self._polygon = intersect_halfplanes(
@@ -232,7 +237,7 @@ class _DivisorRecord:
 
     def columns(self) -> Iterator[tuple[int, int, int]]:
         """The polygon's lattice columns (x, lo, hi), as lattice._columns gives them."""
-        return _columns(self.polygon) if self.ring is None else _ring_columns(self.ring)
+        return iter(()) if self.ring is None else _ring_columns(self.ring)
 
     def table(self) -> dict[int, tuple[int, int]]:
         """The columns as {x: (lo, hi)}, in increasing x."""
@@ -243,16 +248,22 @@ class _DivisorRecord:
             self._table = table
         return table
 
+    def h0(self) -> int:
+        """The number of lattice points, by Pick's theorem on the ring."""
+        return 0 if self.ring is None else _ring_count(self.ring)
+
 
 #: The package's one cache, sized by measured reuse: a round of the benchmark's
 #: `certify` touches 634 distinct divisors (at most 900) and acceptance
 #: criterion 1 up to 530 between two uses of one divisor; the sweep builds its
 #: per-instance records uncached.  An entry is a _DivisorRecord: the least edge
-#: length, the corner box, the vertex ring or the polygon, and the column table
-#: once read, up to TABLE_CAP columns.  Full, the cache holds at most about 30 MB
-#: (tracemalloc, CPython 3.11: 4096 entries on 12 rays, 9-12 vertices, 28-31
-#: columns kept, coordinates near 10^6, up to 7.1 KB each before the box, which
-#: adds 72-200 bytes); at `certify`'s scale an entry takes 1.1 KB, 4.4 MB full.
+#: length, the corner box, the moving part's coefficients and vertex ring, the
+#: polygon once read when it is not the ring's, and the column table once read,
+#: up to TABLE_CAP columns.  Full, the cache holds at most about 30 MB
+#: (tracemalloc, CPython 3.11: 4096 entries on 12 rays, 24-32 columns kept,
+#: coordinates near 10^6: 5.9 KB each when globally generated, 6.4 KB otherwise
+#: and 7.4 KB once polygon_of has read its rational polygon); at `certify`'s
+#: scale an entry takes 1.2 KB, 5 MB full.
 @lru_cache(maxsize=4096)
 def _polygon_of_cached(
     rays: tuple[tuple[int, int], ...], coeffs: tuple[int, ...]
@@ -271,53 +282,69 @@ def _corner_ring(
     return corners, [vx * x + vy * y + a for (x, y), (vx, vy), a in after_next]
 
 
-def _moving_part(fan: Fan, d: TorusDivisor) -> TorusDivisor:
-    """E' for d with sections: d less the fixed components of |d| (Zariski's
-    argument; Fulton, 3.4), the globally generated divisor with d's sections.
+def _moving_part(
+    xy: tuple[tuple[int, int], ...], coeffs: tuple[int, ...], lengths: list[int], box: tuple
+) -> tuple[int, ...] | None:
+    """The coefficients of E' for the divisor d with coefficients coeffs on the
+    rays xy, its corner ring's edge lengths and its corner box: d less the
+    fixed components of |d| (Zariski's argument; Fulton, 3.4), the globally
+    generated divisor whose polygon has d's lattice points; or None when d has
+    no sections.
 
-    With c_j = det(v_{j-1}, v_{j+1}) = -C_j^2 and the corner ring's l = d.C_j:
-    if l < 0 and c_j > 0, C_j is fixed in |d| at least ceil(-l / c_j) times, so
-    a_j drops by that much, never below E'.  Rounds repeat, updating l in place,
-    until every l >= 0.  l < 0 with c_j <= 0 (a nef C_j) means no sections and
-    raises TheoremViolationError; without sections the rule may otherwise run
-    for millions of rounds, so callers decide that first.  The slowest seen,
-    P_d a point on 12 rays with coefficients of 10^6, took 23,159 rounds (0.13 s).
+    With c_j = det(v_{j-1}, v_{j+1}) = -C_j^2 and l = d.C_j off the corner
+    ring: if l < 0 and c_j > 0, C_j is fixed in |d| at least ceil(-l / c_j)
+    times, so a_j drops by that much, never below E''s a'_j.  Rounds repeat,
+    updating l in place, until every l >= 0.  Two stops decide that d has no
+    sections, each because sections would contradict it: l < 0 with c_j <= 0,
+    since an effective divisor meets the nef curve C_j nonnegatively; and
+    a_j < -M_j, with M_j the largest <u, v_j> over the corners of the box,
+    since every lattice point s of P_d lies in the box, so a'_j = max of
+    -<s, v_j> >= -M_j.  Each round lowers some a_j, so without sections the
+    rounds stop after at most sum_j (a_j + M_j + 1) drops.  The slowest seen,
+    P_d a point on 12 rays with coefficients of 10^6, took 23,159 rounds
+    (0.13 s); without sections, the slowest of 7,600 draws on 12 rays
+    (coefficients up to 10^6, and 1,600 perturbations of that case) took 17 ms.
     """
-    n, xy, a = fan.n, fan.xy, list(d.coeffs)
-    lengths = _corner_ring(xy, d.coeffs)[1]
+    n, a = len(xy), list(coeffs)
     l = lengths[-1:] + lengths[:-1]  # l[j] = d.C_j
     c = [ux * wy - uy * wx for (ux, uy), (wx, wy) in zip(xy[-1:] + xy[:-1], xy[1:] + xy[:1])]
+    x0, y0, x1, y1 = box
+    floor = [-max(vx * x0, vx * x1) - max(vy * y0, vy * y1) for vx, vy in xy]
     while min(l) < 0:
         for j in range(n):
             if l[j] < 0:
                 if c[j] <= 0:
-                    raise TheoremViolationError(f"{d} meets the nef curve C_{j + 1} negatively")
+                    return None
                 k = -(l[j] // c[j])  # ceil(-l / c_j)
                 a[j] -= k
+                if a[j] < floor[j]:
+                    return None
                 l[j] += k * c[j]
                 l[j - 1] -= k
                 l[(j + 1) % n] -= k
-    return TorusDivisor._derived(a)
+    return tuple(a)
 
 
 def h0(fan: Fan, d: TorusDivisor) -> int:
-    """Number of sections = number of lattice points of the polygon, counted
-    column by column without listing them."""
-    return sum(hi - lo + 1 for _, lo, hi in _record(fan, d).columns())
+    """Number of sections = number of lattice points of P_d, which are those of
+    P_d' for the moving part d': Pick's theorem on d''s vertex ring counts them
+    in O(rays), a point as 1 and a segment as its lattice length plus 1."""
+    return _record(fan, d).h0()
 
 
 def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:
     """Positivity of a divisor from the least edge length of its corner ring (see
     :func:`polygon_of`): l_i is d's intersection number with the curve of ray
     v_{i+1}, so on a smooth complete surface d is globally generated iff every
-    l_i >= 0 and ample iff every l_i > 0 (Fulton, 3.4).  Only for another
-    divisor is a column read: it has sections iff its polygon holds a lattice point."""
+    l_i >= 0 and ample iff every l_i > 0 (Fulton, 3.4).  Any other divisor has
+    sections iff the rounding of its record ends at a moving part, decided in
+    integers (see :func:`_moving_part`); no column is read."""
     rec = _record(fan, d)
     if rec.least > 0:
         return PositivityClass.AMPLE
     if rec.least == 0:
         return PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
-    if next(rec.columns(), None) is not None:
+    if rec.moving is not None:
         return PositivityClass.EFFECTIVE_SECTIONS_ONLY
     return PositivityClass.NO_SECTIONS
 

@@ -1025,6 +1025,25 @@ class TestCokernelDim:
             cokernel_dim(P2, d, d)
         assert time.perf_counter() - start < 0.5
 
+    def test_collar_over_the_budget_refused_before_any_column(self, monkeypatch):
+        # on this 12-ray fan, D = (10^6, ..., 10^6) x E = (1, ..., 1) misses at least
+        # the 1,600,000 points of the collar of P_{D+E} outside P_{D'+E'}, counted by
+        # Pick's theorem; a walk of the columns took 3.6 s to refuse the same
+        import toricmult.surface
+
+        def no_walk(ring):
+            raise AssertionError("a column was walked")
+
+        fan = validate_fan(
+            [(1, 0), (1, 1), (0, 1), (-1, 2), (-2, 3), (-1, 1), (-1, 0), (-1, -1), (0, -1),
+             (1, -1), (3, -2), (2, -1)]
+        )
+        monkeypatch.setattr(toricmult.surface, "_ring_columns", no_walk)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"^over 1000000 missing points$"):
+            cokernel_dim(fan, D((10**6,) * 12), D((1,) * 12))
+        assert time.perf_counter() - start < 0.1
+
     def test_pair_budget_admits_what_the_merge_can_walk(self, no_point_lists):
         # 406,351 x 101,926 sections, but only 451 x 451 column pairs
         d = D((150, 150, 150))

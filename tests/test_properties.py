@@ -46,7 +46,6 @@ from toricmult.reduction import (
 from toricmult.surface import (
     PositivityClass,
     TorusDivisor,
-    _moving_part,
     blowup,
     classify,
     generate_family,
@@ -309,7 +308,7 @@ def test_corner_box_holds_the_polygon_of_every_divisor(fan_divisor):
     x0, y0, x1, y1 = rec.box
     assert all(x0 <= v.x <= x1 and y0 <= v.y <= y1 for v in polygon_of(fan, d).vrep)
     assert all(x0 <= x <= x1 and y0 <= lo <= hi <= y1 for x, lo, hi in rec.columns())
-    if rec.ring is not None:
+    if rec.least >= 0:  # the ring is P_d's own, not only its moving part's
         xs, ys = zip(*rec.ring)
         assert rec.box == (min(xs), min(ys), max(xs), max(ys))
 
@@ -471,13 +470,50 @@ def test_rounding_by_fixed_components_matches_the_column_sweep(fan_divisor):
     cols = list(_columns(polygon_of(fan, d)))
     assert cols
     res = reduce_to_globally_generated(fan, d)
-    assert _moving_part(fan, d) == res.reduced
     assert res.reduced.coeffs == _rounded(fan, cols)
+    # P_d and P_d' have the same lattice points: d's record reads its columns off
+    # the ring of d', and they are those of the rational polygon
+    assert list(_record(fan, d).columns()) == cols
     assert edge_lattice_report(fan, res) == [
         (j, pick_count(face_in_direction(res.hull_polygon, fan.rays[j - 1], b)))
         for j, b in enumerate(res.reduced.coeffs, start=1)
         if j in res.J
     ]
+
+
+@st.composite
+def fan_with_divisor_near_its_sections(draw):
+    # fan_with_effective_divisor's divisors lowered by 0..4 on each ray: some keep
+    # their sections and some lose them, to either stop of the rounding (a nef
+    # curve met negatively, or a coefficient below the corner box)
+    fan, d = draw(fan_with_effective_divisor())
+    return fan, TorusDivisor(tuple(a - draw(st.integers(0, 4)) for a in d.coeffs))
+
+
+def _walked_h0(fan, d):
+    """The reference count: the columns of the rational polygon, walked one by one."""
+    return sum(hi - lo + 1 for _, lo, hi in _columns(polygon_of(fan, d)))
+
+
+@given(st.one_of(fan_with_corner_divisor(), fan_with_divisor_near_its_sections()))
+@settings(max_examples=300, deadline=None)
+@example((generate_family("f2"), TorusDivisor((0, 1, 0, 0))))  # a point, not nef
+@example((generate_family("p1xp1"), TorusDivisor((1, 0, 0, 0))))  # a segment
+@example((generate_family("f2"), TorusDivisor((-1, 0, 0, 0))))  # no sections
+def test_h0_by_pick_matches_the_column_walk(fan_divisor):
+    fan, d = fan_divisor
+    assert h0(fan, d) == _walked_h0(fan, d)
+
+
+@given(st.one_of(fan_with_corner_divisor(), fan_with_divisor_near_its_sections()))
+@settings(max_examples=300, deadline=None)
+@example((generate_family("f2"), TorusDivisor((-1, 0, 0, 0))))  # C_1 is nef on F2
+@example((generate_family("p2"), TorusDivisor((0, 0, -1))))
+def test_no_sections_decided_in_integers_matches_the_rational_polygon(fan_divisor):
+    fan, d = fan_divisor
+    none = next(_columns(polygon_of(fan, d)), None) is None
+    assert (classify(fan, d) is PositivityClass.NO_SECTIONS) == none
+    assert (_record(fan, d).moving is None) == none
 
 
 @st.composite

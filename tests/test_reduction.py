@@ -30,7 +30,7 @@ from toricmult.reduction import (
 )
 from toricmult.surface import (
     TorusDivisor,
-    _moving_part,
+    _record,
     classify,
     hirzebruch,
     polygon_of,
@@ -104,8 +104,7 @@ class TestReduce:
 
     def test_rounding_reads_no_column(self, monkeypatch):
         # F2 (10^6, 10^6, 0, 10^6) has 2,000,001 columns; the corner-ring rule
-        # lowers a_2 once and reads none of them, and classify's sections test
-        # before it reads the first
+        # lowers a_2 once and decides that d has sections, reading none of them
         import toricmult.reduction as reduction
 
         columns, drawn = reduction._DivisorRecord.columns, []
@@ -121,7 +120,7 @@ class TestReduce:
         res = reduce_to_globally_generated(F2, d)
         report = edge_lattice_report(F2, res)
         assert time.perf_counter() - start < 0.1
-        assert len(drawn) == 1
+        assert drawn == []
         assert res.reduced == D((10**6, 5 * 10**5, 0, 10**6)) and res.J == frozenset({2})
         assert report == [(2, 1)]
 
@@ -164,13 +163,12 @@ class TestReduce:
     def test_globally_generated_input_returned_without_a_sweep(self, monkeypatch):
         # the corner ring's edge lengths decide it; the rounding would give d back
         cases = [(P2, D((0, 1, 10))), (F2, D((1, 1, 1, 1))), (F2, D((0, 0, 1, 0)))]
-        assert all(_moving_part(fan, d) == d for fan, d in cases)
+        assert all(_record(fan, d).moving == d.coeffs for fan, d in cases)
 
         def refuse(vertices):
             raise AssertionError("a globally generated divisor was swept")
 
-        for name in ("_columns", "_ring_columns"):  # every column walk of the records
-            monkeypatch.setattr(toricmult.surface, name, refuse)
+        monkeypatch.setattr(toricmult.surface, "_ring_columns", refuse)  # the records' column walk
         d = D((10**6, 10**6, 10**6))
         start = time.perf_counter()
         res = reduce_to_globally_generated(P2, d)
@@ -331,24 +329,14 @@ class TestSweep:
             tables.append(rec.coeffs)
             return table(rec)
 
-        rounded = []
-        rounding = reduction._moving_part
-
-        def counted(fan, e):
-            rounded.append(rounding(fan, e))
-            return rounded[-1]
-
         monkeypatch.setattr(reduction._DivisorRecord, "table", read)
-        monkeypatch.setattr(reduction, "_moving_part", counted)
         l_div = D((1, 0, 1, 1))
         # globally generated, not ample, then ample: E' = E, an empty collar
         for pattern in ("k,0,1,0", "1,0,k,1"):
-            rounded.clear()
             tables.clear()
             sweep = sweep_cokernel(F2, l_div, e_max=4, filter_pattern=pattern)
             assert sweep.max_coker == 0
-            # the rounding still runs on every instance
-            assert rounded == [e for e, _ in sweep.instances]
+            assert all(_record(F2, e).moving == e.coeffs for e, _ in sweep.instances)
             # only the tables of P_L and of each P_E are read, none of a P_{L+E'}
             assert tables == [l_div.coeffs] + [e.coeffs for e, _ in sweep.instances]
         tables.clear()
@@ -437,7 +425,7 @@ class TestSweep:
         expected = [l_div.coeffs]
         for e, _ in sweep.instances:
             expected += [e.coeffs, (l_div + e).coeffs]
-            if (reduced := _moving_part(F2, e)) != e:
+            if (reduced := reduce_to_globally_generated(F2, e).reduced) != e:
                 expected.append((l_div + reduced).coeffs)
         assert len(sweep.instances) == 3 and swept == expected
 

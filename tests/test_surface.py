@@ -136,10 +136,48 @@ class TestPolygonOf:
             assert classify(fan, d).is_globally_generated()
             polygon_of(fan, d)
         assert calls == []
-        # not nef: effective only, and no sections
+        # not nef: effective only, and no sections, decided on the corner ring's
+        # integers; only the public polygon of such a divisor is intersected
         for d in (D((0, 1, 0, 0)), D((-1, 0, 0, 0))):
             assert not classify(f2, d).is_globally_generated()
-        assert len(calls) == 2
+        assert calls == []
+        polygon_of(f2, D((0, 1, 0, 0)))
+        assert len(calls) == 1
+
+    def test_no_hot_path_intersects_halfplanes(self, monkeypatch):
+        # every count, column and sections test reads the ring of the moving part;
+        # only the public polygon of a divisor that is not globally generated is
+        # intersected
+        import toricmult.lattice
+        import toricmult.surface
+        from toricmult.multiplication import check_surjectivity, cokernel_dim
+        from toricmult.reduction import reduce_to_globally_generated, sweep_cokernel
+
+        def refuse(planes):
+            raise AssertionError("a hot path intersected half-planes")
+
+        for module in (toricmult.lattice, toricmult.surface):
+            monkeypatch.setattr(module, "intersect_halfplanes", refuse)
+        toricmult.surface._polygon_of_cached.cache_clear()
+        f2, p2 = hirzebruch(2), projective_plane()
+        l_div, g, e, none = D((1, 0, 1, 1)), D((1, 1, 1, 1)), D((0, 1, 0, 0)), D((-1, 0, 0, 0))
+        try:
+            assert [classify(f2, d) for d in (e, none)] == [
+                PositivityClass.EFFECTIVE_SECTIONS_ONLY, PositivityClass.NO_SECTIONS
+            ]
+            assert [h0(f2, d) for d in (l_div, g, e, none)] == [8, 9, 1, 0]
+            assert reduce_to_globally_generated(f2, e).reduced == D((0, 0, 0, 0))
+            assert cokernel_dim(f2, l_div, e).coker_dim == 1
+            for mode in ("structured", "brute", "both"):
+                assert check_surjectivity(f2, l_div, g, mode=mode).surjective
+            assert not check_surjectivity(f2, l_div, e, mode="brute").surjective
+            assert sweep_cokernel(f2, l_div, e_max=2).max_coker == 2
+            # E = (k, -3, 0) has sections only from k = 3
+            assert len(sweep_cokernel(p2, D((1, 1, 1)), 4, filter_pattern="k,-3,0").instances) == 2
+            with pytest.raises(AssertionError, match="intersected"):
+                polygon_of(f2, e)
+        finally:
+            toricmult.surface._polygon_of_cached.cache_clear()
 
 
 class TestH0:
@@ -156,6 +194,21 @@ class TestH0:
         # (541 * 542) / 2 sections of O(540) on P2
         assert h0(projective_plane(), D((180, 180, 180))) == 146611
         assert h0(projective_plane(), D((0, 0, -1))) == 0
+
+    def test_twelve_rays_with_coefficients_of_a_million_by_pick(self):
+        # a column walk of these 2,429,414,194,118 sections takes about 0.4 s; the
+        # moving part's ring, rounded on the corner ring, and Pick's theorem on it
+        # take under a millisecond
+        import toricmult.surface
+
+        fan = validate_fan(
+            [(1, 0), (0, 1), (-1, 1), (-3, 2), (-8, 5), (-21, 13), (-34, 21), (-13, 8),
+             (-5, 3), (-2, 1), (-1, 0), (-1, -1)]
+        )
+        toricmult.surface._polygon_of_cached.cache_clear()
+        start = time.perf_counter()
+        assert h0(fan, D((10**6,) * 12)) == 2_429_414_194_118
+        assert time.perf_counter() - start < 0.01
 
     def test_translation_invariance(self):
         fan = hirzebruch(3)
