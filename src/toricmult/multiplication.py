@@ -17,12 +17,12 @@ P_E intersect (p - P_D):
 
 Steps (a), (b) and the oracle are one column cover (_cover), run per column x
 of the sum polygon, and differ only by their keys: the vertices u of P_D as
-one-point columns, the boundary points q2 of P_E, or the columns of P_D by
-increasing x1 that can meet a column of P_E.  A key at x' plus column x - x'
-of the other factor fills a y-interval of column x, and each point goes to the
-first key, in the proof's order, whose interval holds it.  Only the points (a)
-and (b) leave reach (c) and (d).  A single point takes the same route on its
-one-point range.
+one-point columns, the boundary points q2 of P_E, or the columns x1 of P_D,
+cut by bisection to those whose partner x - x1 lies in P_E's x-range
+(_meeting).  A key at x' plus column x - x' of the other factor fills a
+y-interval of column x, and each point goes to the first key, in the proof's
+order, whose interval holds it.  Only the points (a) and (b) leave reach (c)
+and (d).  A single point takes the same route on its one-point range.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
@@ -53,11 +53,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExceededError,
@@ -244,36 +245,48 @@ def _cover(
     return gaps
 
 
-def _oracle_column(
-    table_d: _Table, table_e: _Table, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
-) -> list[Span]:
-    """The exhaustive search's checked spans on the points (x, lo..hi), by increasing
-    y, their points added to counts: the keys are P_D's columns by increasing x1,
-    cut to the x1 whose column x - x1 of P_E can exist."""
-    spans: list[Span] = []
-    if table_d and table_e:
-        first = max(next(iter(table_d)), x - next(reversed(table_e)))
-        last = min(next(reversed(table_d)), x - next(iter(table_e)))
-        get = table_d.get
-        keys = ((x1, col) for x1 in range(first, last + 1) if (col := get(x1)) is not None)
-        _cover(x, [(lo, hi)], keys, table_e, DecompositionPath.FALLBACK_SEARCH, spans, counts)
-    spans.sort()  # by c0: the spans of a column share x and are disjoint
-    for span in spans:
-        _check_span(table_d, table_e, span)
-    return spans
+def _meeting(table_a: _Table, table_b: _Table) -> Callable[[int], list[_Key]]:
+    """Per column x, table_a's items by increasing x1, cut by bisection to the x1 whose
+    partner x - x1 lies in table_b's x-range: the whole list, unsliced, if every x1 does."""
+    items, xs = list(table_a.items()), list(table_a)
+    if not items or not table_b:
+        return lambda x: []
+    b0, b1 = next(iter(table_b)), next(reversed(table_b))
+    whole0, whole1 = xs[-1] + b0, xs[0] + b1
+
+    def meeting(x: int) -> list[_Key]:
+        if whole0 <= x <= whole1:
+            return items
+        return items[bisect_left(xs, x - b1):bisect_right(xs, x - b0)]
+
+    return meeting
+
+
+def _oracle(table_d: _Table, table_e: _Table) -> Callable[..., list[Span]]:
+    """The exhaustive search of one pair, as column(x, lo, hi, counts): checked spans on
+    (x, lo..hi) by increasing y, counted, keyed by _meeting's columns of P_D."""
+    meeting, path = _meeting(table_d, table_e), DecompositionPath.FALLBACK_SEARCH
+
+    def column(x: int, lo: int, hi: int, counts: Counter[DecompositionPath]) -> list[Span]:
+        spans: list[Span] = []
+        _cover(x, [(lo, hi)], meeting(x), table_e, path, spans, counts)
+        spans.sort()  # by c0: the spans of a column share x and are disjoint
+        for span in spans:
+            _check_span(table_d, table_e, span)
+        return spans
+
+    return column
 
 
 def _fallback_witness(
     table_d: _Table, table_e: _Table, p: LatticeVector
 ) -> DecompositionWitness | None:
     """The exhaustive search's witness for p, on the one-point range [p.y, p.y]."""
-    return next(_span_witnesses(_oracle_column(table_d, table_e, p.x, p.y, p.y, Counter())), None)
+    return next(_span_witnesses(_oracle(table_d, table_e)(p.x, p.y, p.y, Counter())), None)
 
 
 def decompose_bruteforce(
-    p_d: ConvexLatticePolygon,
-    p_e: ConvexLatticePolygon,
-    p: LatticeVector,
+    p_d: ConvexLatticePolygon, p_e: ConvexLatticePolygon, p: LatticeVector
 ) -> DecompositionWitness | None:
     """Exhaustive witness search: lexicographically smallest q1 that works.
 
@@ -542,7 +555,7 @@ def _regions_or_fallback(ctx: _StructuredContext, x: int, y: int) -> Span:
             w = _try_regions(ctx, red, LatticeVector(x, y))
             if w is not None:
                 return (x, y, y, w.q1.x, w.q1.y, w.q2.y, w.path)
-    spans = _oracle_column(ctx.table_d, ctx.table_e, x, y, y, Counter())
+    spans = _oracle(ctx.table_d, ctx.table_e)(x, y, y, Counter())
     if not spans:
         raise TheoremViolationError(
             f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"
@@ -607,12 +620,11 @@ def check_surjectivity(
     if mode == "brute":
         if rec_d.moving is None or rec_e.moving is None:
             raise PreconditionError("brute mode requires sections on both factors")
-        table_d, table_e = rec_d.table(), rec_e.table()
-        column = partial(_oracle_column, table_d, table_e)
+        column = _oracle(rec_d.table(), rec_e.table())
     else:
         ctx = _StructuredContext(fan, rec_d, rec_e)
-        table_d, table_e = ctx.table_d, ctx.table_e
         column = partial(_structured_column, ctx)
+        gaps_of = _sumset_gaps(ctx.table_d, ctx.table_e) if mode == "both" else None
     total = 0
     spans: list[Span] = []
     path_counts: Counter[DecompositionPath] = Counter()
@@ -620,7 +632,7 @@ def check_surjectivity(
         for x, lo, hi in rec_sum.columns():
             total += hi - lo + 1
             spans += column(x, lo, hi, path_counts)
-            if mode == "both" and (gaps := _sumset_gaps(table_d, table_e, x, lo, hi)):
+            if mode == "both" and (gaps := gaps_of(x, lo, hi)):
                 raise TheoremViolationError(
                     f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
                     "but the exhaustive oracle did not"
@@ -685,45 +697,48 @@ def _refuse_over_pair_budget(rec_d: _DivisorRecord, rec_e: _DivisorRecord) -> No
             )
 
 
-def _sumset_gaps(
-    table_a: _Table, table_b: _Table, x: int, lo: int, hi: int
-) -> list[tuple[int, int]]:
-    """The y-ranges of lo..hi, column x of a region holding the sumset of A and B,
-    that no column x1 of A plus column x - x1 of B covers, in increasing y.  One
-    pass over the narrower table, the partner column looked up, keeps the union
-    m..M of the intervals while each new one touches it; the first that does not
-    sends them all, m..M for those so far, to a sort-and-merge."""
+def _sumset_gaps(table_a: _Table, table_b: _Table) -> Callable[..., list[tuple[int, int]]]:
+    """The oracle of one pair, as gaps(x, lo, hi): the y-ranges of lo..hi, column x of
+    a region holding the sumset of A and B, that no column x1 of A plus column x - x1
+    of B covers, in increasing y.  A walk of the narrower table's _meeting columns
+    keeps the union m..M of the intervals while each touches it, and returns [] once
+    m..M holds lo..hi; the first that does not sends all to a sort-and-merge."""
     if len(table_b) < len(table_a):
         table_a, table_b = table_b, table_a
-    partner = table_b.get
-    m = M = None
-    items = iter(table_a.items())
-    for x1, (lo1, hi1) in items:
-        col = partner(x - x1)
-        if col is None:
-            continue
-        a, b = lo1 + col[0], hi1 + col[1]
-        if m is None:
-            m, M = a, b
-        elif a <= M + 1 and b >= m - 1:
-            m, M = a if a < m else m, b if b > M else M
+    meeting, partner = _meeting(table_a, table_b), table_b.get
+
+    def gaps_of(x: int, lo: int, hi: int) -> list[tuple[int, int]]:
+        m = M = None
+        items = iter(meeting(x))
+        for x1, (lo1, hi1) in items:
+            if (col := partner(x - x1)) is None:
+                continue
+            a, b = lo1 + col[0], hi1 + col[1]
+            if m is None:
+                m, M = a, b
+            elif a <= M + 1 and b >= m - 1:
+                m, M = a if a < m else m, b if b > M else M
+            else:
+                spans = [(m, M), (a, b)]
+                for x1, (lo1, hi1) in items:
+                    if (col := partner(x - x1)) is not None:
+                        spans.append((lo1 + col[0], hi1 + col[1]))
+                spans.sort()
+                break
+            if m <= lo and hi <= M:
+                return []
         else:
-            spans = [(m, M), (a, b)]
-            for x1, (lo1, hi1) in items:
-                if (col := partner(x - x1)) is not None:
-                    spans.append((lo1 + col[0], hi1 + col[1]))
-            spans.sort()
-            break
-    else:
-        spans = [] if m is None else [(m, M)]
-    gaps = []
-    y = lo  # the lowest y that no span so far covers
-    for a, b in spans:
-        if a > y:
-            gaps.append((y, a - 1))
-        if b >= y:
-            y = b + 1
-    return gaps + [(y, hi)] if y <= hi else gaps
+            spans = [] if m is None else [(m, M)]
+        gaps = []
+        y = lo  # the lowest y that no span so far covers
+        for a, b in spans:
+            if a > y:
+                gaps.append((y, a - 1))
+            if b >= y:
+                y = b + 1
+        return gaps + [(y, hi)] if y <= hi else gaps
+
+    return gaps_of
 
 
 def _cokernel_gaps(
@@ -733,9 +748,10 @@ def _cokernel_gaps(
     in (x, y) order; over POINT_BUDGET missing points are refused before any is listed."""
     h0_sum = n_missing = 0
     gaps: list[tuple[int, int, int]] = []
+    gaps_of = _sumset_gaps(table_d, table_e)
     for x, lo, hi in cols_sum:
         h0_sum += hi - lo + 1
-        for g0, g1 in _sumset_gaps(table_d, table_e, x, lo, hi):
+        for g0, g1 in gaps_of(x, lo, hi):
             gaps.append((x, g0, g1))
             n_missing += g1 - g0 + 1
         if n_missing > POINT_BUDGET:
@@ -755,14 +771,14 @@ def _cokernel_report(
 def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     """Count the lattice points of the sum polygon missed by the sumset.
 
-    Exact, from column intervals: the lattice points (x1, lo1..hi1) of a
-    column of P_D plus those (x2, lo2..hi2) of a column of P_E fill the
-    interval [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are
-    the gaps these intervals leave in the columns of P_{D+E}, merged one
-    column at a time in O(w_D w_E) time and O(min(w_D, w_E)) memory for
-    column counts w_D, w_E.  Both divisors must have sections; more than
-    PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused, the
-    latter first by the collar the moving parts leave (see _moving_sum).
+    Exact, from column intervals: the lattice points (x1, lo1..hi1) of a column of
+    P_D plus those (x2, lo2..hi2) of a column of P_E fill the interval
+    [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are the gaps these
+    intervals leave in the columns of P_{D+E}, merged one column at a time, a
+    covered column stopping early: O(w_D w_E) time at worst and O(min(w_D, w_E))
+    memory for column counts w_D, w_E.  Both divisors must have sections; more than
+    PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused, the latter
+    first by the collar the moving parts leave (see _moving_sum).
     """
     rec_d, rec_e = _record(fan, d), _record(fan, e)
     _refuse_over_pair_budget(rec_d, rec_e)

@@ -339,7 +339,11 @@ def classify(fan: Fan, d: TorusDivisor) -> PositivityClass:
     l_i >= 0 and ample iff every l_i > 0 (Fulton, 3.4).  Any other divisor has
     sections iff the rounding of its record ends at a moving part, decided in
     integers (see :func:`_moving_part`); no column is read."""
-    rec = _record(fan, d)
+    return _class_of(_record(fan, d))
+
+
+def _class_of(rec: _DivisorRecord) -> PositivityClass:
+    """The positivity class of a record, by the rule of :func:`classify`."""
     if rec.least > 0:
         return PositivityClass.AMPLE
     if rec.least == 0:
@@ -422,14 +426,14 @@ def random_divisor(
     """Rejection-sample a divisor of the requested class, coefficients in [0, max_coeff].
 
     Deterministic in the seed; raises :class:`SamplingBudgetError` when the
-    class is not hit within SAMPLING_BUDGET draws.
+    class is not hit within SAMPLING_BUDGET draws, each classified uncached.
     """
     if max_coeff < 1:
         raise PreconditionError("max_coeff must be >= 1")
     rng = random.Random(seed)
     for _ in range(SAMPLING_BUDGET):
         d = TorusDivisor(tuple(rng.randint(0, max_coeff) for _ in range(fan.n)))
-        if classify(fan, d) is positivity:
+        if _class_of(_DivisorRecord(fan.xy, d.coeffs)) is positivity:
             return d
     raise SamplingBudgetError(
         f"no {positivity.value} divisor with coefficients <= {max_coeff} found in {SAMPLING_BUDGET} draws"

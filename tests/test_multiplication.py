@@ -31,8 +31,9 @@ from toricmult.multiplication import (
     DecompositionPath,
     DecompositionWitness,
     _cover,
-    _oracle_column,
+    _oracle,
     _span_witnesses,
+    _sumset_gaps,
     check_surjectivity,
     cokernel_dim,
     decompose_bruteforce,
@@ -64,6 +65,18 @@ P1xP1 = product_p1_p1()
 #: a smooth fan whose ray (1, 0) has a ray with |det| = 2 on each side of its line
 STEEP8 = validate_fan([(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (-1, -2), (0, -1)])
 UNIT = hull([V(0, 0), V(1, 0), V(0, 1)])
+
+
+class CountingTable(dict):
+    """A column table that counts its lookups."""
+
+    def __init__(self, columns):
+        super().__init__(columns)
+        self.lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
 
 
 def assert_valid(witness, p_d, p_e):
@@ -134,22 +147,24 @@ class TestCover:
     def test_oracle_reads_only_the_columns_that_can_meet(self):
         # a segment of n + 1 points against a single point: one column of P_D can
         # reach each sum column, so the search costs O(1) lookups per column, not O(n)
-        class CountingTable(dict):
-            lookups = 0
-
-            def get(self, *args):
-                CountingTable.lookups += 1
-                return super().get(*args)
-
         n = 2000
         table_d = CountingTable({x: (0, 0) for x in range(n + 1)})
         table_e = CountingTable({0: (0, 0)})
-        counts = Counter()
+        counts, column = Counter(), _oracle(table_d, table_e)
         for x in range(-1, n + 2):
-            spans = _oracle_column(table_d, table_e, x, 0, 0, counts)
+            spans = column(x, 0, 0, counts)
             assert spans == ([(x, 0, 0, x, 0, 0, self.FALLBACK)] if 0 <= x <= n else [])
         assert counts == {self.FALLBACK: n + 1}
-        assert CountingTable.lookups <= 4 * (n + 3)
+        assert table_d.lookups + table_e.lookups <= 4 * (n + 3)
+
+    def test_sumset_walk_stops_once_a_column_is_covered(self):
+        # three columns of one point against ten columns 0..9: in the sum's columns
+        # x = 2..9 each of the three meets, and the first alone covers lo..hi = 0..9
+        wide = CountingTable({x: (0, 9) for x in range(10)})
+        gaps_of = _sumset_gaps({0: (0, 0), 1: (0, 0), 2: (0, 0)}, wide)
+        assert [gaps_of(x, 0, 9) for x in range(2, 10)] == [[]] * 8
+        assert wide.lookups == 8
+        assert gaps_of(1, -1, 9) == [(-1, -1)]  # the walk still reports what is left
 
 
 class TestDecomposeBruteforce:
@@ -613,9 +628,9 @@ class TestCheckSurjectivity:
         gaps = mult._sumset_gaps
         first = lattice_points(polygon_of(P2, D((0, 0, 2))))[0]
 
-        def gaps_without_first_column(table_a, table_b, x, lo, hi):
+        def gaps_without_first_column(table_a, table_b):
             # the exhaustive check with the first column of the second factor cut out
-            return gaps(table_a, dict(list(table_b.items())[1:]), x, lo, hi)
+            return gaps(table_a, dict(list(table_b.items())[1:]))
 
         monkeypatch.setattr(mult, "_sumset_gaps", gaps_without_first_column)
         with pytest.raises(TheoremViolationError, match=rf"decomposed \({first.x}, {first.y}\)"):
@@ -994,6 +1009,24 @@ class TestCokernelDim:
             assert report.sumset_size == len(sumset)
             assert report.coker_dim == len(total) - len(sumset)
             assert all(p.as_tuple() not in sumset for p in report.missing_points)
+
+    def test_collared_instance_matches_the_pairwise_sums(self):
+        # E is not globally generated: its moving part E' = (12, 12, 12, 12), and the
+        # 324 missing points are the collar of P_{L+E} outside P_{L+E'}.  Columns of
+        # L are cut to those that meet E's x-range, covered columns stop early, and
+        # the collar's columns have gaps.
+        d, e = D((36, 18, 36, 36)), D((12, 66, 12, 12))
+        report = cokernel_dim(F2, d, e)
+        assert (report.h0_D, report.h0_E, report.h0_sum) == (5005, 625, 9409)
+        assert (report.sumset_size, report.coker_dim) == (9085, 324)
+        def code(p):  # (x, y) as x * 2^20 + y, so that the code of a sum is the sum of codes
+            return (p.x << 20) + p.y
+
+        s_d = [code(p) for p in lattice_points(polygon_of(F2, d))]
+        s_e = [code(p) for p in lattice_points(polygon_of(F2, e))]
+        sumset = {a + b for a in s_d for b in s_e}
+        missing = [p for p in lattice_points(polygon_of(F2, d + e)) if code(p) not in sumset]
+        assert report.missing_points == tuple(missing)
 
     def test_requires_sections(self):
         with pytest.raises(PreconditionError):

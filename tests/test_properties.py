@@ -1,6 +1,7 @@
 """Property-based invariants across the geometry and surface layers."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
@@ -977,12 +978,9 @@ column_tables = st.dictionaries(
 ).map(lambda t: {x: (lo, lo + n) for x, (lo, n) in sorted(t.items())})
 
 
-@given(column_tables, column_tables, st.integers(-8, 8), st.integers(0, 2), st.integers(0, 2))
-@settings(max_examples=500, deadline=None)
-@example({0: (0, 0), 1: (4, 4), 2: (1, 3)}, {0: (0, 0), 1: (0, 0), 2: (0, 0)}, 2, 0, 0)
-def test_sumset_gaps_match_a_brute_union(table_a, table_b, x, below, above):
-    # tables with holes and far-apart columns give intervals that do not touch,
-    # which send the one-pass union to its sort-and-merge
+def _brute_sumset_column(table_a, table_b, x, below, above):
+    """(lo, hi, gaps) of column x: the range the pairwise sums span, widened by
+    below and above, and the maximal y-ranges in it that no pair covers."""
     sums = [
         (lo1 + table_b[x - x1][0], hi1 + table_b[x - x1][1])
         for x1, (lo1, hi1) in table_a.items()
@@ -999,5 +997,37 @@ def test_sumset_gaps_match_a_brute_union(table_a, table_b, x, below, above):
             gaps[-1] = (gaps[-1][0], y)
         else:
             gaps.append((y, y))
-    assert _sumset_gaps(table_a, table_b, x, lo, hi) == gaps
-    assert _sumset_gaps(table_b, table_a, x, lo, hi) == gaps
+    return lo, hi, gaps
+
+
+@given(column_tables, column_tables, st.integers(-8, 8), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=500, deadline=None)
+@example({0: (0, 0), 1: (4, 4), 2: (1, 3)}, {0: (0, 0), 1: (0, 0), 2: (0, 0)}, 2, 0, 0)
+def test_sumset_gaps_match_a_brute_union(table_a, table_b, x, below, above):
+    # tables with holes and far-apart columns give intervals that do not touch,
+    # which send the one-pass union to its sort-and-merge
+    lo, hi, gaps = _brute_sumset_column(table_a, table_b, x, below, above)
+    assert _sumset_gaps(table_a, table_b)(x, lo, hi) == gaps
+    assert _sumset_gaps(table_b, table_a)(x, lo, hi) == gaps
+
+
+@given(column_tables, column_tables, st.integers(0, 2), st.integers(0, 2), st.randoms())
+@settings(max_examples=300, deadline=None)
+# conv{(0,0),(2,1),(3,2)} has no lattice point at x = 1
+@example(_column_table(hull([V(0, 0), V(2, 1), V(3, 2)])), {0: (0, 1), 1: (0, 0)}, 0, 1,
+         random.Random(0))
+# the narrower table's columns 0 and 3 both meet only the sum's columns x = 3 and 4:
+# column 3 is cut from x = 0..2 and column 0 from x = 5..7
+@example({0: (0, 0), 3: (0, 2)}, {0: (0, 1), 1: (5, 5), 2: (0, 0), 3: (0, 0), 4: (1, 1)}, 1, 0,
+         random.Random(1))
+def test_one_sumset_closure_serves_every_column(table_a, table_b, below, above, rng):
+    # one closure per pair answers every column of the sum, in x order and shuffled,
+    # so nothing a column leaves behind may change the next column's answer
+    first, last = min(table_a) + min(table_b), max(table_a) + max(table_b)
+    columns = [(x, *_brute_sumset_column(table_a, table_b, x, below, above))
+               for x in range(first - 1, last + 2)]
+    for gaps_of in (_sumset_gaps(table_a, table_b), _sumset_gaps(table_b, table_a)):
+        assert [gaps_of(x, lo, hi) for x, lo, hi, _ in columns] == [g for *_, g in columns]
+        shuffled = columns[:]
+        rng.shuffle(shuffled)
+        assert [gaps_of(x, lo, hi) for x, lo, hi, _ in shuffled] == [g for *_, g in shuffled]

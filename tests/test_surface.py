@@ -365,6 +365,17 @@ class TestRandomDivisor:
         with pytest.raises(PreconditionError):
             random_divisor(projective_plane(), PositivityClass.AMPLE, 0, seed=1)
 
+    def test_rejected_draws_leave_no_cache_entry(self):
+        from toricmult.surface import _polygon_of_cached
+
+        # 475 draws, each classified on a record outside the package's one cache
+        fan = generate_family("blowup(blowup(blowup(p2, 1), 1), 2)")
+        _polygon_of_cached.cache_clear()
+        d = random_divisor(fan, PositivityClass.AMPLE, 3, seed=1)
+        assert _polygon_of_cached.cache_info().currsize == 0
+        assert d == D((3, 2, 2, 1, 2, 2))
+        assert classify(fan, d) is PositivityClass.AMPLE
+
 
 class TestLatticePointsOnPolygonOf:
     def test_f2_quadrilateral_points(self):
