@@ -247,16 +247,13 @@ def _cover(
 
 def _meeting(table_a: _Table, table_b: _Table) -> Callable[[int], list[_Key]]:
     """Per column x, table_a's items by increasing x1, cut by bisection to the x1 whose
-    partner x - x1 lies in table_b's x-range: the whole list, unsliced, if every x1 does."""
+    partner x - x1 lies in table_b's x-range."""
     items, xs = list(table_a.items()), list(table_a)
     if not items or not table_b:
         return lambda x: []
     b0, b1 = next(iter(table_b)), next(reversed(table_b))
-    whole0, whole1 = xs[-1] + b0, xs[0] + b1
 
     def meeting(x: int) -> list[_Key]:
-        if whole0 <= x <= whole1:
-            return items
         return items[bisect_left(xs, x - b1):bisect_right(xs, x - b0)]
 
     return meeting
@@ -424,6 +421,7 @@ class _StructuredContext:
         self.d_vertices: list[_Key] = [(ux, (uy, uy)) for ux, uy in sorted(rec_d.ring)]
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
         self.boundary: list[_Key] | None = None
+        self.search: Callable[..., list[Span]] | None = None  # (d), bound on first use
         # whether a fixed summand, checked once as listed, leaves its factor's table
         self.outside = not all(_inside(self.table_d, ux, uy) for ux, uy in rec_d.ring)
 
@@ -555,7 +553,9 @@ def _regions_or_fallback(ctx: _StructuredContext, x: int, y: int) -> Span:
             w = _try_regions(ctx, red, LatticeVector(x, y))
             if w is not None:
                 return (x, y, y, w.q1.x, w.q1.y, w.q2.y, w.path)
-    spans = _oracle(ctx.table_d, ctx.table_e)(x, y, y, Counter())
+    if ctx.search is None:  # one exhaustive search per context serves all its points
+        ctx.search = _oracle(ctx.table_d, ctx.table_e)
+    spans = ctx.search(x, y, y, Counter())
     if not spans:
         raise TheoremViolationError(
             f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"

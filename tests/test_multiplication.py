@@ -498,6 +498,20 @@ class TestTriangleRegions:
                 mult._decompose_structured_in_context(ctx, p)
             assert not ctx.outside and (len(pts), len(checked)) == (points, checks)
 
+    def test_step_d_binds_its_oracle_once_per_context(self, monkeypatch):
+        # the 12 points of E = (0,0,2,0) all reach step (d); one _meeting serves them
+        import toricmult.multiplication as mult
+
+        built = []
+        meeting = mult._meeting
+        monkeypatch.setattr(mult, "_meeting", lambda *a: built.append(1) or meeting(*a))
+        ctx = mult._StructuredContext(F2, _record(F2, D((1, 0, 1, 1))), _record(F2, D((0, 0, 2, 0))))
+        ctx.d_vertices, ctx.boundary = [], []  # steps (a) and (b) find nothing
+        assert not built  # a context that never reaches step (d) binds nothing
+        for p in lattice_points(polygon_of(F2, D((1, 0, 3, 1)))):
+            assert mult._decompose_structured_in_context(ctx, p).path.value == "fallback_search"
+        assert len(built) == 1
+
     def test_regions_on_random_blowups(self):
         # every point that step (c) answers, on 40 random contexts of up to 12 rays,
         # splits into a point of P_D plus a point of P_E in the corner triangle
