@@ -149,7 +149,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         filter_pattern=args.filter_pattern,
         budget=args.budget,
         seed=args.seed,
-        keep_reports=args.out is not None,
         jobs=args.jobs,
     )
     if args.out:  # first, so that a file it cannot write prints nothing

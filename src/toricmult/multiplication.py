@@ -9,30 +9,32 @@ P_E intersect (p - P_D):
 (a) vertex: a fiber vertex interior to P_E is p - u for a vertex u of P_D;
 (b) edge: otherwise the fiber meets the boundary of P_E, so look for a
     lattice point m + k t of an edge of P_E in p - P_D;
-(c) triangle regions: cut an edge of P_E down to its corner triangle, read
-    off the corner ring of the edge's minimal offsets, and split p in the
-    triangle's frame, by the integer row or column of P_D through p or by
-    homothetic triangles;
+(c) triangle regions: cut an edge of P_E down to its corner triangle T, read
+    off the corner ring of the edge's minimal offsets, and look for q2 in T:
+    on its legs, (A) then (B), from the edge's end to the corner (interval
+    splits), then (C) anywhere in T (the homothetic-triangle split);
 (d) fallback: the exhaustive search, recorded in the witness's path.
 
-Steps (a), (b) and the oracle are one column cover (_cover), run per column x
-of the sum polygon, and differ only by their keys: the vertices u of P_D as
-one-point columns, the boundary points q2 of P_E, or the columns x1 of P_D,
-cut by bisection to those whose partner x - x1 lies in P_E's x-range
-(_meeting).  A key at x' plus column x - x' of the other factor fills a
+Every step is one column cover (_cover) of the gaps the steps before it leave
+in a column x of the sum polygon, with its own keys: the vertices u of P_D as
+one-point columns (a), the boundary points q2 of P_E (b), each triangle's leg
+points and then its columns (c), or the columns x1 of P_D, cut by bisection
+to those whose partner x - x1 lies in P_E's x-range (_meeting), for (d) and
+the oracle.  A key at x' plus column x - x' of the other factor fills a
 y-interval of column x, and each point goes to the first key, in the proof's
-order, whose interval holds it.  Only the points (a) and (b) leave reach (c)
-and (d).  A single point takes the same route on its one-point range.
+order, whose interval holds it.  A single point takes the same route on its
+one-point range.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
 The cover reads x1 and lo1 off the column of P_D and hi2 off that of P_E:
 step (a)'s vertex u gives (u.x, u.y, hi of column x - u.x of P_E), step (b)'s
-q2 gives (x - q2.x, lo of column x - q2.x of P_D, q2.y), and steps (c) and (d)
-one-point spans.  Every span is checked against both factors' column tables.
+or a leg's q2 gives (x - q2.x, lo of column x - q2.x of P_D, q2.y), and a
+column x2 of T gives (x - x2, lo of column x - x2 of P_D, hi of column x2 of
+T).  Every span is checked against both factors' column tables.
 Along an (a) or (b) span one summand is fixed, u in P_D or q2 in P_E: it is
 checked once, when the context lists it, and the moving summand stays in the
-column it was clipped from.  A step-(c) witness is checked where it is found.
+column it was clipped from.  A step-(c) span is checked where it is found.
 Spans of (d) and the oracle are checked by the oracle at their two ends,
 between which q1.y and q2.y never decrease.  A failing span is scanned, so the
 error names the first point, in (x, y) order, whose witness leaves a factor.
@@ -74,7 +76,6 @@ from .lattice import (
     RationalPoint,
     _column_table,
     _lattice_ring,
-    _ring_columns,
     hull,
     minkowski_sum,
 )
@@ -399,13 +400,12 @@ def decompose_homothetic_triangles(
 
 class _StructuredContext:
     """Precomputed data shared by all points of one (fan, D, E) instance: the
-    column tables of both factors and the fixed summands of steps (a) and (b),
-    in the order the proof tries them.  All of it is read off the records of D
-    and E in integers: positivity from the least edge length, as classify
-    decides it, the tables as the records keep them (shared, never mutated),
-    and every vertex from the rings.  Step (c) reads the same way: each edge's
-    reduction off the corner ring of its minimal offsets c, and its frame's
-    chords as integer columns of P_D's mapped ring."""
+    column tables of both factors and the keys of steps (a)-(c), in the order
+    the proof tries them.  All of it is read off the records of D and E in
+    integers: positivity from the least edge length, as classify decides it,
+    the tables as the records keep them (shared, never mutated), every vertex
+    from the rings, and step (c)'s triangles by triangle_reduce off the corner
+    rings of the edges' minimal offsets."""
 
     def __init__(self, fan: Fan, rec_d: _DivisorRecord, rec_e: _DivisorRecord):
         if rec_d.least <= 0:
@@ -416,11 +416,12 @@ class _StructuredContext:
             )
         self.fan, self.rec_d, self.rec_e = fan, rec_d, rec_e
         self.table_d, self.table_e = rec_d.table(), rec_e.table()
-        self._reductions: dict[int, TriangleReduction | None] = {}
         # (a) q1 = u, the vertices of P_D in sorted order, as one-point columns (ux, (uy, uy))
         self.d_vertices: list[_Key] = [(ux, (uy, uy)) for ux, uy in sorted(rec_d.ring)]
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
         self.boundary: list[_Key] | None = None
+        # (c) q2 in the corner triangles, listed when step (b) first leaves a gap
+        self.triangles: list[tuple[DecompositionPath, list[_Key]]] | None = None
         self.search: Callable[..., list[Span]] | None = None  # (d), bound on first use
         # whether a fixed summand, checked once as listed, leaves its factor's table
         self.outside = not all(_inside(self.table_d, ux, uy) for ux, uy in rec_d.ring)
@@ -439,128 +440,83 @@ class _StructuredContext:
             self.outside |= not all(_inside(self.table_e, qx, qy) for qx, qy in boundary)
         return self.boundary
 
-    def reduction_for_edge(self, j0: int) -> TriangleReduction | None:
-        """Triangle reduction for edge sigma_{j0+1} at its midpoint, cached per
-        instance (it depends on the edge alone), or None when sigma_{j0+1} is a
-        vertex.  The edge's ends are the corners of P_E's ring on its line."""
-        if j0 not in self._reductions:
-            (vx, vy), a = self.fan.xy[j0], self.rec_e.coeffs[j0]
-            ends = [m for m in self.rec_e.ring if vx * m[0] + vy * m[1] == -a]
-            red: TriangleReduction | None = None
-            if len(ends) == 2:
+    def triangle_keys(self) -> list[tuple[DecompositionPath, list[_Key]]]:
+        """Step (c)'s keys in P_E, region by region, for each edge sigma_j of P_E in fan
+        order whose triangle_reduce at its midpoint is a triangle T with legs on rays k
+        and k+1: (A) the lattice points of the leg on ray k+1's line and (B) those of the
+        leg on ray k's line, each from sigma_j's end to the corner, as one-point columns,
+        then (C) the columns of T.  The edge's ends are the corners of P_E's ring on its
+        line; a segment P_E, or a reduction to the edge itself, adds nothing to step (b)."""
+        if self.triangles is None:
+            self.triangles = []
+            xy, ring, n = self.fan.xy, self.rec_e.ring, self.fan.n
+            e = TorusDivisor._derived(self.rec_e.coeffs)
+            for j, ((vx, vy), a) in enumerate(zip(xy, e.coeffs) if len(ring) > 2 else ()):
+                ends = [m for m in ring if vx * m[0] + vy * m[1] == -a]
+                if len(ends) != 2:
+                    continue
                 (ax, ay), (bx, by) = ends
-                e = TorusDivisor._derived(self.rec_e.coeffs)
-                red = triangle_reduce(self.fan, e, RationalPoint(ax + bx, ay + by, 2), j0 + 1)
-            self._reductions[j0] = red
-        return self._reductions[j0]
-
-
-def _try_regions(
-    ctx: _StructuredContext, red: TriangleReduction, p: LatticeVector
-) -> DecompositionWitness | None:
-    """Step (c): decompose p against P_D plus the reduced corner triangle.
-
-    Works in the frame of the triangle's corner k, the det-1 lattice map u ->
-    (<v_k, u>, <v_{k+1}, u>) shifted by D's offsets (a_k, a_{k+1}) for P_D and
-    by c's for the triangle: the triangle becomes conv{(0,0),(a,0),(0,b)} for
-    its legs (a, b), P_D sits in the first quadrant with its corner m_k (a
-    vertex, D being ample) at the origin, and p goes to (px, py).  The frame's
-    lattice points are integer ranges read off P_D's mapped ring: column px,
-    and row py as a column of the ring with its coordinates swapped.  Region A
-    puts q2 on the base leg: with lo..hi on row py, q1 = (max(lo, px - a), py)
-    whenever lo <= px <= hi + a.  Region B does the same on column px and the
-    upright leg.  Region C splits p across the largest multiple of the triangle
-    at a vertex of the frame that the frame holds, plus the triangle
-    (decompose_homothetic_triangles).
-    """
-    if red.legs is None or red.corner_ray_index is None:
-        return None
-    n, k = ctx.fan.n, red.corner_ray_index - 1
-    (v0x, v0y), (v1x, v1y) = ctx.fan.xy[k], ctx.fan.xy[(k + 1) % n]
-    a_leg, b_leg = red.legs
-    ad, bd = ctx.rec_d.coeffs[k], ctx.rec_d.coeffs[(k + 1) % n]
-    cp, cp1 = red.c[k], red.c[(k + 1) % n]
-    ring = _lattice_ring(
-        [(v0x * x + v0y * y + ad, v1x * x + v1y * y + bd) for x, y in ctx.rec_d.ring]
-    )
-    cols = {x: (lo, hi) for x, lo, hi in _ring_columns(ring)}
-    swapped = _lattice_ring([(y, x) for x, y in reversed(ring)])  # reversed: CCW again
-    rows = {y: (lo, hi) for y, lo, hi in _ring_columns(swapped)}
-    px = v0x * p.x + v0y * p.y + ad + cp
-    py = v1x * p.x + v1y * p.y + bd + cp1
-
-    def emit(q2x: int, q2y: int, path: DecompositionPath) -> DecompositionWitness:
-        r0, r1 = q2x - cp, q2y - cp1  # q2 back from the triangle's frame
-        q2 = LatticeVector(v1y * r0 - v0y * r1, -v1x * r0 + v0x * r1)
-        if not (_inside(ctx.table_d, p.x - q2.x, p.y - q2.y) and _inside(ctx.table_e, q2.x, q2.y)):
-            raise TheoremViolationError(f"witness check failed at {p}")
-        return DecompositionWitness(p, p - q2, q2, path)
-
-    if (row := rows.get(py)) is not None and row[0] <= px <= row[1] + a_leg:
-        return emit(px - max(row[0], px - a_leg), 0, DecompositionPath.TRIANGLE_REGION_A)
-    if (col := cols.get(px)) is not None and col[0] <= py <= col[1] + b_leg:
-        return emit(0, py - max(col[0], py - b_leg), DecompositionPath.TRIANGLE_REGION_B)
-    delta = hull([LatticeVector(0, 0), LatticeVector(a_leg, 0), LatticeVector(0, b_leg)])
-    xmax, ymax = max(x for x, _ in ring), max(y for _, y in ring)
-    for wx, wy in sorted(ring):
-        c_hi = min((xmax - wx) // a_leg, (ymax - wy) // b_leg)
-        c_best = next((cc for cc in range(c_hi, 0, -1) if _inside(cols, wx + cc * a_leg, wy)
-                       and _inside(cols, wx, wy + cc * b_leg)), 0)
-        rx, ry = px - wx, py - wy
-        if rx < 0 or ry < 0 or b_leg * rx + a_leg * ry > (c_best + 1) * a_leg * b_leg:
-            continue
-        t1 = hull([LatticeVector(wx, wy), LatticeVector(wx + c_best * a_leg, wy),
-                   LatticeVector(wx, wy + c_best * b_leg)])
-        try:
-            _, q2f = decompose_homothetic_triangles(t1, delta, LatticeVector(px, py))
-        except (PreconditionError, DecompositionRangeError):
-            continue
-        return emit(q2f.x, q2f.y, DecompositionPath.TRIANGLE_REGION_C)
-    return None
+                red = triangle_reduce(self.fan, e, RationalPoint(ax + bx, ay + by, 2), j + 1)
+                if red.corner_ray_index is None:
+                    continue
+                k = red.corner_ray_index - 1
+                ((cx, cy),) = {m.as_tuple() for m in red.triangle.lattice_vertices()} - set(ends)
+                for path, (ux, uy), c in (
+                    (DecompositionPath.TRIANGLE_REGION_A, xy[(k + 1) % n], red.c[(k + 1) % n]),
+                    (DecompositionPath.TRIANGLE_REGION_B, xy[k], red.c[k]),
+                ):
+                    mx, my = next(m for m in ends if ux * m[0] + uy * m[1] == -c)
+                    g = math.gcd(cx - mx, cy - my)
+                    dx, dy = (cx - mx) // g, (cy - my) // g
+                    self.triangles.append(
+                        (path, [(mx + i * dx, (my + i * dy,) * 2) for i in range(g + 1)])
+                    )
+                self.triangles.append(
+                    (DecompositionPath.TRIANGLE_REGION_C, list(_column_table(red.triangle).items()))
+                )
+        return self.triangles
 
 
 def _structured_column(
     ctx: _StructuredContext, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
 ) -> list[Span]:
     """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as checked
-    spans by increasing y, their points added to counts by path: (a) covers
-    with the vertices of P_D as keys, (b) what is left with the boundary points
-    of P_E, and (c) and (d) take each point left on its own."""
+    spans by increasing y, their points added to counts by path.  Each step
+    covers the gaps the steps before it leave: (a) with the vertices of P_D as
+    keys, (b) with the boundary points of P_E, (c) with each corner triangle's
+    legs and columns, and (d) with the exhaustive search.  A gap that (d)
+    leaves raises, naming its first point."""
     spans: list[Span] = []
     vertex, edge = DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
     gaps = _cover(x, [(lo, hi)], ctx.d_vertices, ctx.table_e, vertex, spans, counts)
     if gaps:
         keys = ctx.boundary_points()
         gaps = _cover(x, gaps, keys, ctx.table_d, edge, spans, counts, keys_in_e=True)
-    for g0, g1 in gaps:  # step (c)'s witnesses and step (d)'s spans come checked
-        for y in range(g0, g1 + 1):
-            spans.append(span := _regions_or_fallback(ctx, x, y))
-            counts[span[6]] += 1
+    for path, keys in ctx.triangle_keys() if gaps else ():
+        start = len(spans)
+        gaps = _cover(x, gaps, keys, ctx.table_d, path, spans, counts, keys_in_e=True)
+        for span in spans[start:]:  # a step-(c) span is checked where it is found
+            _check_span(ctx.table_d, ctx.table_e, span)
+        if not gaps:
+            break
+    if gaps and ctx.search is None:  # one exhaustive search per context serves all its points
+        ctx.search = _oracle(ctx.table_d, ctx.table_e)
+    for g0, g1 in gaps:  # step (d)'s spans come checked, by increasing y
+        y = g0  # the lowest y of the gap that no span so far covers
+        for _, c0, c1, *_ in (found := ctx.search(x, g0, g1, counts)):
+            if c0 > y:
+                break
+            y = c1 + 1
+        if y <= g1:
+            raise TheoremViolationError(
+                f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"
+            )
+        spans += found
     spans.sort()  # by c0: the spans of a column share x and are disjoint
     if ctx.outside:  # raises at the first failing point, as a check of every span would
         for span in spans:
             _check_span(ctx.table_d, ctx.table_e, span)
     return spans
-
-
-def _regions_or_fallback(ctx: _StructuredContext, x: int, y: int) -> Span:
-    """Steps (c) and (d) for the point (x, y) of the sum polygon, as a span."""
-    if len(ctx.rec_e.ring) > 2:  # P_E is two-dimensional
-        for j0 in range(ctx.fan.n):
-            red = ctx.reduction_for_edge(j0)
-            if red is None or red.triangle.dim is not PolygonDim.POLYGON:
-                continue  # a segment reduction adds nothing beyond step (b)
-            w = _try_regions(ctx, red, LatticeVector(x, y))
-            if w is not None:
-                return (x, y, y, w.q1.x, w.q1.y, w.q2.y, w.path)
-    if ctx.search is None:  # one exhaustive search per context serves all its points
-        ctx.search = _oracle(ctx.table_d, ctx.table_e)
-    spans = ctx.search(x, y, y, Counter())
-    if not spans:
-        raise TheoremViolationError(
-            f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"
-        )
-    return spans[0]
 
 
 def _decompose_structured_in_context(

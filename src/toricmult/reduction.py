@@ -56,8 +56,8 @@ class SweepResult:
     their maximum and stabilization_coeff the smallest bound on the entries
     that reaches it (above e_max when a filter fixes a larger entry).
     sampled marks runs that used seeded stratified sampling instead of the
-    full grid.  reports carries the full per-instance accounting when
-    requested.
+    full grid.  reports holds each instance's cokernel report, in the order
+    of instances.
     """
 
     fixed_L: TorusDivisor
@@ -66,7 +66,7 @@ class SweepResult:
     stabilization_coeff: int
     sampled: bool
     seed: int | None
-    reports: tuple[CokernelReport, ...] | None = None
+    reports: tuple[CokernelReport, ...]
 
 
 def reduce_to_globally_generated(fan: Fan, d: TorusDivisor) -> ReductionResult:
@@ -242,21 +242,20 @@ def sweep_cokernel(
     filter_pattern: str | None = None,
     budget: int = SWEEP_BUDGET,
     seed: int | None = None,
-    keep_reports: bool = False,
     jobs: int = 1,
 ) -> SweepResult:
     """Cokernel dimensions of fixed_l against divisors with coefficients <= e_max.
 
     Enumerates the full grid in graded lexicographic order when it fits in
     the budget; otherwise falls back to seeded stratified sampling (a seed is
-    then required).  An e_max above INPUT_COORD_BOUND, or a family of more
-    than budget instances, is refused before any instance is built.  Every
-    instance's missing points are checked against the collar of the
-    reduction (see _sweep_instance), under cokernel_dim's budgets.
-    stabilization_coeff is not clamped to e_max.  jobs > 1 fans instances
-    out to worker processes, never more than the instances or the CPUs; the
-    result is assembled in canonical order either way, so output does not
-    depend on scheduling.
+    then required).  A budget or jobs below 1, an e_max above
+    INPUT_COORD_BOUND, or a family of more than budget instances, is refused
+    before any instance is built.  Every instance's missing points are
+    checked against the collar of the reduction (see _sweep_instance), under
+    cokernel_dim's budgets.  stabilization_coeff is not clamped to e_max.
+    jobs > 1 fans instances out to worker processes, never more than the
+    instances or the CPUs; the result is assembled in canonical order either
+    way, so output does not depend on scheduling.
     """
     if classify(fan, fixed_l) is not PositivityClass.AMPLE:
         raise PreconditionError("sweep requires an ample fixed divisor")
@@ -265,6 +264,8 @@ def sweep_cokernel(
     check_input_coord(e_max, "maximum coefficient")
     if jobs < 1:
         raise PreconditionError(f"jobs must be >= 1, got {jobs}")
+    if budget < 1:
+        raise PreconditionError(f"budget must be >= 1, got {budget}")
     n = fan.n
     sampled = False
     if filter_pattern is not None:
@@ -297,8 +298,7 @@ def sweep_cokernel(
         if report is None:
             continue
         instances.append((TorusDivisor(coeffs), report.coker_dim))
-        if keep_reports:
-            reports.append(report)
+        reports.append(report)
     if not instances:
         raise PreconditionError("sweep produced no instances with sections")
     max_coker = max(c for _, c in instances)
@@ -309,5 +309,5 @@ def sweep_cokernel(
         stabilization_coeff=min(max(e.coeffs) for e, c in instances if c == max_coker),
         sampled=sampled,
         seed=seed,
-        reports=tuple(reports) if keep_reports else None,
+        reports=tuple(reports),
     )

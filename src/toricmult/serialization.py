@@ -134,9 +134,7 @@ def write_csv(rows: list[ResultRow], path: str | Path) -> None:
 
 
 def sweep_rows(fan: Fan, sweep: SweepResult) -> list[ResultRow]:
-    """CSV rows of a sweep run; requires the sweep to have kept its reports."""
-    if sweep.reports is None:
-        raise ValueError("sweep was run without keep_reports=True")
+    """CSV rows of a sweep run, one per instance with sections."""
     fan_id = fan.canonical_label()
     rows = []
     for (e, coker), report in zip(sweep.instances, sweep.reports):

@@ -125,9 +125,7 @@ class TestCsv:
         assert path.read_text() == CSV_HEADER + "\n"
 
     def test_filter_sweep_rows(self, tmp_path):
-        sweep = sweep_cokernel(
-            F2, D((1, 0, 1, 1)), e_max=30, filter_pattern="0,k,0,0", seed=1, keep_reports=True
-        )
+        sweep = sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=30, filter_pattern="0,k,0,0", seed=1)
         rows = sweep_rows(F2, sweep)
         assert len(rows) == 30
         assert all(r.coker_dim == 1 and not r.surjective for r in rows)
@@ -321,6 +319,18 @@ class TestCli:
         )
         assert code == 1
         assert "error: jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_sweep_rejects_budget_below_one(self, f2_file, l_file, capsys, monkeypatch, budget):
+        # refused before any instance runs, not as "no instances with sections"
+        import toricmult.reduction as reduction
+
+        monkeypatch.setattr(reduction, "_sweep_instance", lambda coeffs: pytest.fail("ran"))
+        code = run_cli(
+            ["sweep", f2_file, l_file, "--max-coeff", "2", "--seed", "1", "--budget", budget]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: budget must be >= 1, got {budget}\n"
 
     def test_sweep_refuses_a_family_before_listing_it(self, f2_file, l_file, capsys):
         # 3 * 10^7 instances would not fit in memory

@@ -85,6 +85,37 @@ def assert_valid(witness, p_d, p_e):
     assert p_e.contains(witness.q2)
 
 
+def without_steps_a_and_b(monkeypatch):
+    """Make every new _StructuredContext find nothing in steps (a) and (b); the
+    contexts made are appended to the list returned."""
+    import toricmult.multiplication as mult
+
+    contexts, init = [], mult._StructuredContext.__init__
+
+    def bare(self, *args):
+        init(self, *args)
+        self.d_vertices, self.boundary = [], []
+        contexts.append(self)
+
+    monkeypatch.setattr(mult._StructuredContext, "__init__", bare)
+    return contexts
+
+
+def corner_triangles(fan, e):
+    """triangle_reduce at the midpoint of each edge of P_E, in fan order, whose
+    reduction is a triangle, the edge's ends read off the public polygon."""
+    verts = polygon_of(fan, e).lattice_vertices()
+    reductions = []
+    for j, (v, a) in enumerate(zip(fan.rays, e.coeffs)):
+        ends = [m for m in verts if v.dot(m) == -a]
+        if len(verts) > 2 and len(ends) == 2:
+            (m1, m2) = ends
+            red = triangle_reduce(fan, e, RationalPoint(m1.x + m2.x, m1.y + m2.y, 2), j + 1)
+            if red.legs is not None:
+                reductions.append(red)
+    return reductions
+
+
 class TestCover:
     """The one column cover behind steps (a), (b) and the exhaustive search."""
 
@@ -427,29 +458,27 @@ class TestOneSidedCut:
 
 
 class TestTriangleRegions:
-    """The adapted-frame region machinery, driven directly.
+    """Step (c)'s covers, keyed by each corner triangle's legs and columns.
 
     Under the theorem hypotheses the vertex and edge steps (a) and (b) have
-    certified every point searched so far, so step (c), the region splitter,
-    is exercised here on real reductions without those steps in the way.
+    certified every point searched so far, so step (c) is exercised here on
+    real reductions with those steps emptied.
     """
 
-    def test_regions_cover_whole_sum_polygon(self):
-        from toricmult.multiplication import _StructuredContext, _try_regions
-
+    def test_regions_cover_whole_sum_polygon(self, monkeypatch):
+        # with steps (a) and (b) finding nothing, the covers of sigma_1's corner
+        # triangle T answer every point of P_{D+E}, through all three regions
+        without_steps_a_and_b(monkeypatch)
         d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
-        ctx = _StructuredContext(F2, _record(F2, d), _record(F2, e))
-        red = ctx.reduction_for_edge(0)
-        assert red is not None and red.legs == (8, 4)
+        red = corner_triangles(F2, e)[0]
+        assert red.legs == (8, 4) and -2 in {m.x for m in red.sigma_endpoints}  # sigma_1: x = -2
+        report = check_surjectivity(F2, d, e, mode="structured")
+        assert report.surjective and report.decomposed == 48
         p_d, p_e = polygon_of(F2, d), polygon_of(F2, e)
-        seen = set()
-        for p in lattice_points(polygon_of(F2, d + e)):
-            w = _try_regions(ctx, red, p)
-            assert w is not None, f"regions failed on {p}"
+        for w in report.witnesses:
             assert_valid(w, p_d, p_e)
-            assert p_e.contains(w.q2) and red.triangle.contains(w.q2)
-            seen.add(w.path)
-        assert seen == {
+            assert red.triangle.contains(w.q2)
+        assert set(report.path_counts) == {
             DecompositionPath.TRIANGLE_REGION_A,
             DecompositionPath.TRIANGLE_REGION_B,
             DecompositionPath.TRIANGLE_REGION_C,
@@ -479,24 +508,25 @@ class TestTriangleRegions:
                 seen[w.path.value] = seen.get(w.path.value, 0) + 1
             assert seen == expected
 
-    def test_each_step_c_and_d_answer_is_checked_once(self, monkeypatch):
-        # a step-(c) witness is checked by _try_regions and a step-(d) span by the
-        # oracle; the route checks neither again (ctx.outside is False here)
+    def test_each_step_c_and_d_span_is_checked_once(self, monkeypatch):
+        # a step-(c) span is checked where its cover finds it and a step-(d) span by
+        # the oracle; the route checks neither again (ctx.outside is False here)
         import toricmult.multiplication as mult
 
+        contexts = without_steps_a_and_b(monkeypatch)
         checked = []
         check = mult._check_span
         monkeypatch.setattr(mult, "_check_span", lambda *a: checked.append(a[2]) or check(*a))
         d = D((1, 0, 1, 1))
-        # E = (2,2,2,2): the 6 checks are region C's homothetic searches
-        for e, points, checks in [(D((0, 0, 2, 0)), 12, 12), (D((2, 2, 2, 2)), 48, 6)]:
+        cases = [
+            (D((0, 0, 2, 0)), {"fallback_search"}),
+            (D((2, 2, 2, 2)), {"triangle_region_A", "triangle_region_B", "triangle_region_C"}),
+        ]
+        for e, paths in cases:
             checked.clear()
-            ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
-            ctx.d_vertices, ctx.boundary = [], []  # steps (a) and (b) find nothing
-            pts = lattice_points(polygon_of(F2, d + e))
-            for p in pts:
-                mult._decompose_structured_in_context(ctx, p)
-            assert not ctx.outside and (len(pts), len(checked)) == (points, checks)
+            report = check_surjectivity(F2, d, e, mode="structured")
+            assert not contexts[-1].outside and {p.value for p in report.path_counts} == paths
+            assert Counter(checked) == Counter(report.spans)
 
     def test_step_d_binds_its_oracle_once_per_context(self, monkeypatch):
         # the 12 points of E = (0,0,2,0) all reach step (d); one _meeting serves them
@@ -512,12 +542,36 @@ class TestTriangleRegions:
             assert mult._decompose_structured_in_context(ctx, p).path.value == "fallback_search"
         assert len(built) == 1
 
+    def test_a_gap_step_d_leaves_raises_at_its_first_point(self):
+        # under the theorem the oracle covers every gap left to step (d); a point it
+        # leaves open is a fault, named by the error
+        import toricmult.multiplication as mult
+
+        d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
+        ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
+        ctx.d_vertices, ctx.boundary, ctx.triangles = [], [], []  # only step (d) is left
+        oracle = mult._oracle(ctx.table_d, ctx.table_e)
+        counts = Counter()
+        first, second = mult._structured_column(ctx, -2, -2, 3, counts)  # y = -2, then -1..3
+        assert (first[1:3], second[1:3], counts[DecompositionPath.FALLBACK_SEARCH]) == (
+            (-2, -2), (-1, 3), 6
+        )
+
+        def drop_a_point(x, lo, hi, counts):  # the first point of the second span
+            first, (x, c0, c1, *rest) = oracle(x, lo, hi, counts)
+            return [first, (x, c0 + 1, c1, *rest)]
+
+        ctx.search = drop_a_point
+        with pytest.raises(TheoremViolationError, match=r"no decomposition for \(-2, -1\)"):
+            mult._structured_column(ctx, -2, -2, 3, Counter())
+
     def test_regions_on_random_blowups(self):
-        # every point that step (c) answers, on 40 random contexts of up to 12 rays,
-        # splits into a point of P_D plus a point of P_E in the corner triangle
+        # each corner triangle's covers on their own, steps (a) and (b) finding
+        # nothing, on 40 random contexts of up to 12 rays: every point they answer
+        # splits into a point of P_D plus a point of P_E in that triangle
         import random
 
-        from toricmult.multiplication import _StructuredContext, _try_regions
+        import toricmult.multiplication as mult
         from toricmult.reduction import reduce_to_globally_generated
 
         rng = random.Random(1)
@@ -539,18 +593,19 @@ class TestTriangleRegions:
             if d is None or polygon_of(fan, e).dim is not PolygonDim.POLYGON:
                 continue
             contexts += 1
-            ctx = _StructuredContext(fan, _record(fan, d), _record(fan, e))
+            ctx = mult._StructuredContext(fan, _record(fan, d), _record(fan, e))
+            keys, reductions = ctx.triangle_keys(), corner_triangles(fan, e)
+            assert len(keys) == 3 * len(reductions)
             p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
-            for j0 in range(fan.n):
-                red = ctx.reduction_for_edge(j0)
-                if red is None or red.legs is None:
-                    continue
-                for p in lattice_points(polygon_of(fan, d + e)):
-                    w = _try_regions(ctx, red, p)
-                    if w is not None:
-                        assert_valid(w, p_d, p_e)
-                        assert red.triangle.contains(w.q2)
-                        seen[w.path] += 1
+            for i, red in enumerate(reductions):
+                ctx.d_vertices, ctx.boundary, ctx.triangles = [], [], keys[3 * i:3 * i + 3]
+                for x, lo, hi in _record(fan, d + e).columns():
+                    spans = mult._structured_column(ctx, x, lo, hi, Counter())
+                    for w in _span_witnesses(spans):
+                        if w.path is not DecompositionPath.FALLBACK_SEARCH:
+                            assert_valid(w, p_d, p_e)
+                            assert red.triangle.contains(w.q2)
+                            seen[w.path] += 1
         assert set(seen) == {
             DecompositionPath.TRIANGLE_REGION_A,
             DecompositionPath.TRIANGLE_REGION_B,
@@ -574,16 +629,37 @@ class TestTriangleRegions:
         with pytest.raises(error, match="escapes the original polygon"):
             mult._decompose_structured_in_context(ctx, p)
 
-    def test_horizontal_split_uses_base_edge(self):
-        from toricmult.multiplication import _StructuredContext, _try_regions
+    def test_legs_run_from_the_edge_to_the_corner(self, monkeypatch):
+        # step (c)'s keys per corner triangle T of P_E: A and B list the lattice
+        # points of T's legs on rays k+1 and k, from sigma_j's end to the corner, as
+        # one-point columns; C lists T's columns
+        import toricmult.multiplication as mult
 
         d, e = D((1, 0, 1, 1)), D((1, 1, 1, 1))
-        ctx = _StructuredContext(F2, _record(F2, d), _record(F2, e))
-        red = ctx.reduction_for_edge(0)
-        for p in lattice_points(polygon_of(F2, d + e)):
-            w = _try_regions(ctx, red, p)
-            assert w is not None
+        ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
+        keys, reductions = ctx.triangle_keys(), corner_triangles(F2, e)
+        assert reductions and [path.value[-1] for path, _ in keys] == ["A", "B", "C"] * len(reductions)
+        for i, red in enumerate(reductions):
+            (_, leg_a), (_, leg_b), (_, columns) = keys[3 * i:3 * i + 3]
+            k = red.corner_ray_index - 1
+            (corner,) = set(red.triangle.lattice_vertices()) - set(red.sigma_endpoints)
+            for leg, j in ((leg_a, (k + 1) % F2.n), (leg_b, k)):
+                v, c = F2.rays[j], red.c[j]
+                assert all(lo == hi for _, (lo, hi) in leg)
+                points = [V(x, y) for x, (y, _) in leg]
+                assert points[0] in red.sigma_endpoints and points[-1] == corner
+                assert len({q - p for p, q in zip(points, points[1:])}) == 1  # one unit step
+                on_line = [q for q in lattice_points(red.triangle) if v.dot(q) == -c]
+                assert sorted(points) == on_line
+            assert columns == list(_column_table(red.triangle).items())
+        # with steps (a) and (b) finding nothing, the legs alone answer every point
+        without_steps_a_and_b(monkeypatch)
+        report = check_surjectivity(F2, d, e, mode="structured")
+        for w in report.witnesses:
             assert_valid(w, polygon_of(F2, d), polygon_of(F2, e))
+        assert {p.value: n for p, n in report.path_counts.items()} == {
+            "triangle_region_A": 16, "triangle_region_B": 8
+        }
 
 
 class TestCheckSurjectivity:
@@ -922,27 +998,25 @@ class TestSpans:
         brute = check_surjectivity(F2, D((1, 0, 1, 1)), D((2, 2, 2, 2)), mode="brute")
         assert len(calls) == len(brute.spans)  # the oracle checks each of its spans
 
-    def test_steps_c_and_d_give_one_point_spans(self, monkeypatch):
-        # with steps (a) and (b) finding nothing, each point is a span of its own,
-        # expanded to the witness of the single-point route on the same context
+    def test_steps_c_and_d_spans_expand_to_single_point_witnesses(self, monkeypatch):
+        # with steps (a) and (b) finding nothing, steps (c) and (d) cover whole gaps:
+        # spans of several points, expanded to the witness of the single-point route
         import toricmult.multiplication as mult
 
-        init = mult._StructuredContext.__init__
-
-        def bare(self, *args):
-            init(self, *args)
-            self.d_vertices, self.boundary = [], []
-
-        monkeypatch.setattr(mult._StructuredContext, "__init__", bare)
-        d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
-        report = check_surjectivity(F2, d, e, mode="structured")
-        assert all(c0 == c1 for _, c0, c1, *_ in report.spans) and len(report.spans) == 48
-        ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
-        singles = [mult._decompose_structured_in_context(ctx, w.p) for w in report.witnesses]
-        assert singles == list(report.witnesses)
-        assert {p.value: n for p, n in report.path_counts.items()} == {
-            "triangle_region_A": 24, "triangle_region_B": 18, "triangle_region_C": 6
-        }
+        contexts = without_steps_a_and_b(monkeypatch)
+        d = D((1, 0, 1, 1))
+        cases = [
+            (D((2, 2, 2, 2)), {"triangle_region_A": 24, "triangle_region_B": 18,
+                               "triangle_region_C": 6}),
+            (D((0, 0, 2, 0)), {"fallback_search": 12}),
+        ]
+        for e, counts in cases:
+            report = check_surjectivity(F2, d, e, mode="structured")
+            assert len(report.spans) < report.decomposed == sum(counts.values())
+            ctx = contexts[-1]
+            singles = [mult._decompose_structured_in_context(ctx, w.p) for w in report.witnesses]
+            assert singles == list(report.witnesses)
+            assert {p.value: n for p, n in report.path_counts.items()} == counts
 
     def test_boundary_listed_only_after_a_gap(self, monkeypatch):
         # step (b)'s boundary points of P_E are built on the first column that

@@ -28,6 +28,7 @@ from toricmult.lattice import (
 from toricmult.lattice import _column_table, _columns
 from toricmult.multiplication import (
     DecompositionPath,
+    _StructuredContext,
     _sumset_gaps,
     check_surjectivity,
     cokernel_dim,
@@ -814,7 +815,7 @@ def test_sweep_reports_are_cokernel_dim_reports(flet):
     assume(max(e.coeffs) >= 1)
     j = min((a, i) for i, a in enumerate(e.coeffs) if a >= 1)[1]
     pattern = ",".join("k" if i == j else str(a) for i, a in enumerate(e.coeffs))
-    sweep = sweep_cokernel(fan, l, e_max=e.coeffs[j], filter_pattern=pattern, keep_reports=True)
+    sweep = sweep_cokernel(fan, l, e_max=e.coeffs[j], filter_pattern=pattern)
     assert sweep.instances[-1][0] == e and len(sweep.reports) == len(sweep.instances)
     for (e_k, coker), report in zip(sweep.instances, sweep.reports):
         assert report == cokernel_dim(fan, l, e_k)
@@ -859,6 +860,71 @@ def test_route_tie_breaks_match_literal_scans(fde):
         (p, q1, p - q1) for p, q1 in sorted(smallest.items())
     ]
     assert check_surjectivity(fan, d, e, mode="both") == report
+
+
+
+@given(ample_with_gg())
+@settings(max_examples=60, deadline=None)
+def test_step_c_tie_breaks_match_literal_scans(fde):
+    # steps (a) and (b) finding nothing, mode "structured" against a reference
+    # written here: per point, the corner triangles T of the edges of P_E in fan
+    # order, each with legs on rays k+1 (A) and k (B): the first lattice point q2
+    # of leg A, from the edge's end to the corner, with p - q2 in P_D; else the
+    # same on leg B; else any q2 in T (C); after the last T, the smallest q1 of the
+    # literal pairwise scan (d)
+    fan, d, e = fde
+    p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
+    pts_d, pts_e = lattice_points(p_d), lattice_points(p_e)
+    in_d = set(pts_d)
+    verts = p_e.lattice_vertices()
+    triangles = []
+    for j, (v, a) in enumerate(zip(fan.rays, e.coeffs)):
+        ends = [m for m in verts if v.dot(m) == -a]
+        if len(verts) < 3 or len(ends) != 2:
+            continue
+        mid = RationalPoint(ends[0].x + ends[1].x, ends[0].y + ends[1].y, 2)
+        red = triangle_reduce(fan, e, mid, j + 1)
+        if red.legs is None:
+            continue
+        k, tri = red.corner_ray_index - 1, lattice_points(red.triangle)
+        legs = []
+        for i in ((k + 1) % fan.n, k):
+            w, c = fan.rays[i], red.c[i]
+            (end,) = [m for m in ends if w.dot(m) == -c]
+            on_leg = [q for q in tri if w.dot(q) == -c]
+            legs.append(sorted(on_leg, key=lambda q: (q - end).dot(q - end)))
+        triangles.append((legs, tri))
+    smallest = {}
+    for q1 in pts_d:  # ascending
+        for q2 in pts_e:
+            smallest.setdefault(q1 + q2, q1)
+    init = _StructuredContext.__init__
+
+    def bare(self, *args):
+        init(self, *args)
+        self.d_vertices, self.boundary = [], []
+
+    with patch.object(_StructuredContext, "__init__", bare):
+        report = check_surjectivity(fan, d, e, mode="structured")
+    assert [w.p for w in report.witnesses] == lattice_points(polygon_of(fan, d + e))
+    for w in report.witnesses:
+        p, expected = w.p, None
+        for (leg_a, leg_b), tri in triangles:
+            for path, leg in (("triangle_region_A", leg_a), ("triangle_region_B", leg_b)):
+                q2 = next((q for q in leg if p - q in in_d), None)
+                if q2 is not None:
+                    expected = (p - q2, q2, path)
+                    break
+            else:
+                if any(p - q in in_d for q in tri):
+                    assert w.path.value == "triangle_region_C"
+                    expected = (w.q1, w.q2, w.path.value)
+                    assert w.q2 in tri and w.q1 in in_d
+            if expected is not None:
+                break
+        else:
+            expected = (smallest[p], p - smallest[p], "fallback_search")
+        assert (w.q1, w.q2, w.path.value) == expected
 
 
 # -- kernels against their references -------------------------------------------

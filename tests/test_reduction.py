@@ -448,7 +448,7 @@ class TestSweep:
 
     def test_pipeline_check_lists_no_lattice_point(self, no_point_lists):
         l_div = D((1, 0, 1, 1))
-        args = dict(e_max=8, budget=200, seed=5, keep_reports=True)
+        args = dict(e_max=8, budget=200, seed=5)
         sweep = sweep_cokernel(F2, l_div, **args)
         no_point_lists.undo()
         assert sweep == sweep_cokernel(F2, l_div, **args)
