@@ -277,27 +277,16 @@ class ConvexLatticePolygon:
         return [v.to_lattice() for v in self.vrep]
 
     def contains(self, p: RationalPoint | LatticeVector) -> bool:
-        if isinstance(p, LatticeVector):
-            p = RationalPoint.from_lattice(p)
-        if self.dim is PolygonDim.EMPTY:
-            return False
-        if self.dim is PolygonDim.POINT:
-            return self.vrep[0] == p
-        hp = (p.x_num, p.y_num, p.den)
-        if self.dim is PolygonDim.SEGMENT:
-            a = (self.vrep[0].x_num, self.vrep[0].y_num, self.vrep[0].den)
-            b = (self.vrep[1].x_num, self.vrep[1].y_num, self.vrep[1].den)
-            if _hom_cross_sign(a, b, hp) != 0:
-                return False
-            lo, hi = (a, b) if _hom_lex_lt(a, b) else (b, a)
-            return not (_hom_lex_lt(hp, lo) or _hom_lex_lt(hi, hp))
-        n = len(self.vrep)
-        for i in range(n):
-            a = self.vrep[i]
-            b = self.vrep[(i + 1) % n]
-            if _hom_cross_sign((a.x_num, a.y_num, a.den), (b.x_num, b.y_num, b.den), hp) < 0:
-                return False
-        return True
+        """Whether p lies in the region: on the inner side of, or on, every edge
+        from one vertex to the next, and lexicographically between the least
+        vertex and the greatest.  Below dimension 2 the edges run there and back,
+        so only the ends bound p; an empty vrep contains nothing."""
+        hp = (p.x, p.y, 1) if isinstance(p, LatticeVector) else (p.x_num, p.y_num, p.den)
+        hom = [(v.x_num, v.y_num, v.den) for v in self.vrep]
+        edges = zip(hom, hom[1:] + hom[:1])
+        return bool(hom) and all(_hom_cross_sign(a, b, hp) >= 0 for a, b in edges) and not (
+            _hom_lex_lt(hp, hom[0]) or _hom_lex_lt(max(hom, key=_hom_lex_key), hp)
+        )
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         if self.is_empty():
@@ -323,32 +312,16 @@ def hull(points: Iterable[LatticeVector]) -> ConvexLatticePolygon:
     return ConvexLatticePolygon._from_hom_vertices([(p.x, p.y, 1) for p in pts])
 
 
-def _directions_positively_span(normals: Sequence[LatticeVector]) -> bool:
-    """True iff {u : <u,n> >= 0 for all n} = {0}, i.e. intersections are bounded."""
-    dirs = list({n.as_tuple() for n in normals})
-    if len(dirs) < 3:
-        return False
-    ordered: list[tuple[int, int]] = []
-    for d in dirs:  # insertion sort via the exact comparator; lists are tiny
-        i = 0
-        while i < len(ordered) and _angle_lt(ordered[i], d):
-            i += 1
-        ordered.insert(i, d)
-    m = len(ordered)
-    for i in range(m):
-        a = ordered[i]
-        b = ordered[(i + 1) % m]
-        if a[0] * b[1] - a[1] * b[0] <= 0:
-            return False
-    return True
-
-
 def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
     """Intersection of closed half-planes as a canonical polygon.
 
     Its vertices are the crossings of two planes that satisfy every plane,
     so a redundant plane changes nothing.  An empty intersection yields the
-    empty polygon; an unbounded one raises :class:`UnboundedRegionError`.
+    empty polygon; an unbounded one raises :class:`UnboundedRegionError`.  A
+    region is unbounded iff some normal n_i has det(n_i, n_j) >= 0 for every
+    normal n_j, that is, iff u = rot90(n_i), along n_i's line, has <u, n_j> >= 0
+    for every j: a nonzero cone of recession directions is a half-plane, a line,
+    or has its counterclockwise edge ray u on such a line.
     """
     planes = list(planes)
     if not planes:
@@ -385,7 +358,7 @@ def intersect_halfplanes(planes: Sequence[HalfPlane]) -> ConvexLatticePolygon:
             if hi is None or lo <= hi:
                 raise UnboundedRegionError("intersection is nonempty but has no vertex")
         return ConvexLatticePolygon.empty()
-    if not _directions_positively_span([h.normal for h in planes]):
+    if any(all(ix * jy - iy * jx >= 0 for jx, jy, _ in data) for ix, iy, _ in data):
         raise UnboundedRegionError("half-plane normals do not positively span the plane")
     return ConvexLatticePolygon._from_hom_vertices(candidates)
 

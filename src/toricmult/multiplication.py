@@ -34,10 +34,10 @@ column x2 of T gives (x - x2, lo of column x - x2 of P_D, hi of column x2 of
 T).  Every span is checked against both factors' column tables.
 Along an (a) or (b) span one summand is fixed, u in P_D or q2 in P_E: it is
 checked once, when the context lists it, and the moving summand stays in the
-column it was clipped from.  A step-(c) span is checked where it is found.
-Spans of (d) and the oracle are checked by the oracle at their two ends,
-between which q1.y and q2.y never decrease.  A failing span is scanned, so the
-error names the first point, in (x, y) order, whose witness leaves a factor.
+column it was clipped from.  A step-(c) or step-(d) span is checked where it
+is found, and the oracle checks its own, each at its two ends, between which
+q1.y and q2.y never decrease.  A failing span is scanned, so the error names
+the first point, in (x, y) order, whose witness leaves a factor.
 
 A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
 and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
@@ -250,9 +250,7 @@ def _meeting(table_a: _Table, table_b: _Table) -> Callable[[int], list[_Key]]:
     """Per column x, table_a's items by increasing x1, cut by bisection to the x1 whose
     partner x - x1 lies in table_b's x-range."""
     items, xs = list(table_a.items()), list(table_a)
-    if not items or not table_b:
-        return lambda x: []
-    b0, b1 = next(iter(table_b)), next(reversed(table_b))
+    b0, b1 = next(iter(table_b), 0), next(reversed(table_b), -1)  # an empty range meets nothing
 
     def meeting(x: int) -> list[_Key]:
         return items[bisect_left(xs, x - b1):bisect_right(xs, x - b0)]
@@ -422,7 +420,7 @@ class _StructuredContext:
         self.boundary: list[_Key] | None = None
         # (c) q2 in the corner triangles, listed when step (b) first leaves a gap
         self.triangles: list[tuple[DecompositionPath, list[_Key]]] | None = None
-        self.search: Callable[..., list[Span]] | None = None  # (d), bound on first use
+        self.search: Callable[[int], list[_Key]] | None = None  # (d)'s keys, bound on first use
         # whether a fixed summand, checked once as listed, leaves its factor's table
         self.outside = not all(_inside(self.table_d, ux, uy) for ux, uy in rec_d.ring)
 
@@ -492,26 +490,21 @@ def _structured_column(
     if gaps:
         keys = ctx.boundary_points()
         gaps = _cover(x, gaps, keys, ctx.table_d, edge, spans, counts, keys_in_e=True)
+    start = len(spans)  # each span of (c) and (d) is checked once, in the order found
     for path, keys in ctx.triangle_keys() if gaps else ():
-        start = len(spans)
-        gaps = _cover(x, gaps, keys, ctx.table_d, path, spans, counts, keys_in_e=True)
-        for span in spans[start:]:  # a step-(c) span is checked where it is found
-            _check_span(ctx.table_d, ctx.table_e, span)
-        if not gaps:
+        if not (gaps := _cover(x, gaps, keys, ctx.table_d, path, spans, counts, keys_in_e=True)):
             break
-    if gaps and ctx.search is None:  # one exhaustive search per context serves all its points
-        ctx.search = _oracle(ctx.table_d, ctx.table_e)
-    for g0, g1 in gaps:  # step (d)'s spans come checked, by increasing y
-        y = g0  # the lowest y of the gap that no span so far covers
-        for _, c0, c1, *_ in (found := ctx.search(x, g0, g1, counts)):
-            if c0 > y:
-                break
-            y = c1 + 1
-        if y <= g1:
-            raise TheoremViolationError(
-                f"no decomposition for ({x}, {y}) under ample x globally generated hypotheses"
-            )
-        spans += found
+    if gaps:  # one exhaustive search per context serves all its points
+        if ctx.search is None:
+            ctx.search = _meeting(ctx.table_d, ctx.table_e)
+        keys, path = ctx.search(x), DecompositionPath.FALLBACK_SEARCH
+        gaps = _cover(x, gaps, keys, ctx.table_e, path, spans, counts)
+    for span in spans[start:]:
+        _check_span(ctx.table_d, ctx.table_e, span)
+    if gaps:
+        raise TheoremViolationError(
+            f"no decomposition for ({x}, {gaps[0][0]}) under ample x globally generated hypotheses"
+        )
     spans.sort()  # by c0: the spans of a column share x and are disjoint
     if ctx.outside:  # raises at the first failing point, as a check of every span would
         for span in spans:

@@ -104,7 +104,10 @@ def _stratified_sample(
 
     Small strata (all vectors with a given maximum entry) are enumerated
     exhaustively while they fit in half the budget; the rest of the budget is
-    spread evenly over the remaining strata by rejection sampling.  When more
+    spread evenly over the remaining strata by rejection sampling.  A stratum
+    that 50 rejection draws per vector leave short (the maximum of n entries
+    in 0..m is m with chance about n/m) is filled by direct draws, one seeded
+    entry set to m and duplicates skipped, within as many attempts.  When more
     strata remain than budget, a seeded draw picks the strata that get one
     vector each, so the sample never exceeds the budget.
     """
@@ -128,12 +131,13 @@ def _stratified_sample(
     if remaining_strata:
         quota = left // len(remaining_strata)
         for m in remaining_strata:
-            got = 0
-            attempts = 0
-            while got < quota and attempts < 50 * quota:
+            got = attempts = 0
+            while got < quota and attempts < 100 * quota:
                 attempts += 1
-                vec = tuple(rng.randint(0, m) for _ in range(n))
-                if max(vec) != m or vec in chosen:
+                vec = [rng.randint(0, m) for _ in range(n)]
+                if attempts > 50 * quota:  # rejection ran out: draw directly
+                    vec[rng.randrange(n)] = m
+                if max(vec) != m or (vec := tuple(vec)) in chosen:
                     continue
                 chosen.add(vec)
                 got += 1

@@ -147,10 +147,10 @@ def validate_fan(rays: Sequence[LatticeVector | tuple[int, int]]) -> Fan:
         if det != 1:
             raise NonSmoothFanError(i, det)
     ts = [v.as_tuple() for v in vs]
-    wraps = sum(1 for i in range(n) if not _angle_lt(ts[i], ts[(i + 1) % n]))
-    if wraps != 1:
-        raise NonCompleteFanError(f"ray angles wrap {wraps} times instead of once")
-    start = min(range(n), key=lambda i: sum(1 for j in range(n) if _angle_lt(ts[j], ts[i])))
+    wraps = [i for i in range(n) if not _angle_lt(ts[i], ts[(i + 1) % n])]
+    if len(wraps) != 1:
+        raise NonCompleteFanError(f"ray angles wrap {len(wraps)} times instead of once")
+    start = (wraps[0] + 1) % n  # the ray after the wrap has the least angle
     return Fan(tuple(vs[start:] + vs[:start]))
 
 

@@ -1,5 +1,6 @@
 """Core geometry: hulls, half-plane intersections, sums, counting, faces."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,49 @@ class TestIntersectHalfplanes:
         ):
             with pytest.raises(UnboundedRegionError):
                 intersect_halfplanes(planes)
+
+    def test_boundedness_cases(self):
+        unbounded = (
+            [hp(1, 0, 0), hp(0, 1, 0), hp(1, 1, -1)],  # x >= 0, y >= 0, x + y >= 1
+            [hp(1, 0, 0), hp(0, 1, 0), hp(0, -1, 1)],  # the half-strip x >= 0, 0 <= y <= 1
+            [hp(1, 0, 0), hp(1, 0, -2), hp(0, 1, 0), hp(1, -1, 3)],  # a repeated normal
+            [hp(1, 0, 0), hp(-1, 0, 3), hp(0, 1, 0)],  # opposite normals, open upwards
+        )
+        for planes in unbounded:
+            with pytest.raises(UnboundedRegionError, match="do not positively span"):
+                intersect_halfplanes(planes)
+        bounded = (
+            ([hp(1, 0, 0), hp(1, 0, -1), hp(0, 1, 0), hp(-1, -1, 5)],  # a repeated normal
+             [(1, 0), (5, 0), (1, 4)]),
+            ([hp(1, 0, 0), hp(-1, 0, 3), hp(0, 1, 0), hp(0, -1, 2)],  # opposite normals
+             [(0, 0), (3, 0), (3, 2), (0, 2)]),
+            ([hp(1, 0, 0), hp(-1, 0, 0), hp(0, 1, 0), hp(0, -1, 2)], [(0, 0), (0, 2)]),
+        )
+        for planes, vertices in bounded:
+            assert vrep_ints(intersect_halfplanes(planes + planes)) == vertices
+
+    def test_boundedness_matches_a_far_box(self):
+        # a region is bounded iff the four half-planes of a box beyond every crossing
+        # of two planes leave its vertices unchanged: else the boxed region has a
+        # vertex on the box
+        import random
+
+        rng = random.Random(3)
+        normals = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 2), (2, -3), (-1, -1), (3, 1)]
+        far = 2 * 5 * 3 + 1  # a crossing's coordinates are at most |c_i n_j| + |c_j n_i|
+        box = [hp(1, 0, far), hp(-1, 0, far), hp(0, 1, far), hp(0, -1, far)]
+        outcomes = Counter()
+        for _ in range(2000):
+            planes = [hp(*rng.choice(normals), rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
+            boxed = intersect_halfplanes(planes + box)
+            if any(far in (abs(v.x), abs(v.y)) for v in boxed.vrep):
+                with pytest.raises(UnboundedRegionError):
+                    intersect_halfplanes(planes)
+                outcomes["unbounded"] += 1
+            else:
+                assert intersect_halfplanes(planes) == boxed
+                outcomes[boxed.dim] += 1
+        assert outcomes["unbounded"] > 100 and set(PolygonDim) <= set(outcomes)
 
     def test_point_region(self):
         planes = [hp(1, 0, 0), hp(-1, 0, 0), hp(0, 1, 0), hp(0, -1, 0)]
@@ -323,6 +367,50 @@ class TestContainment:
         assert not s.contains(V(1, 1))
         assert s.contains(RP(1, 1, 2).__class__(2, 1))  # exact lattice point
         assert not s.contains(V(6, 3))
+
+    def test_low_dimensions(self):
+        assert not ConvexLatticePolygon.empty().contains(V(0, 0))
+        point = hull([V(1, 2)])
+        assert point.contains(V(1, 2)) and point.contains(RP(2, 4, 2))
+        assert not any(point.contains(q) for q in (V(1, 3), V(0, 2), RP(3, 4, 2)))
+        s = hull([V(0, 0), V(4, 2)])
+        assert s.contains(V(0, 0)) and s.contains(V(4, 2))  # its ends
+        assert not any(s.contains(q) for q in (V(-2, -1), V(6, 3), RP(-1, -1, 2), RP(9, 5, 2)))
+        assert not any(s.contains(q) for q in (RP(4, 3, 2), V(2, 0), RP(1, 0, 3)))  # off its line
+        # a rational chord: x = 2 across the triangle (0,0), (3,0), (0,3/2)
+        triangle = intersect_halfplanes([hp(1, 0, 0), hp(0, 1, 0), hp(-1, -2, 3)])
+        chord = face_in_direction(triangle, V(1, 0), -2)
+        assert chord.vrep == (RP(2, 0), RP(4, 1, 2))
+        assert all(chord.contains(q) for q in (V(2, 0), RP(4, 1, 2), RP(8, 1, 4)))
+        assert not any(chord.contains(q) for q in (RP(8, 3, 4), V(2, -1), RP(6, 1, 4), V(1, 0)))
+
+    def test_matches_the_hull_of_the_region_and_the_point(self):
+        # p lies in a region iff adding it to the vertices leaves the hull unchanged,
+        # on regions of every dimension (lattice, rational, faces) and rational p
+        import random
+
+        rng = random.Random(5)
+        normals = [(1, 2), (-2, 1), (1, -3), (-1, -1), (3, 1), (2, -1)]
+        box = [hp(1, 0, 4), hp(-1, 0, 4), hp(0, 1, 4), hp(0, -1, 4)]
+        regions = [ConvexLatticePolygon.empty()]
+        for _ in range(300):
+            pts = [V(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+            cuts = [hp(*rng.choice(normals), rng.randint(-2, 3)) for _ in range(rng.randint(0, 3))]
+            region = intersect_halfplanes(box + cuts)
+            v = V(*rng.choice([(1, 2), (2, -1), (1, 1)]))
+            regions += [hull(pts), region, face_in_direction(region, v, rng.randint(-3, 3))]
+        seen = set()
+        for region in regions:
+            seen.add(region.dim)
+            hom = [(v.x_num, v.y_num, v.den) for v in region.vrep]
+            for _ in range(20):
+                den = rng.choice([1, 1, 2, 3])
+                q = RP(rng.randint(-4 * den, 4 * den), rng.randint(-4 * den, 4 * den), den)
+                added = ConvexLatticePolygon._from_hom_vertices(hom + [(q.x_num, q.y_num, q.den)])
+                assert region.contains(q) == (added == region), (region, q)
+                if q.den == 1:
+                    assert region.contains(q.to_lattice()) == (added == region)
+        assert seen == set(PolygonDim)
 
 
 class TestDecomposeInterval:

@@ -220,6 +220,17 @@ class TestDecomposeBruteforce:
     def test_far_away_point_gives_none(self):
         assert decompose_bruteforce(UNIT, UNIT, V(5, 5)) is None
 
+    def test_a_lattice_free_factor_gives_none(self):
+        # the point (1/2, 1/2) is a nonempty region without lattice points, so its
+        # column table is empty
+        half = intersect_halfplanes(
+            [HalfPlane(V(1, 1), -1), HalfPlane(V(-1, -1), 1), HalfPlane(V(1, -1), 0),
+             HalfPlane(V(-1, 1), 0)]
+        )
+        assert half.vrep == (RationalPoint(1, 1, 2),)
+        for p_d, p_e in ((UNIT, half), (half, UNIT)):
+            assert decompose_bruteforce(p_d, p_e, V(0, 0)) is None
+
     def test_rejects_an_empty_polygon(self):
         empty = ConvexLatticePolygon.empty()
         for p_d, p_e in ((empty, UNIT), (UNIT, empty)):
@@ -509,8 +520,8 @@ class TestTriangleRegions:
             assert seen == expected
 
     def test_each_step_c_and_d_span_is_checked_once(self, monkeypatch):
-        # a step-(c) span is checked where its cover finds it and a step-(d) span by
-        # the oracle; the route checks neither again (ctx.outside is False here)
+        # a step-(c) or step-(d) span is checked where its cover finds it; the route
+        # checks neither again (ctx.outside is False here)
         import toricmult.multiplication as mult
 
         contexts = without_steps_a_and_b(monkeypatch)
@@ -543,27 +554,26 @@ class TestTriangleRegions:
         assert len(built) == 1
 
     def test_a_gap_step_d_leaves_raises_at_its_first_point(self):
-        # under the theorem the oracle covers every gap left to step (d); a point it
-        # leaves open is a fault, named by the error
+        # under the theorem step (d)'s search covers every gap left to it; a point
+        # it leaves open is a fault, named by the error
         import toricmult.multiplication as mult
 
         d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
         ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
         ctx.d_vertices, ctx.boundary, ctx.triangles = [], [], []  # only step (d) is left
-        oracle = mult._oracle(ctx.table_d, ctx.table_e)
         counts = Counter()
         first, second = mult._structured_column(ctx, -2, -2, 3, counts)  # y = -2, then -1..3
-        assert (first[1:3], second[1:3], counts[DecompositionPath.FALLBACK_SEARCH]) == (
-            (-2, -2), (-1, 3), 6
+        assert (first[1:4], second[1:4], counts[DecompositionPath.FALLBACK_SEARCH]) == (
+            (-2, -2, 0), (-1, 3, -1), 6
         )
-
-        def drop_a_point(x, lo, hi, counts):  # the first point of the second span
-            first, (x, c0, c1, *rest) = oracle(x, lo, hi, counts)
-            return [first, (x, c0 + 1, c1, *rest)]
-
-        ctx.search = drop_a_point
-        with pytest.raises(TheoremViolationError, match=r"no decomposition for \(-2, -1\)"):
-            mult._structured_column(ctx, -2, -2, 3, Counter())
+        # y = 4, 5 lie above the sum polygon's column: no key reaches them
+        with pytest.raises(TheoremViolationError, match=r"no decomposition for \(-2, 4\)"):
+            mult._structured_column(ctx, -2, -2, 5, Counter())
+        # the key at x1 = 0 alone covers y = -2 (the one at x1 = -1 takes -1..3 first)
+        meeting = ctx.search
+        ctx.search = lambda x: [key for key in meeting(x) if key[0] != 0]
+        with pytest.raises(TheoremViolationError, match=r"no decomposition for \(-2, -2\)"):
+            mult._structured_column(ctx, -2, -2, 5, Counter())
 
     def test_regions_on_random_blowups(self):
         # each corner triangle's covers on their own, steps (a) and (b) finding
@@ -1180,6 +1190,27 @@ class TestCokernelDim:
         monkeypatch.setattr(mult, "POINT_BUDGET", 0)
         with pytest.raises(BudgetExceededError, match=r"^over 0 missing points$"):
             cokernel_dim(F2, d, e)
+
+    def test_column_walk_refuses_what_the_collar_bound_misses(self, monkeypatch):
+        # D is the segment (0,0)-(1,1) and E the segment (0,1)-(1,0), both globally
+        # generated, so the collar of P_{D+E} outside P_{D'+E'} is empty: the collar
+        # bound is only a lower bound when D is not ample, and the walk of the columns
+        # finds the missing (1, 1) and refuses it itself
+        import toricmult.multiplication as mult
+
+        fan = validate_fan([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)])
+        d, e = D((0, 0, 0, 0, 1, 2, 1, 0)), D((0, -1, 0, 1, 1, 1, 1, 1))
+        rec_sum = _record(fan, d + e)
+        assert mult._moving_sum(fan.xy, _record(fan, d), _record(fan, e), rec_sum) is rec_sum
+        report = cokernel_dim(fan, d, e)
+        assert (report.coker_dim, report.missing_points) == (1, (V(1, 1),))
+        walked = []
+        gaps = mult._cokernel_gaps
+        monkeypatch.setattr(mult, "_cokernel_gaps", lambda *a: walked.append(1) or gaps(*a))
+        monkeypatch.setattr(mult, "POINT_BUDGET", 0)
+        with pytest.raises(BudgetExceededError, match=r"^over 0 missing points$"):
+            cokernel_dim(fan, d, e)
+        assert walked
 
     def test_merge_memory_follows_the_columns(self):
         # 300 x 300 column pairs, merged one column of the sum at a time

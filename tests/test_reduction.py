@@ -1,5 +1,6 @@
 """Divisor rounding (section-preserving) and cokernel sweeps."""
 
+import hashlib
 import multiprocessing
 import os
 import re
@@ -304,6 +305,34 @@ class TestSweep:
             (2, 0, 0), (1, 1, 1), (2, 0, 1), (3, 0, 0), (1, 4, 0), (0, 3, 3), (5, 1, 2),
             (2, 1, 6), (4, 5, 1), (4, 4, 3), (6, 2, 3),
         ]
+
+    def test_deep_strata_are_filled(self, capsys, tmp_path):
+        # a vector of 0..m has maximum m with chance about 3/m, so rejection leaves
+        # deep strata short; direct draws give one vector to each of the 9 strata
+        # drawn, beside stratum 0 in full
+        import random
+
+        strata = sorted(random.Random(1).sample(range(1, 20001), 9))
+        sample = _stratified_sample(3, 20000, 10, 1)
+        assert len(set(sample)) == 10
+        assert sorted(max(v) for v in sample) == [0] + strata
+        write_fan(P2, tmp_path / "fan.json")
+        write_divisor(D((1, 1, 1)), tmp_path / "L.json")
+        capsys.readouterr()
+        args = ["--max-coeff", "20000", "--budget", "10", "--seed", "1"]
+        assert run_cli(["sweep", str(tmp_path / "fan.json"), str(tmp_path / "L.json"), *args]) == 0
+        assert "instances: 10" in capsys.readouterr().out.splitlines()
+
+    def test_filled_samples_keep_their_draws(self):
+        # rejection fills every stratum of the benchmark's two sweeps, so no direct
+        # draw runs and their samples are those of rejection alone
+        for n, budget, size, digest in (
+            (4, 120, 103, "bb29deb2ae65d1a7"),  # F2
+            (5, 200, 177, "bd66f93d95d246a4"),  # BlBlP2
+        ):
+            sample = _stratified_sample(n, 30, budget, 2024)
+            assert len(sample) == size
+            assert hashlib.sha256(repr(sample).encode()).hexdigest()[:16] == digest
 
     def test_rejects_non_ample(self):
         with pytest.raises(PreconditionError):
