@@ -8,7 +8,7 @@ P_E intersect (p - P_D):
 
 (a) vertex: a fiber vertex interior to P_E is p - u for a vertex u of P_D;
 (b) edge: otherwise the fiber meets the boundary of P_E, so look for a
-    lattice point m + k t of an edge of P_E in p - P_D;
+    vertex of P_E in p - P_D, then a lattice point m + k t inside an edge;
 (c) triangle regions: cut an edge of P_E down to its corner triangle T, read
     off the corner ring of the edge's minimal offsets, and look for q2 in T:
     on its legs, (A) then (B), from the edge's end to the corner (interval
@@ -17,13 +17,13 @@ P_E intersect (p - P_D):
 
 Every step is one column cover (_cover) of the gaps the steps before it leave
 in a column x of the sum polygon, with its own keys: the vertices u of P_D as
-one-point columns (a), the boundary points q2 of P_E (b), each triangle's leg
-points and then its columns (c), or the columns x1 of P_D, cut by bisection
-to those whose partner x - x1 lies in P_E's x-range (_meeting), for (d) and
-the oracle.  A key at x' plus column x - x' of the other factor fills a
-y-interval of column x, and each point goes to the first key, in the proof's
-order, whose interval holds it.  A single point takes the same route on its
-one-point range.
+one-point columns (a), the vertices q2 of P_E and then its edges' interior
+points (b), each triangle's leg points and then its columns (c), or the
+columns x1 of P_D, cut by bisection to those whose partner x - x1 lies in
+P_E's x-range (_meeting), for (d) and the oracle.  A key at x' plus column
+x - x' of the other factor fills a y-interval of column x, and each point
+goes to the first key, in the proof's order, whose interval holds it.  A
+single point takes the same route on its one-point range.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
@@ -425,15 +425,19 @@ class _StructuredContext:
         self.outside = not all(_inside(self.table_d, ux, uy) for ux, uy in rec_d.ring)
 
     def boundary_points(self) -> list[_Key]:
-        """Step (b)'s q2 = m + k t on the edges of P_E, edge by edge and k ascending, as
-        one-point columns; k stops short of the next edge's start (a segment runs there
-        and back, a point is one edge)."""
+        """Step (b)'s q2 on the boundary of P_E as one-point columns: the vertices of
+        P_E in ring order, then the interior points m + k t (0 < k < g) of each edge,
+        edge by edge and k ascending (a segment is one edge, a point has none).  On a
+        large fiber a vertex covers most of a column at once, where each next edge
+        point, tried from the edge's start, adds about a row."""
         if self.boundary is None:
-            verts, boundary = list(self.rec_e.ring), []
-            for (mx, my), (nx, ny) in zip(verts, verts[1:] + verts[:1]):
+            ring = self.rec_e.ring
+            edges = zip(ring, ring[1:] + ring[:1]) if len(ring) > 2 else zip(ring, ring[1:])
+            boundary = list(ring)
+            for (mx, my), (nx, ny) in edges:
                 dx, dy = nx - mx, ny - my
-                g = math.gcd(dx, dy) or 1
-                boundary += [(mx + k * dx // g, my + k * dy // g) for k in range(g)]
+                g = math.gcd(dx, dy)
+                boundary += [(mx + k * dx // g, my + k * dy // g) for k in range(1, g)]
             self.boundary = [(qx, (qy, qy)) for qx, qy in boundary]
             self.outside |= not all(_inside(self.table_e, qx, qy) for qx, qy in boundary)
         return self.boundary

@@ -408,17 +408,21 @@ class TestDecomposeStructured:
 
 
 class TestStructuredSteps:
-    """Golden points where step (a) finds no vertex and step (b) fires."""
+    """Golden points where step (a) finds no vertex and step (b) fires: the
+    vertices of P_E in ring order first, then each edge's interior points."""
 
     @pytest.mark.parametrize(
         "d, e, p, q2",
         [
-            # triangle P_E: the first edge from (-1,-1) already works at k = 0
+            # triangle P_E: its first vertex (-1,-1) already works
             (D((1, 0, 1, 1)), D((1, 1, 1, 1)), V(-1, -1), V(-1, -1)),
-            # quadrilateral P_E: the first edge fails, the second needs k = 1
+            # quadrilateral P_E: the vertices (0,0) and (1,0) fail, (3,1) works
             (D((0, 0, 1, 2)), D((0, 0, 1, 1)), V(4, 3), V(3, 1)),
-            # segment P_E from (0,0) to (2,0): k = 0 and k = 1 fail, k = 2 works
+            # segment P_E from (0,0) to (2,0): its first vertex fails, the second works
             (D((0, 0, 1, 2)), D((0, 0, 2, 0)), V(5, 1), V(2, 0)),
+            # P_E = conv{(0,0), (1,0), (5,2), (0,2)}: every vertex fails, and on
+            # the second edge k = 1 works
+            (D((0, 0, 1, 2)), D((0, 0, 1, 2)), V(4, 3), V(3, 1)),
         ],
     )
     def test_edge_step_takes_smallest_k(self, d, e, p, q2):
@@ -428,6 +432,33 @@ class TestStructuredSteps:
         assert w.path is DecompositionPath.BOUNDARY_LATTICE
         assert w.q2 == q2
         assert_valid(w, p_d, p_e)
+
+    def test_vertex_of_p_e_wins_over_a_smaller_k(self):
+        # P_E = conv{(0,0), (2,0), (0,2)} on P2 and p = (2,1): the first edge's
+        # k = 1, (1,0), works, but its far end (2,0) is a vertex and is tried first
+        d, e, p = D((0, 1, 2)), D((0, 0, 2)), V(2, 1)
+        p_d, p_e = polygon_of(P2, d), polygon_of(P2, e)
+        assert p_e.lattice_vertices() == [V(0, 0), V(2, 0), V(0, 2)]
+        assert not any(p_e.contains(p - u) for u in p_d.lattice_vertices())
+        assert p_d.contains(p - V(1, 0)) and not p_d.contains(p - V(0, 0))
+        w = decompose_structured(P2, d, e, p)
+        assert (w.q1, w.q2, w.path) == (V(0, 1), V(2, 0), DecompositionPath.BOUNDARY_LATTICE)
+
+    @pytest.mark.parametrize(
+        "fan, d, e, counts, edge_spans",
+        [
+            # large fibers: each vertex of P_E covers most of a column in one span
+            (validate_fan([(1, 0), (1, 1), (0, 1), (-1, -1)]), (20, 20, 20, 20),
+             (14, 8, 14, 8), (1_819, 2_114), 140),
+            # the central points' fibers hold no vertex of P_E: one span per point
+            (P2, (100, 100, 100), (100, 100, 100), (136_350, 44_551), 44_551),
+        ],
+    )
+    def test_path_counts_and_edge_spans_on_large_factors(self, fan, d, e, counts, edge_spans):
+        report = check_surjectivity(fan, D(d), D(e), mode="structured")
+        vertex, edge = DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
+        assert report.surjective and report.path_counts == dict(zip((vertex, edge), counts))
+        assert sum(span[-1] is edge for span in report.spans) <= edge_spans
 
 
 def _one_sided(fan):
@@ -940,7 +971,7 @@ class TestSpans:
         [
             (0, (0, 0), (-1, -1)), (0, (-1, -1), (-1, 1)), (0, None, (-1, -1)),
             (1, (-1, 0), (2, -4)), (1, (-2, -1), (1, 1)), (1, None, (1, 1)),
-            (2, (-1, -1), (5, -4)), (2, (-2, -2), (2, 0)), (2, None, (2, 0)),
+            (1, (-1, -1), (1, 1)), (1, (-2, -2), (1, 1)), (1, (0, 0), (2, -4)),
             (3, (-1, -2), (3, -1)), (3, (-2, -3), (3, -1)), (3, None, (3, -1)),
         ],
     )
@@ -951,6 +982,9 @@ class TestSpans:
         # P_E's table loses a point, or the column x1, for every reader, while
         # step (b) lists its q2 from the ring; each expected point is the one
         # that checking every span at its ends, in (x, y) order, names first.
+        # Column 2 holds no vertex of P_E, and step (b) tries the vertices
+        # before the edge points, so no witness reads its points and losing
+        # them raises nothing; column 1 loses each pair of its three points.
         # The cache is cleared around it, so no table built before or during
         # the run is read by another test.
         from toricmult.surface import _DivisorRecord, _polygon_of_cached

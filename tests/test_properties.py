@@ -826,18 +826,19 @@ def test_sweep_reports_are_cokernel_dim_reports(flet):
 @settings(max_examples=60, deadline=None)
 def test_route_tie_breaks_match_literal_scans(fde):
     # mode "structured" against a reference written here: (a) the first vertex u
-    # of P_D, sorted, with p - u in P_E; else (b) the first edge of P_E and on it
-    # the smallest k, scanning its lattice points; modes "brute" and "both"
+    # of P_D, sorted, with p - u in P_E; else (b) the first vertex w of P_E, in
+    # ring order, with p - w in P_D, else the first edge of P_E and on it the
+    # smallest interior k, scanning its lattice points; modes "brute" and "both"
     # against the smallest q1 of the literal pairwise scan
     fan, d, e = fde
     p_d, p_e = polygon_of(fan, d), polygon_of(fan, e)
     pts_d, pts_e = lattice_points(p_d), lattice_points(p_e)
-    verts = p_e.lattice_vertices()  # a point is an edge of length 0
-    edges = zip(verts, verts[1:] + verts[:1]) if len(verts) > 2 else [(verts[0], verts[-1])]
-    boundary = []
+    verts = p_e.lattice_vertices()  # a segment is one edge, a point none
+    edges = zip(verts, verts[1:] + verts[:1]) if len(verts) > 2 else zip(verts, verts[1:])
+    boundary = list(verts)
     for m, m_next in edges:
         t = m_next - m
-        on_edge = [q for q in pts_e if (q - m).cross(t) == 0 and 0 <= (q - m).dot(t) <= t.dot(t)]
+        on_edge = [q for q in pts_e if (q - m).cross(t) == 0 and 0 < (q - m).dot(t) < t.dot(t)]
         boundary += sorted(on_edge, key=lambda q: (q - m).dot(t))
     report = check_surjectivity(fan, d, e, mode="structured")
     assert [w.p for w in report.witnesses] == lattice_points(polygon_of(fan, d + e))
