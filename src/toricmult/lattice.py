@@ -42,6 +42,19 @@ def check_input_coord(value: int, what: str = "coordinate") -> int:
     return value
 
 
+def parse_input_coord(text: str, what: str) -> int:
+    """An input integer written in ASCII digits after at most one '-', within
+    INPUT_COORD_BOUND; other text is refused.  str.isdigit alone admits digits
+    such as '²' that int rejects, and int rejects over 4,300 digits."""
+    digits = text.removeprefix("-")
+    if (digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 7  # 10**6: 7 digits
+            and abs(value := int(text)) <= INPUT_COORD_BOUND):
+        return value
+    raise PreconditionError(
+        f"bad {what} {text!r}, not an integer in [-{INPUT_COORD_BOUND}, {INPUT_COORD_BOUND}]"
+    )
+
+
 def ceil_div(a: int, b: int) -> int:
     """Exact ceiling of a/b for integers, b > 0."""
     return -((-a) // b)

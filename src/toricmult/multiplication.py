@@ -31,13 +31,13 @@ The cover reads x1 and lo1 off the column of P_D and hi2 off that of P_E:
 step (a)'s vertex u gives (u.x, u.y, hi of column x - u.x of P_E), step (b)'s
 or a leg's q2 gives (x - q2.x, lo of column x - q2.x of P_D, q2.y), and a
 column x2 of T gives (x - x2, lo of column x - x2 of P_D, hi of column x2 of
-T).  Every span is checked against both factors' column tables.
-Along an (a) or (b) span one summand is fixed, u in P_D or q2 in P_E: it is
-checked once, when the context lists it, and the moving summand stays in the
-column it was clipped from.  A step-(c) or step-(d) span is checked where it
-is found, and the oracle checks its own, each at its two ends, between which
-q1.y and q2.y never decrease.  A failing span is scanned, so the error names
-the first point, in (x, y) order, whose witness leaves a factor.
+T).  A span is valid once its key is: it is cut to the sum of the key's column
+and its partner's, and each summand stays in the column it was read from.  So
+each key is checked once against its factor's table, when the context lists it:
+the vertices of P_D (a), the boundary points of P_E (b), the legs and columns of
+T (c); step (d)'s and the oracle's keys and partners are the tables' own.  Only
+after a listed key fails are a column's spans checked, in (x, y) order, so the
+error names the first point whose witness leaves a factor.
 
 A one-sided cut shows where (a) and (b) suffice (cf. Haase, Nill, Paffenholz
 and Santos, "Lattice points in Minkowski sums", 2008).  Let F = P_E
@@ -170,12 +170,6 @@ class TriangleReduction:
     corner_ray_index: int | None
 
 
-def _inside(table: _Table, x: int, y: int) -> bool:
-    """Lattice-point membership in a polygon given by its column table."""
-    col = table.get(x)
-    return col is not None and col[0] <= y <= col[1]
-
-
 def _span_witnesses(spans: Iterable[Span]) -> Iterator[DecompositionWitness]:
     """One witness per point of the spans, in their order; each point of a factor
     polygon is built once."""
@@ -195,8 +189,8 @@ def _span_witnesses(spans: Iterable[Span]) -> Iterator[DecompositionWitness]:
 
 
 def _check_span(table_d: _Table, table_e: _Table, span: Span) -> None:
-    """Raise at the first point of span whose witness leaves a factor.  q1.y and
-    q2.y never decrease along a span, so its ends decide; a failing span is scanned."""
+    """Raise at the first point of span whose witness leaves a factor's table: q1.y
+    and q2.y never decrease along it, so its ends decide, and a failing span is scanned."""
     x, c0, c1, x1, lo1, hi2, _ = span
     (dlo, dhi), (elo, ehi) = table_d.get(x1, (1, 0)), table_e.get(x - x1, (1, 0))
     y1_first, y1_last = max(lo1, c0 - hi2), max(lo1, c1 - hi2)
@@ -259,16 +253,14 @@ def _meeting(table_a: _Table, table_b: _Table) -> Callable[[int], list[_Key]]:
 
 
 def _oracle(table_d: _Table, table_e: _Table) -> Callable[..., list[Span]]:
-    """The exhaustive search of one pair, as column(x, lo, hi, counts): checked spans on
-    (x, lo..hi) by increasing y, counted, keyed by _meeting's columns of P_D."""
+    """The exhaustive search of one pair, as column(x, lo, hi, counts): spans on
+    (x, lo..hi) by increasing y, counted, keyed by _meeting's columns of P_D (valid spans)."""
     meeting, path = _meeting(table_d, table_e), DecompositionPath.FALLBACK_SEARCH
 
     def column(x: int, lo: int, hi: int, counts: Counter[DecompositionPath]) -> list[Span]:
         spans: list[Span] = []
         _cover(x, [(lo, hi)], meeting(x), table_e, path, spans, counts)
         spans.sort()  # by c0: the spans of a column share x and are disjoint
-        for span in spans:
-            _check_span(table_d, table_e, span)
         return spans
 
     return column
@@ -414,15 +406,23 @@ class _StructuredContext:
             )
         self.fan, self.rec_d, self.rec_e = fan, rec_d, rec_e
         self.table_d, self.table_e = rec_d.table(), rec_e.table()
+        self.outside = False  # whether a listed key leaves its factor's table
         # (a) q1 = u, the vertices of P_D in sorted order, as one-point columns (ux, (uy, uy))
-        self.d_vertices: list[_Key] = [(ux, (uy, uy)) for ux, uy in sorted(rec_d.ring)]
+        vertices = [(ux, (uy, uy)) for ux, uy in sorted(rec_d.ring)]
+        self.d_vertices = self._listed(self.table_d, vertices)
         # (b) q2 on the boundary of P_E, listed when step (a) first leaves a gap
         self.boundary: list[_Key] | None = None
         # (c) q2 in the corner triangles, listed when step (b) first leaves a gap
         self.triangles: list[tuple[DecompositionPath, list[_Key]]] | None = None
         self.search: Callable[[int], list[_Key]] | None = None  # (d)'s keys, bound on first use
-        # whether a fixed summand, checked once as listed, leaves its factor's table
-        self.outside = not all(_inside(self.table_d, ux, uy) for ux, uy in rec_d.ring)
+
+    def _listed(self, table: _Table, keys: list[_Key]) -> list[_Key]:
+        """keys, each checked once against its factor's table: a key column
+        (kx, (klo, khi)) that leaves column kx of table sets self.outside."""
+        for kx, (klo, khi) in keys:
+            lo, hi = table.get(kx, (1, 0))  # (1, 0): an empty column
+            self.outside |= not lo <= klo <= khi <= hi
+        return keys
 
     def boundary_points(self) -> list[_Key]:
         """Step (b)'s q2 on the boundary of P_E as one-point columns: the vertices of
@@ -438,8 +438,7 @@ class _StructuredContext:
                 dx, dy = nx - mx, ny - my
                 g = math.gcd(dx, dy)
                 boundary += [(mx + k * dx // g, my + k * dy // g) for k in range(1, g)]
-            self.boundary = [(qx, (qy, qy)) for qx, qy in boundary]
-            self.outside |= not all(_inside(self.table_e, qx, qy) for qx, qy in boundary)
+            self.boundary = self._listed(self.table_e, [(qx, (qy, qy)) for qx, qy in boundary])
         return self.boundary
 
     def triangle_keys(self) -> list[tuple[DecompositionPath, list[_Key]]]:
@@ -470,31 +469,28 @@ class _StructuredContext:
                     mx, my = next(m for m in ends if ux * m[0] + uy * m[1] == -c)
                     g = math.gcd(cx - mx, cy - my)
                     dx, dy = (cx - mx) // g, (cy - my) // g
-                    self.triangles.append(
-                        (path, [(mx + i * dx, (my + i * dy,) * 2) for i in range(g + 1)])
-                    )
-                self.triangles.append(
-                    (DecompositionPath.TRIANGLE_REGION_C, list(_column_table(red.triangle).items()))
-                )
+                    leg = [(mx + i * dx, (my + i * dy,) * 2) for i in range(g + 1)]
+                    self.triangles.append((path, self._listed(self.table_e, leg)))
+                columns = self._listed(self.table_e, list(_column_table(red.triangle).items()))
+                self.triangles.append((DecompositionPath.TRIANGLE_REGION_C, columns))
         return self.triangles
 
 
 def _structured_column(
     ctx: _StructuredContext, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
 ) -> list[Span]:
-    """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as checked
-    spans by increasing y, their points added to counts by path.  Each step
-    covers the gaps the steps before it leave: (a) with the vertices of P_D as
-    keys, (b) with the boundary points of P_E, (c) with each corner triangle's
-    legs and columns, and (d) with the exhaustive search.  A gap that (d)
-    leaves raises, naming its first point."""
+    """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as spans by
+    increasing y, their points added to counts by path.  Each step covers the gaps
+    the steps before it leave: (a) with the vertices of P_D as keys, (b) with the
+    boundary points of P_E, (c) with each corner triangle's legs and columns, and
+    (d) with the exhaustive search.  A gap that (d) leaves raises, naming its first
+    point, and so does, once a listed key failed, a witness that leaves a factor."""
     spans: list[Span] = []
     vertex, edge = DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
     gaps = _cover(x, [(lo, hi)], ctx.d_vertices, ctx.table_e, vertex, spans, counts)
     if gaps:
         keys = ctx.boundary_points()
         gaps = _cover(x, gaps, keys, ctx.table_d, edge, spans, counts, keys_in_e=True)
-    start = len(spans)  # each span of (c) and (d) is checked once, in the order found
     for path, keys in ctx.triangle_keys() if gaps else ():
         if not (gaps := _cover(x, gaps, keys, ctx.table_d, path, spans, counts, keys_in_e=True)):
             break
@@ -503,14 +499,12 @@ def _structured_column(
             ctx.search = _meeting(ctx.table_d, ctx.table_e)
         keys, path = ctx.search(x), DecompositionPath.FALLBACK_SEARCH
         gaps = _cover(x, gaps, keys, ctx.table_e, path, spans, counts)
-    for span in spans[start:]:
-        _check_span(ctx.table_d, ctx.table_e, span)
     if gaps:
         raise TheoremViolationError(
             f"no decomposition for ({x}, {gaps[0][0]}) under ample x globally generated hypotheses"
         )
     spans.sort()  # by c0: the spans of a column share x and are disjoint
-    if ctx.outside:  # raises at the first failing point, as a check of every span would
+    if ctx.outside:  # a key failed as listed: raise at the first failing point
         for span in spans:
             _check_span(ctx.table_d, ctx.table_e, span)
     return spans
@@ -728,10 +722,10 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     P_D plus those (x2, lo2..hi2) of a column of P_E fill the interval
     [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are the gaps these
     intervals leave in the columns of P_{D+E}, merged one column at a time, a
-    covered column stopping early: O(w_D w_E) time at worst and O(min(w_D, w_E))
-    memory for column counts w_D, w_E.  Both divisors must have sections; more than
-    PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused, the latter
-    first by the collar the moving parts leave (see _moving_sum).
+    covered column stopping early: O(w_D w_E) time at worst and O(w_D + w_E) memory,
+    both tables, for column counts w_D, w_E.  Both divisors must have sections; more
+    than PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused, the
+    latter first by the collar the moving parts leave (see _moving_sum).
     """
     rec_d, rec_e = _record(fan, d), _record(fan, e)
     _refuse_over_pair_budget(rec_d, rec_e)

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterable
 
 from .errors import BudgetExceededError, PreconditionError
-from .lattice import ConvexLatticePolygon, check_input_coord
+from .lattice import ConvexLatticePolygon, check_input_coord, parse_input_coord
 from .multiplication import (
     CokernelReport,
     _cokernel_gaps,
@@ -156,14 +156,7 @@ def _family_instances(
         )
     if sum(1 for p in parts if p == "k") != 1:
         raise PreconditionError("filter pattern must contain exactly one 'k'")
-    fixed: list[int | None] = []
-    for p in parts:
-        if p == "k":
-            fixed.append(None)
-        elif p.lstrip("-").isdigit():
-            fixed.append(int(p))
-        else:
-            raise PreconditionError(f"bad filter entry {p!r}")
+    fixed = [None if p == "k" else parse_input_coord(p, "filter entry") for p in parts]
     if e_max > budget:
         raise BudgetExceededError(f"{e_max} family instances exceed {budget}")
     return [tuple(k if f is None else f for f in fixed) for k in range(1, e_max + 1)]

@@ -35,6 +35,7 @@ from .lattice import (
     _ring_count,
     check_input_coord,
     intersect_halfplanes,
+    parse_input_coord,
 )
 
 #: A fan has at most this many rays; validate_fan refuses more before any other check.
@@ -401,22 +402,17 @@ def generate_family(descriptor: str) -> Fan:
     if text in _FAMILY_NAMES:
         return _FAMILY_NAMES[text]()
     if text.startswith("f") and text[1:].isdigit():
-        return hirzebruch(int(text[1:]))
+        return hirzebruch(parse_input_coord(text[1:], "hirzebruch parameter"))
     if text.startswith("hirzebruch(") and text.endswith(")"):
         inner = text[len("hirzebruch(") : -1].strip()
-        if not inner.lstrip("-").isdigit():
-            raise PreconditionError(f"bad hirzebruch parameter {inner!r}")
-        return hirzebruch(int(inner))
+        return hirzebruch(parse_input_coord(inner, "hirzebruch parameter"))
     if text.startswith("blowup(") and text.endswith(")"):
         # the corner index is the last argument: the last comma ends the base
         inner, comma, corner_text = text[len("blowup(") : -1].rpartition(",")
         if not comma:
             raise PreconditionError(f"blowup descriptor needs a corner index: {descriptor!r}")
         base = generate_family(inner)
-        corner_text = corner_text.strip()
-        if not corner_text.lstrip("-").isdigit():
-            raise PreconditionError(f"bad corner index {corner_text!r}")
-        return blowup(base, int(corner_text))
+        return blowup(base, parse_input_coord(corner_text.strip(), "corner index"))
     raise PreconditionError(f"unknown family descriptor {descriptor!r}")
 
 
@@ -430,6 +426,7 @@ def random_divisor(
     """
     if max_coeff < 1:
         raise PreconditionError("max_coeff must be >= 1")
+    check_input_coord(max_coeff, "maximum coefficient")  # as any coefficient drawn would be
     rng = random.Random(seed)
     for _ in range(SAMPLING_BUDGET):
         d = TorusDivisor(tuple(rng.randint(0, max_coeff) for _ in range(fan.n)))

@@ -92,6 +92,24 @@ class TestLoadres:
         with pytest.raises(ParseError):
             load_divisor(path)
 
+    @pytest.mark.parametrize(
+        "load, data, message",
+        [
+            (load_fan, {"rays": []}, "'rays' must be a nonempty array"),
+            (load_fan, {"rays": 5}, "'rays' must be a nonempty array"),
+            (load_fan, [[1, 0], [0, 1], [-1, -1]], "expected an object with a 'rays' field"),
+            (load_fan, {"ray": [[1, 0]]}, "expected an object with a 'rays' field"),
+            (load_divisor, [1, 2, 3], "expected an object with a 'coeffs' field"),
+            (load_divisor, {"coeffs": [1, 2], "label": 3}, "'label' must be a string when present"),
+        ],
+    )
+    def test_schema_refusals_name_the_file_and_field(self, tmp_path, load, data, message):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestCsv:
     def row(self, **kw):
@@ -280,6 +298,37 @@ class TestCli:
         assert run_cli(["gen", "f2"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data == {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]]}
+
+    def test_gen_out_writes_the_fan_file(self, tmp_path, capsys):
+        path = tmp_path / "f2.json"
+        assert run_cli(["gen", "f2", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert load_fan(path) == F2
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ("f²", "bad hirzebruch parameter '²'"),
+            ("hirzebruch(²)", "bad hirzebruch parameter '²'"),
+            ("blowup(p2, ²)", "bad corner index '²'"),
+            ("f٣", "bad hirzebruch parameter '٣'"),  # an Arabic-Indic 3, not F3
+            ("f" + "9" * 5000, "bad hirzebruch parameter '999"),  # over int's 4,300 digits
+        ],
+    )
+    def test_gen_refuses_non_ascii_and_oversized_integers(self, descriptor, message, capsys):
+        assert run_cli(["gen", descriptor]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("²", "bad filter entry '²'"), ("1000001", "bad filter entry '1000001', not an integer")],
+    )
+    def test_sweep_refuses_a_bad_filter_entry(self, f2_file, l_file, entry, message, capsys):
+        argv = ["sweep", str(f2_file), str(l_file), "--max-coeff", "4", "--seed", "1"]
+        assert run_cli([*argv, "--filter", f"0,k,0,{entry}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
     def test_usage_error_exit_2(self):
         assert run_cli(["sweep"]) == 2

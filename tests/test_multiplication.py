@@ -550,25 +550,35 @@ class TestTriangleRegions:
                 seen[w.path.value] = seen.get(w.path.value, 0) + 1
             assert seen == expected
 
-    def test_each_step_c_and_d_span_is_checked_once(self, monkeypatch):
-        # a step-(c) or step-(d) span is checked where its cover finds it; the route
-        # checks neither again (ctx.outside is False here)
+    def test_step_c_keys_are_checked_once_as_listed(self, monkeypatch):
+        # a span is valid once its key is: triangle_keys checks each leg point and
+        # each column of T once, against P_E's table, as it lists them, and no span
+        # of step (c) or (d) is checked (ctx.outside is False here)
         import toricmult.multiplication as mult
 
         contexts = without_steps_a_and_b(monkeypatch)
-        checked = []
-        check = mult._check_span
-        monkeypatch.setattr(mult, "_check_span", lambda *a: checked.append(a[2]) or check(*a))
+        listed, checked = [], []
+        listed_of = mult._StructuredContext._listed
+        monkeypatch.setattr(
+            mult._StructuredContext, "_listed",
+            lambda ctx, table, keys: listed.append((table, keys)) or listed_of(ctx, table, keys),
+        )
+        monkeypatch.setattr(mult, "_check_span", lambda *a: checked.append(a[2]))
         d = D((1, 0, 1, 1))
         cases = [
             (D((0, 0, 2, 0)), {"fallback_search"}),
             (D((2, 2, 2, 2)), {"triangle_region_A", "triangle_region_B", "triangle_region_C"}),
         ]
         for e, paths in cases:
-            checked.clear()
+            listed.clear()
             report = check_surjectivity(F2, d, e, mode="structured")
-            assert not contexts[-1].outside and {p.value for p in report.path_counts} == paths
-            assert Counter(checked) == Counter(report.spans)
+            ctx = contexts[-1]
+            assert not ctx.outside and {p.value for p in report.path_counts} == paths
+            assert listed[0][0] is ctx.table_d  # step (a)'s vertices, listed by __init__
+            assert [(table is ctx.table_e, keys) for table, keys in listed[1:]] == [
+                (True, keys) for _, keys in ctx.triangles
+            ]
+        assert len(ctx.triangles) == 6 and checked == []
 
     def test_step_d_binds_its_oracle_once_per_context(self, monkeypatch):
         # the 12 points of E = (0,0,2,0) all reach step (d); one _meeting serves them
@@ -769,20 +779,19 @@ class TestCheckSurjectivity:
 
     def test_violation_names_its_instance(self, monkeypatch, tmp_path, capsys):
         # the message spells out the fan, L and E as the JSON of the three files
-        # of a `toricmult verify` line, and that line reproduces the failure
+        # of a `toricmult verify` line, and that line reproduces the failure: here
+        # no key covers any point, so step (d) leaves the whole first column
         import toricmult.multiplication as mult
 
-        def fail(table_d, table_e, span):
-            raise TheoremViolationError(f"witness check failed at ({span[0]}, {span[1]})")
-
-        monkeypatch.setattr(mult, "_check_span", fail)
-        d, e = D((1, 0, 1, 1)), D((0, 1, 0, 0))
+        monkeypatch.setattr(mult, "_cover", lambda x, gaps, *args, **kwargs: gaps)
+        d, e = D((1, 0, 1, 1)), D((1, 1, 1, 1))
         with pytest.raises(TheoremViolationError) as err:
-            check_surjectivity(F2, d, e, mode="brute")
+            check_surjectivity(F2, d, e, mode="structured")
         message = str(err.value)
         files = re.fullmatch(
-            r"witness check failed at \(-?\d+, -?\d+\); reproduce with `toricmult verify "
-            r"FAN L E --mode brute` on FAN (\{[^}]*\}), L (\{[^}]*\}), E (\{[^}]*\})",
+            r"no decomposition for \(-?\d+, -?\d+\) under ample x globally generated hypotheses; "
+            r"reproduce with `toricmult verify FAN L E --mode structured` on "
+            r"FAN (\{[^}]*\}), L (\{[^}]*\}), E (\{[^}]*\})",
             message,
         )
         assert files is not None, message
@@ -791,7 +800,7 @@ class TestCheckSurjectivity:
             path.write_text(text)
         assert (load_fan(paths[0]), load_divisor(paths[1]), load_divisor(paths[2])) == (F2, d, e)
         capsys.readouterr()
-        assert run_cli(["verify", *map(str, paths), "--mode", "brute"]) == 1
+        assert run_cli(["verify", *map(str, paths), "--mode", "structured"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sum_beyond_the_input_bound_admitted(self):
@@ -938,7 +947,11 @@ class TestSpans:
         # narrow one column of a factor's table by 1 or 2 at either end: the end
         # check of each span, with a scan where it fails, must name the point that
         # the per-point check of the expanded witnesses, in order, names first
-        from toricmult.multiplication import _check_span, _inside
+        from toricmult.multiplication import _check_span
+
+        def inside(table, q):
+            col = table.get(q.x)
+            return col is not None and col[0] <= q.y <= col[1]
 
         d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
         tables = (_column_table(polygon_of(F2, d)), _column_table(polygon_of(F2, e)))
@@ -951,7 +964,7 @@ class TestSpans:
                         bad = [dict(t) for t in tables]
                         bad[which][x1] = col
                         first = next((w.p for w in report.witnesses if not (
-                            _inside(bad[0], *w.q1.as_tuple()) and _inside(bad[1], *w.q2.as_tuple())
+                            inside(bad[0], w.q1) and inside(bad[1], w.q2)
                         )), None)
                         try:
                             for span in report.spans:
@@ -965,6 +978,44 @@ class TestSpans:
                         else:
                             assert first is None
         assert inside_spans > 0  # some spans fail between their ends, found by the scan
+
+    @pytest.mark.parametrize(
+        "x1, col, first",
+        [
+            (-2, (-2, 0), (-3, 1)), (-2, None, (-3, -2)), (0, (-1, 0), (1, 2)),
+            (2, (0, 1), (3, 2)), (3, None, (4, 2)),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["structured", "both"])
+    def test_shrunk_column_of_p_e_under_t_raises_at_the_first_failing_point(
+        self, monkeypatch, mode, x1, col, first
+    ):
+        # steps (a) and (b) find nothing, so steps (c) and (d) cover F2's sum
+        # polygon, and P_E's table loses points under a column of T: triangle_keys
+        # finds a key outside it as it lists them, and the first failing point in
+        # (x, y) order is named, also where a span of the same column found earlier
+        # fails higher up (the first two cases: a check in the order found named (-3, 2))
+        from toricmult.surface import _DivisorRecord, _polygon_of_cached
+
+        without_steps_a_and_b(monkeypatch)
+        d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
+        table = _DivisorRecord.table
+
+        def shrunk(rec):
+            t = table(rec)
+            if rec.coeffs == e.coeffs:
+                t = dict(t)  # a record's table is shared: change a copy
+                t.pop(x1) if col is None else t.update({x1: col})
+            return t
+
+        _polygon_of_cached.cache_clear()
+        monkeypatch.setattr(_DivisorRecord, "table", shrunk)
+        try:
+            with pytest.raises(TheoremViolationError) as raised:
+                check_surjectivity(F2, d, e, mode=mode)
+        finally:
+            _polygon_of_cached.cache_clear()
+        assert str(raised.value).startswith(f"witness check failed at {V(*first)}; ")
 
     @pytest.mark.parametrize(
         "x1, col, first",
@@ -1026,21 +1077,29 @@ class TestSpans:
         assert wide._table is None
         assert check_surjectivity(P2, d, e, mode="both") == first and wide._table is None
 
-    def test_steps_a_and_b_check_no_span_at_its_ends(self, monkeypatch):
-        # their fixed summands are checked once per context, the moving ones as
-        # each span is clipped; only steps (c), (d) and the oracle call _check_span
+    @pytest.mark.parametrize("mode", ["structured", "brute", "both"])
+    def test_a_valid_instance_checks_no_span(self, monkeypatch, mode):
+        # every key is checked as listed and every span clipped to a key and its
+        # partner, so _check_span runs only after a key failed: never on a valid
+        # instance, in any mode, by any step, the oracle's included
         import toricmult.multiplication as mult
 
         calls = []
         check = mult._check_span
         monkeypatch.setattr(mult, "_check_span", lambda *args: calls.append(args) or check(*args))
-        report = check_surjectivity(F2, D((1, 0, 1, 1)), D((2, 2, 2, 2)), mode="both")
-        assert set(report.path_counts) == {
-            DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
-        }
+        d = D((1, 0, 1, 1))
+        report = check_surjectivity(F2, d, D((2, 2, 2, 2)), mode=mode)
+        assert report.surjective and calls == []
+        without_steps_a_and_b(monkeypatch)  # steps (c) and (d) fire; the oracle is unchanged
+        paths = set()
+        for e in (D((2, 2, 2, 2)), D((0, 0, 2, 0))):
+            report = check_surjectivity(F2, d, e, mode=mode)
+            assert report.surjective
+            paths |= {p.value for p in report.path_counts}
         assert calls == []
-        brute = check_surjectivity(F2, D((1, 0, 1, 1)), D((2, 2, 2, 2)), mode="brute")
-        assert len(calls) == len(brute.spans)  # the oracle checks each of its spans
+        assert paths == ({"fallback_search"} if mode == "brute" else {
+            "triangle_region_A", "triangle_region_B", "triangle_region_C", "fallback_search"
+        })
 
     def test_steps_c_and_d_spans_expand_to_single_point_witnesses(self, monkeypatch):
         # with steps (a) and (b) finding nothing, steps (c) and (d) cover whole gaps:

@@ -541,3 +541,14 @@ class TestSweep:
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=3, filter_pattern="0,k")
         with pytest.raises(PreconditionError):
             sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=3, filter_pattern="0,k,k,0")
+
+    @pytest.mark.parametrize(
+        "entry", ["²", "٣", "--1", "1000001", "-1000001", "9" * 5000, "1.0", ""]
+    )
+    def test_a_bad_fixed_filter_entry_is_refused_before_any_instance(self, monkeypatch, entry):
+        # one ASCII integer rule, bounded as every input coefficient is
+        import toricmult.reduction as red
+
+        monkeypatch.setattr(red, "_sweep_worker_init", lambda *args: pytest.fail("instance built"))
+        with pytest.raises(PreconditionError, match=r"^bad filter entry '"):
+            sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=3, filter_pattern=f"0,k,{entry},0")

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from toricmult.errors import (
+    CoordinateOverflowError,
     DuplicateRayError,
     FanSizeError,
     NonCompleteFanError,
@@ -315,8 +316,29 @@ class TestFamilies:
         assert generate_family("blowup(p2, 1)") == blowup(projective_plane(), 1)
         nested = generate_family("blowup(blowup(p2, 1), 4)")
         assert nested.n == 5
+        assert generate_family("f0003") == hirzebruch(3) and generate_family("f1000000").n == 4
         with pytest.raises(PreconditionError):
             generate_family("p3")
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ("f²", r"bad hirzebruch parameter '²', not an integer in \[-1000000, 1000000\]"),
+            ("hirzebruch(²)", "bad hirzebruch parameter '²'"),
+            ("hirzebruch(--1)", "bad hirzebruch parameter '--1'"),
+            ("blowup(p2, ²)", "bad corner index '²'"),
+            ("f٣", "bad hirzebruch parameter '٣'"),  # an Arabic-Indic 3: str.isdigit admits it
+            ("f" + "9" * 5000, "bad hirzebruch parameter '9999"),  # int refuses over 4,300 digits
+            ("f1000001", "bad hirzebruch parameter '1000001'"),
+            ("hirzebruch(-1)", r"^hirzebruch parameter must be >= 0$"),
+            ("blowup(p2, 0)", r"^corner index must be in \[1, 3\]$"),
+            ("blowup(p2, 4)", r"^corner index must be in \[1, 3\]$"),
+            ("blowup(p2)", r"^blowup descriptor needs a corner index: 'blowup\(p2\)'$"),
+        ],
+    )
+    def test_descriptor_refusals(self, descriptor, message):
+        with pytest.raises(PreconditionError, match=message):
+            generate_family(descriptor)
 
     def test_all_small_blowups_validate(self):
         # every generated refinement must pass validation on its own
@@ -364,6 +386,14 @@ class TestRandomDivisor:
     def test_max_coeff_precondition(self):
         with pytest.raises(PreconditionError):
             random_divisor(projective_plane(), PositivityClass.AMPLE, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_max_coeff_above_the_input_bound_refused(self, seed):
+        # refused up front, as sweep_cokernel refuses it, whatever the seed draws
+        with pytest.raises(CoordinateOverflowError, match=r"^maximum coefficient 1000001 exceeds"):
+            random_divisor(projective_plane(), PositivityClass.AMPLE, 10**6 + 1, seed=seed)
+        d = random_divisor(projective_plane(), PositivityClass.AMPLE, 10**6, seed=seed)
+        assert max(d.coeffs) <= 10**6
 
     def test_rejected_draws_leave_no_cache_entry(self):
         from toricmult.surface import _polygon_of_cached
