@@ -11,6 +11,7 @@ import sys
 from typing import Sequence
 
 from .errors import ToricError
+from .lattice import ascii_int
 from .multiplication import (
     DecompositionPath,
     _refuse_over_point_budget,
@@ -29,6 +30,14 @@ from .serialization import (
 )
 from .surface import _record, classify, generate_family, h0
 from .svg import emit_svg
+
+
+def _integer(text: str) -> int:
+    """An integer option, read by lattice.ascii_int: argparse's int would also
+    read digits such as '٣' as 3."""
+    if (value := ascii_int(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,11 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="cokernel sweep over a divisor family")
     p.add_argument("fan")
     p.add_argument("L")
-    p.add_argument("--max-coeff", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--max-coeff", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--filter", dest="filter_pattern", help="family pattern like 0,k,0,0")
-    p.add_argument("--budget", type=int, default=SWEEP_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=_integer, default=SWEEP_BUDGET)
+    p.add_argument("--jobs", type=_integer, default=1)
     p.add_argument("--out", help="write per-instance rows to this CSV file")
 
     p = sub.add_parser("gen", help="generate a family fan (p2, p1xp1, f<a>, blowup(...))")
@@ -195,10 +204,15 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first run_cli, not at import
+
+
 def run_cli(argv: Sequence[str]) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:

@@ -42,13 +42,22 @@ def check_input_coord(value: int, what: str = "coordinate") -> int:
     return value
 
 
-def parse_input_coord(text: str, what: str) -> int:
-    """An input integer written in ASCII digits after at most one '-', within
-    INPUT_COORD_BOUND; other text is refused.  str.isdigit alone admits digits
-    such as '²' that int rejects, and int rejects over 4,300 digits."""
+def ascii_int(text: str) -> int | None:
+    """text as an int if it is ASCII digits after at most one '-', else None.
+    int alone also reads digits such as '٣' and spaces or a '+'; str.isdigit
+    admits digits such as '²' that int rejects; int rejects over 4,300 digits."""
     digits = text.removeprefix("-")
-    if (digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 7  # 10**6: 7 digits
-            and abs(value := int(text)) <= INPUT_COORD_BOUND):
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # over int's limit of 4,300 digits
+            pass
+    return None
+
+
+def parse_input_coord(text: str, what: str) -> int:
+    """An input integer (see ascii_int) within INPUT_COORD_BOUND; other text is refused."""
+    if (value := ascii_int(text)) is not None and abs(value) <= INPUT_COORD_BOUND:
         return value
     raise PreconditionError(
         f"bad {what} {text!r}, not an integer in [-{INPUT_COORD_BOUND}, {INPUT_COORD_BOUND}]"

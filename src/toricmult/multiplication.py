@@ -57,6 +57,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -84,8 +85,8 @@ from .surface import Fan, TorusDivisor, _corner_ring, _DivisorRecord, _record
 #: The exhaustive search, cokernel_dim and the sweep refuse more pairs of
 #: lattice columns w_D x w_E of the two factors than this.
 PAIR_BUDGET = 10**7
-#: The most points one report answers for: the points of the sum polygon, kept
-#: as spans, a few per column, or a vector per missing point.  Reading a report's
+#: The most points one report answers for: the points of the sum polygon, or the
+#: missing ones, kept as intervals, a few per column.  Reading a report's
 #: witnesses builds 340-410 bytes per point (CPython 3.11: about 0.4 GB).
 POINT_BUDGET = 10**6
 
@@ -128,7 +129,8 @@ Span = tuple[int, int, int, int, int, int, DecompositionPath]
 @dataclass(frozen=True)
 class SurjectivityReport:
     """The lattice points of P_{D+E} that split, as checked spans in (x, y) order,
-    and their count per path; witnesses expands the spans anew on each read."""
+    and their count per path, counted once off the spans; witnesses expands the
+    spans anew on each read."""
 
     total_points: int
     decomposed: int
@@ -142,14 +144,45 @@ class SurjectivityReport:
         return tuple(_span_witnesses(self.spans))
 
 
+class _GapPoints(Sequence[LatticeVector]):
+    """The lattice points of gaps (x, g0, g1), in their order, built anew on each
+    read; equal to any sequence of the same points, as a tuple of them would be."""
+
+    def __init__(self, gaps: tuple[tuple[int, int, int], ...]) -> None:
+        self.gaps = gaps
+
+    def __len__(self) -> int:
+        return sum(g1 - g0 + 1 for _, g0, g1 in self.gaps)
+
+    def __iter__(self) -> Iterator[LatticeVector]:
+        return (LatticeVector(x, y) for x, g0, g1 in self.gaps for y in range(g0, g1 + 1))
+
+    def __getitem__(self, index: int | slice):  # as of the tuple of the points
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CokernelReport:
+    """h0 of both factors and of their sum, and the gaps (x, g0, g1) the sumset leaves
+    in the columns of P_{D+E}, maximal and in (x, y) order.  missing_points lists the
+    gaps' points anew on each read, and coker_dim and sumset_size are counted off them
+    once.  The three sit in the instance dict beside the fields, so equality and repr
+    stay on the gaps and vars() of a report still holds every attribute callers read."""
+
     h0_D: int
     h0_E: int
     h0_sum: int
-    sumset_size: int
-    coker_dim: int
-    missing_points: tuple[LatticeVector, ...]
+    gaps: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        n = len(points := _GapPoints(self.gaps))
+        self.__dict__.update(missing_points=points, coker_dim=n, sumset_size=self.h0_sum - n)
 
 
 @dataclass(frozen=True)
@@ -204,18 +237,17 @@ def _check_span(table_d: _Table, table_e: _Table, span: Span) -> None:
 
 def _cover(
     x: int, gaps: list[tuple[int, int]], keys: Iterable[_Key], partner: _Table,
-    path: DecompositionPath, spans: list[Span], counts: Counter[DecompositionPath],
-    *, keys_in_e: bool = False,
+    path: DecompositionPath, spans: list[Span], *, keys_in_e: bool = False,
 ) -> list[tuple[int, int]]:
     """Give each y of gaps (disjoint ranges, by increasing y) in column x to the
     first key column (kx, (klo, khi)) of one factor, in the order of keys, whose
     sum with column x - kx of the other factor's table partner holds it: a span
-    per piece appended to spans, the points covered added to counts[path], the
-    gaps left returned.  Keys are columns of P_D and partner is P_E's table, or
-    the other way round when keys_in_e; either way the span takes x1 and lo1
-    from the P_D column and hi2 from the P_E column, so each witness has the
-    smallest q1 its key allows.  keys is read only until no gap is left."""
-    get, covered = partner.get, 0
+    per piece appended to spans, the gaps left returned.  Keys are columns of P_D
+    and partner is P_E's table, or the other way round when keys_in_e; either way
+    the span takes x1 and lo1 from the P_D column and hi2 from the P_E column, so
+    each witness has the smallest q1 its key allows.  keys is read only until no
+    gap is left; the spans alone record what was covered, and by which path."""
+    get = partner.get
     for kx, (klo, khi) in keys:
         if (col := get(x - kx)) is None:
             continue
@@ -229,14 +261,12 @@ def _cover(
             c0, c1 = a if a > g0 else g0, b if b < g1 else g1
             spans.append((x, c0, c1, x - kx, olo, khi, path) if keys_in_e
                          else (x, c0, c1, kx, klo, ohi, path))
-            covered += c1 - c0 + 1
             if g0 < a:
                 rest.append((g0, a - 1))
             if b < g1:
                 rest.append((b + 1, g1))
         if not (gaps := rest):
             break
-    counts[path] += covered
     return gaps
 
 
@@ -253,13 +283,13 @@ def _meeting(table_a: _Table, table_b: _Table) -> Callable[[int], list[_Key]]:
 
 
 def _oracle(table_d: _Table, table_e: _Table) -> Callable[..., list[Span]]:
-    """The exhaustive search of one pair, as column(x, lo, hi, counts): spans on
-    (x, lo..hi) by increasing y, counted, keyed by _meeting's columns of P_D (valid spans)."""
+    """The exhaustive search of one pair, as column(x, lo, hi): spans on (x, lo..hi)
+    by increasing y, keyed by _meeting's columns of P_D (valid spans)."""
     meeting, path = _meeting(table_d, table_e), DecompositionPath.FALLBACK_SEARCH
 
-    def column(x: int, lo: int, hi: int, counts: Counter[DecompositionPath]) -> list[Span]:
+    def column(x: int, lo: int, hi: int) -> list[Span]:
         spans: list[Span] = []
-        _cover(x, [(lo, hi)], meeting(x), table_e, path, spans, counts)
+        _cover(x, [(lo, hi)], meeting(x), table_e, path, spans)
         spans.sort()  # by c0: the spans of a column share x and are disjoint
         return spans
 
@@ -270,7 +300,7 @@ def _fallback_witness(
     table_d: _Table, table_e: _Table, p: LatticeVector
 ) -> DecompositionWitness | None:
     """The exhaustive search's witness for p, on the one-point range [p.y, p.y]."""
-    return next(_span_witnesses(_oracle(table_d, table_e)(p.x, p.y, p.y, Counter())), None)
+    return next(_span_witnesses(_oracle(table_d, table_e)(p.x, p.y, p.y)), None)
 
 
 def decompose_bruteforce(
@@ -476,29 +506,26 @@ class _StructuredContext:
         return self.triangles
 
 
-def _structured_column(
-    ctx: _StructuredContext, x: int, lo: int, hi: int, counts: Counter[DecompositionPath]
-) -> list[Span]:
+def _structured_column(ctx: _StructuredContext, x: int, lo: int, hi: int) -> list[Span]:
     """Steps (a)-(d) on the points (x, lo..hi) of the sum polygon, as spans by
-    increasing y, their points added to counts by path.  Each step covers the gaps
-    the steps before it leave: (a) with the vertices of P_D as keys, (b) with the
-    boundary points of P_E, (c) with each corner triangle's legs and columns, and
-    (d) with the exhaustive search.  A gap that (d) leaves raises, naming its first
-    point, and so does, once a listed key failed, a witness that leaves a factor."""
+    increasing y.  Each step covers the gaps the steps before it leave: (a) with
+    the vertices of P_D as keys, (b) with the boundary points of P_E, (c) with each
+    corner triangle's legs and columns, and (d) with the exhaustive search.  A gap
+    that (d) leaves raises, naming its first point, and so does, once a listed key
+    failed, a witness that leaves a factor."""
     spans: list[Span] = []
     vertex, edge = DecompositionPath.INTERIOR_VERTEX, DecompositionPath.BOUNDARY_LATTICE
-    gaps = _cover(x, [(lo, hi)], ctx.d_vertices, ctx.table_e, vertex, spans, counts)
+    gaps = _cover(x, [(lo, hi)], ctx.d_vertices, ctx.table_e, vertex, spans)
     if gaps:
-        keys = ctx.boundary_points()
-        gaps = _cover(x, gaps, keys, ctx.table_d, edge, spans, counts, keys_in_e=True)
+        gaps = _cover(x, gaps, ctx.boundary_points(), ctx.table_d, edge, spans, keys_in_e=True)
     for path, keys in ctx.triangle_keys() if gaps else ():
-        if not (gaps := _cover(x, gaps, keys, ctx.table_d, path, spans, counts, keys_in_e=True)):
+        if not (gaps := _cover(x, gaps, keys, ctx.table_d, path, spans, keys_in_e=True)):
             break
     if gaps:  # one exhaustive search per context serves all its points
         if ctx.search is None:
             ctx.search = _meeting(ctx.table_d, ctx.table_e)
         keys, path = ctx.search(x), DecompositionPath.FALLBACK_SEARCH
-        gaps = _cover(x, gaps, keys, ctx.table_e, path, spans, counts)
+        gaps = _cover(x, gaps, keys, ctx.table_e, path, spans)
     if gaps:
         raise TheoremViolationError(
             f"no decomposition for ({x}, {gaps[0][0]}) under ample x globally generated hypotheses"
@@ -517,7 +544,7 @@ def _decompose_structured_in_context(
     d, e = ctx.rec_d.coeffs, ctx.rec_e.coeffs
     if any(v.dot(p) < -(a + b) for v, a, b in zip(ctx.fan.rays, d, e)):
         raise DecompositionRangeError(f"{p} lies outside the sum polygon")
-    return next(_span_witnesses(_structured_column(ctx, p.x, p.y, p.y, Counter())))
+    return next(_span_witnesses(_structured_column(ctx, p.x, p.y, p.y)))
 
 
 def decompose_structured(
@@ -574,11 +601,10 @@ def check_surjectivity(
         gaps_of = _sumset_gaps(ctx.table_d, ctx.table_e) if mode == "both" else None
     total = 0
     spans: list[Span] = []
-    path_counts: Counter[DecompositionPath] = Counter()
     try:
         for x, lo, hi in rec_sum.columns():
             total += hi - lo + 1
-            spans += column(x, lo, hi, path_counts)
+            spans += column(x, lo, hi)
             if mode == "both" and (gaps := gaps_of(x, lo, hi)):
                 raise TheoremViolationError(
                     f"structured route decomposed {LatticeVector(x, gaps[0][0])} "
@@ -586,7 +612,9 @@ def check_surjectivity(
                 )
     except TheoremViolationError as exc:
         raise _violation(str(exc), f"verify FAN L E --mode {mode}", fan, d, e) from exc
-    path_counts = +path_counts  # no zero counts
+    path_counts: Counter[DecompositionPath] = Counter()
+    for _, c0, c1, _, _, _, path in spans:
+        path_counts[path] += c1 - c0 + 1
     decomposed = path_counts.total()
     return SurjectivityReport(
         total_points=total,
@@ -600,9 +628,8 @@ def check_surjectivity(
 
 def _refuse_over_point_budget(rec_sum: _DivisorRecord) -> None:
     """Refuse a sum polygon with more than POINT_BUDGET lattice points, counted
-    exactly by Pick's theorem on its record's ring when its corner box exceeds it."""
-    x0, y0, x1, y1 = rec_sum.box
-    if (x1 - x0 + 1) * (y1 - y0 + 1) > POINT_BUDGET and rec_sum.h0() > POINT_BUDGET:
+    exactly by Pick's theorem on its record's ring."""
+    if rec_sum.h0() > POINT_BUDGET:
         raise BudgetExceededError(f"the sum polygon has over {POINT_BUDGET} lattice points")
 
 
@@ -626,16 +653,11 @@ def _moving_sum(
 
 
 def _refuse_over_pair_budget(rec_d: _DivisorRecord, rec_e: _DivisorRecord) -> None:
-    """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E.  Each
-    step bounds the widths more tightly, and the next runs only while the
-    product exceeds the budget: the corner boxes, the x-ranges of the moving
-    parts' rings (each starts at its least x), then an exact count (a sweep
-    listing no point)."""
-    w_d, w_e = rec_d.box[2] - rec_d.box[0] + 1, rec_e.box[2] - rec_e.box[0] + 1
-    if w_d * w_e > PAIR_BUDGET:
-        w_d, w_e = (
-            0 if r.ring is None else max(r.ring)[0] - r.ring[0][0] + 1 for r in (rec_d, rec_e)
-        )
+    """Refuse more than PAIR_BUDGET pairs of lattice columns w_D x w_E.  The
+    x-ranges of the moving parts' rings (each starts at its least x) bound the
+    widths, and only while their product exceeds the budget are the columns
+    counted exactly (a sweep listing no point)."""
+    w_d, w_e = (0 if r.ring is None else max(r.ring)[0] - r.ring[0][0] + 1 for r in (rec_d, rec_e))
     if w_d * w_e > PAIR_BUDGET:
         w_d, w_e = (sum(1 for _ in rec.columns()) for rec in (rec_d, rec_e))
         if w_d * w_e > PAIR_BUDGET:
@@ -706,15 +728,6 @@ def _cokernel_gaps(
     return h0_sum, gaps
 
 
-def _cokernel_report(
-    h0_d: int, h0_e: int, h0_sum: int, gaps: Iterable[tuple[int, int, int]]
-) -> CokernelReport:
-    """cokernel_dim's report, the gaps listed as missing points."""
-    missing = tuple(LatticeVector(x, y) for x, g0, g1 in gaps for y in range(g0, g1 + 1))
-    n_missing = len(missing)
-    return CokernelReport(h0_d, h0_e, h0_sum, h0_sum - n_missing, n_missing, missing)
-
-
 def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     """Count the lattice points of the sum polygon missed by the sumset.
 
@@ -723,9 +736,11 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are the gaps these
     intervals leave in the columns of P_{D+E}, merged one column at a time, a
     covered column stopping early: O(w_D w_E) time at worst and O(w_D + w_E) memory,
-    both tables, for column counts w_D, w_E.  Both divisors must have sections; more
-    than PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused, the
-    latter first by the collar the moving parts leave (see _moving_sum).
+    both tables, for column counts w_D, w_E.  The report keeps these gaps, at most a
+    few per column, and lists the missing points only when they are read.  Both
+    divisors must have sections; more than PAIR_BUDGET column pairs or POINT_BUDGET
+    missing points are refused, the latter first by the collar the moving parts
+    leave (see _moving_sum).
     """
     rec_d, rec_e = _record(fan, d), _record(fan, e)
     _refuse_over_pair_budget(rec_d, rec_e)
@@ -734,4 +749,4 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     rec_sum = _record(fan, d + e)
     _moving_sum(fan.xy, rec_d, rec_e, rec_sum)
     h0_sum, gaps = _cokernel_gaps(rec_d.table(), rec_e.table(), rec_sum.columns())
-    return _cokernel_report(rec_d.h0(), rec_e.h0(), h0_sum, gaps)
+    return CokernelReport(rec_d.h0(), rec_e.h0(), h0_sum, tuple(gaps))

@@ -23,7 +23,6 @@ from .lattice import ConvexLatticePolygon, check_input_coord, parse_input_coord
 from .multiplication import (
     CokernelReport,
     _cokernel_gaps,
-    _cokernel_report,
     _moving_sum,
     _refuse_over_pair_budget,
     _violation,
@@ -229,7 +228,7 @@ def _sweep_instance(coeffs: tuple[int, ...]) -> CokernelReport | None:
             f"{extra} lie inside it, collar points {lost} were decomposed",
             "cokernel FAN L E", fan, fixed_l, e,
         )
-    return _cokernel_report(h0_l, rec_e.h0(), h0_sum, gaps)
+    return CokernelReport(h0_l, rec_e.h0(), h0_sum, tuple(gaps))
 
 
 def sweep_cokernel(

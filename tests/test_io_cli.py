@@ -1,6 +1,7 @@
 """File formats, CLI behavior, SVG output."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -180,6 +181,12 @@ class TestSvg:
         emit_svg(F2, (l_div, e_div), report, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_one_divisor_refused(self, tmp_path):
+        with pytest.raises(EmptyInputError) as exc:
+            emit_svg(F2, (D((1, 0, 1, 1)),), None, tmp_path / "no.svg")
+        assert str(exc.value) == "plotting expects exactly two divisors"
+        assert not (tmp_path / "no.svg").exists()
+
     def test_empty_polygon_refused(self, tmp_path):
         p2 = projective_plane()
         with pytest.raises(EmptyInputError):
@@ -333,6 +340,52 @@ class TestCli:
     def test_usage_error_exit_2(self):
         assert run_cli(["sweep"]) == 2
         assert run_cli(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("option", ["--max-coeff", "--seed", "--budget", "--jobs"])
+    @pytest.mark.parametrize("value", ["٣", "١٠", "+3", " 3"])
+    def test_integer_options_take_ascii_digits_only(
+        self, f2_file, l_file, monkeypatch, capsys, option, value
+    ):
+        # argparse's int reads '٣' (an Arabic-Indic 3) as 3 and '١٠' as 10; here
+        # each is a usage error, as '--max-coeff abc' is
+        import toricmult.reduction as reduction
+
+        monkeypatch.setattr(reduction, "_sweep_instance", lambda coeffs: pytest.fail("ran"))
+        options = {"--max-coeff": "2", "--seed": "1", option: value}
+        assert run_cli(["sweep", f2_file, l_file, *(t for kv in options.items() for t in kv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+    def test_integer_rule(self):
+        import argparse
+
+        from toricmult.cli import _integer
+
+        assert [_integer(t) for t in ("0", "-5", "007", "10000001")] == [0, -5, 7, 10_000_001]
+        for text in ("", "-", "--1", "+3", "3 ", "٣", "-٣", "²", "9" * 5000):
+            with pytest.raises(argparse.ArgumentTypeError, match=re.escape(repr(text))):
+                _integer(text)
+
+    def test_seed_and_budget_have_no_new_bound(self, f2_file, l_file, capsys):
+        argv = ["sweep", f2_file, l_file, "--max-coeff", "1", "--seed", "10000001",
+                "--budget", "10000001", "--jobs", "1"]
+        assert run_cli(argv) == 0
+        assert "instances: 16\n" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, f2_file, monkeypatch, capsys):
+        # on the first call; a usage error in between leaves the one parser as it was
+        import toricmult.cli as cli
+
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        outs = []
+        for argv in (["fan-check", f2_file], ["sweep", f2_file, "--seed", "x"], ["fan-check", f2_file]):
+            outs.append((run_cli(argv), capsys.readouterr().out))
+        assert outs[0] == outs[2] == (0, "valid: smooth complete, 4 rays\n") and outs[1][0] == 2
+        assert built == [1]
 
     def test_missing_file_domain_error(self, capsys):
         assert run_cli(["fan-check", "/nonexistent/fan.json"]) == 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from toricmult.errors import (
+    CoordinateOverflowError,
     DecompositionRangeError,
     EmptyInputError,
     NoIntegerInIntervalError,
@@ -103,10 +104,32 @@ class TestHull:
 
 class TestHalfPlane:
     def test_non_primitive_normal_still_raises(self):
-        with pytest.raises(PreconditionError, match="not primitive"):
+        with pytest.raises(PreconditionError, match=r"^half-plane normal \(2, 0\) is not primitive$"):
             HalfPlane(V(2, 0), 1)
-        with pytest.raises(PreconditionError, match="nonzero"):
+        with pytest.raises(PreconditionError, match="^half-plane normal must be nonzero$"):
             HalfPlane(V(0, 0), 1)
+
+
+class TestRefusals:
+    """Each input refusal of the lattice layer, with its type and message."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: V(1.0, 2), TypeError, "lattice coordinates must be int"),
+        (lambda: V(2**200, 0), CoordinateOverflowError,
+         "coordinate exceeds the 128-bit intermediate bound"),
+        (lambda: RP(1, 2, 0), ZeroDivisionError, "denominator must be nonzero"),
+        (lambda: HalfPlane(V(1, 0), 2**200), CoordinateOverflowError,
+         "offset exceeds the 128-bit intermediate bound"),
+        (lambda: ConvexLatticePolygon.empty().bounding_box(), EmptyInputError,
+         "empty region has no bounding box"),
+        (lambda: intersect_halfplanes([]), PreconditionError, "need at least one half-plane"),
+        (lambda: face_in_direction(hull([V(0, 0), V(1, 0), V(0, 1)]), V(2, 0), 0),
+         PreconditionError, "direction must be primitive"),
+    ])
+    def test_refusal(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestIntersectHalfplanes:

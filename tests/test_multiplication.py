@@ -116,6 +116,14 @@ def corner_triangles(fan, e):
     return reductions
 
 
+def span_counts(spans):
+    """The points of spans per path: the lengths c1 - c0 + 1 summed by path."""
+    counts = Counter()
+    for _, c0, c1, _, _, _, path in spans:
+        counts[path] += c1 - c0 + 1
+    return counts
+
+
 class TestCover:
     """The one column cover behind steps (a), (b) and the exhaustive search."""
 
@@ -128,29 +136,29 @@ class TestCover:
             yield 1, (0, 9)
             raise AssertionError("read past the key that covered the rest")
 
-        spans, counts = [], Counter()
+        spans = []
         partner = {5: (0, 0), 4: (0, 0)}
-        assert _cover(5, [(0, 3), (5, 7)], keys(), partner, self.FALLBACK, spans, counts) == []
-        assert counts == {self.FALLBACK: 7}
+        assert _cover(5, [(0, 3), (5, 7)], keys(), partner, self.FALLBACK, spans) == []
+        assert span_counts(spans) == {self.FALLBACK: 7}
         assert [span[:6] for span in spans] == [
             (5, 2, 3, 0, 2, 0), (5, 0, 1, 1, 0, 0), (5, 5, 7, 1, 0, 0)
         ]
 
     def test_leaves_uncovered_ranges_in_order(self):
         keys, partner = [(0, (3, 3)), (1, (9, 12))], {5: (0, 0), 4: (0, 0)}
-        spans, counts = [], Counter()
-        gaps = _cover(5, [(0, 5), (8, 10)], keys, partner, self.FALLBACK, spans, counts)
-        assert gaps == [(0, 2), (4, 5), (8, 8)] and counts == {self.FALLBACK: 3}
+        spans = []
+        gaps = _cover(5, [(0, 5), (8, 10)], keys, partner, self.FALLBACK, spans)
+        assert gaps == [(0, 2), (4, 5), (8, 8)] and span_counts(spans) == {self.FALLBACK: 3}
         assert [span[1:3] for span in spans] == [(3, 3), (9, 10)]
 
     def test_step_b_keys_are_points_of_the_second_factor(self):
         # q2 = (2, 1) in P_E against column 3 of P_D: q1 = (3, y - 1) for y in 0..5
-        spans, counts = [], Counter()
+        spans = []
         path, keys, partner = DecompositionPath.BOUNDARY_LATTICE, [(2, (1, 1))], {3: (-1, 4)}
-        assert _cover(5, [(-9, 9)], keys, partner, path, spans, counts, keys_in_e=True) == [
+        assert _cover(5, [(-9, 9)], keys, partner, path, spans, keys_in_e=True) == [
             (-9, -1), (6, 9)
         ]
-        assert spans == [(5, 0, 5, 3, -1, 1, path)] and counts == {path: 6}
+        assert spans == [(5, 0, 5, 3, -1, 1, path)] and span_counts(spans) == {path: 6}
         assert [(w.q1, w.q2) for w in _span_witnesses(spans)] == [
             (V(3, y - 1), V(2, 1)) for y in range(0, 6)
         ]
@@ -165,11 +173,11 @@ class TestCover:
             for q2 in lattice_points(b):
                 splits.setdefault(q1 + q2, []).append(q1)
         for x in range(-3, 7):
-            spans, counts = [], Counter()
-            gaps = _cover(x, [(-9, 9)], table_a.items(), table_b, self.FALLBACK, spans, counts)
+            spans = []
+            gaps = _cover(x, [(-9, 9)], table_a.items(), table_b, self.FALLBACK, spans)
             witnesses = list(_span_witnesses(spans))
             assert {w.p for w in witnesses} == {p for p in splits if p.x == x}
-            assert counts[self.FALLBACK] == len(witnesses)
+            assert span_counts(spans)[self.FALLBACK] == len(witnesses)
             assert {(x, y) for g0, g1 in gaps for y in range(g0, g1 + 1)} == {
                 (x, y) for y in range(-9, 10) if V(x, y) not in splits
             }
@@ -183,8 +191,9 @@ class TestCover:
         table_e = CountingTable({0: (0, 0)})
         counts, column = Counter(), _oracle(table_d, table_e)
         for x in range(-1, n + 2):
-            spans = column(x, 0, 0, counts)
+            spans = column(x, 0, 0)
             assert spans == ([(x, 0, 0, x, 0, 0, self.FALLBACK)] if 0 <= x <= n else [])
+            counts += span_counts(spans)
         assert counts == {self.FALLBACK: n + 1}
         assert table_d.lookups + table_e.lookups <= 4 * (n + 3)
 
@@ -602,19 +611,18 @@ class TestTriangleRegions:
         d, e = D((1, 0, 1, 1)), D((2, 2, 2, 2))
         ctx = mult._StructuredContext(F2, _record(F2, d), _record(F2, e))
         ctx.d_vertices, ctx.boundary, ctx.triangles = [], [], []  # only step (d) is left
-        counts = Counter()
-        first, second = mult._structured_column(ctx, -2, -2, 3, counts)  # y = -2, then -1..3
-        assert (first[1:4], second[1:4], counts[DecompositionPath.FALLBACK_SEARCH]) == (
+        first, second = spans = mult._structured_column(ctx, -2, -2, 3)  # y = -2, then -1..3
+        assert (first[1:4], second[1:4], span_counts(spans)[DecompositionPath.FALLBACK_SEARCH]) == (
             (-2, -2, 0), (-1, 3, -1), 6
         )
         # y = 4, 5 lie above the sum polygon's column: no key reaches them
         with pytest.raises(TheoremViolationError, match=r"no decomposition for \(-2, 4\)"):
-            mult._structured_column(ctx, -2, -2, 5, Counter())
+            mult._structured_column(ctx, -2, -2, 5)
         # the key at x1 = 0 alone covers y = -2 (the one at x1 = -1 takes -1..3 first)
         meeting = ctx.search
         ctx.search = lambda x: [key for key in meeting(x) if key[0] != 0]
         with pytest.raises(TheoremViolationError, match=r"no decomposition for \(-2, -2\)"):
-            mult._structured_column(ctx, -2, -2, 5, Counter())
+            mult._structured_column(ctx, -2, -2, 5)
 
     def test_regions_on_random_blowups(self):
         # each corner triangle's covers on their own, steps (a) and (b) finding
@@ -651,7 +659,7 @@ class TestTriangleRegions:
             for i, red in enumerate(reductions):
                 ctx.d_vertices, ctx.boundary, ctx.triangles = [], [], keys[3 * i:3 * i + 3]
                 for x, lo, hi in _record(fan, d + e).columns():
-                    spans = mult._structured_column(ctx, x, lo, hi, Counter())
+                    spans = mult._structured_column(ctx, x, lo, hi)
                     for w in _span_witnesses(spans):
                         if w.path is not DecompositionPath.FALLBACK_SEARCH:
                             assert_valid(w, p_d, p_e)
@@ -1222,6 +1230,40 @@ class TestCokernelDim:
     def test_requires_sections(self):
         with pytest.raises(PreconditionError):
             cokernel_dim(P2, D((0, 0, 1)), D((0, 0, -1)))
+
+    def test_report_holds_the_gaps_not_the_points(self):
+        # 250,000 missing points in 999 gaps: the report keeps the gaps, about 0.3 MB,
+        # where a vector per missing point held 32 MB
+        d, e = D((1000, 500, 1000, 1000)), D((300, 2000, 300, 300))
+        tracemalloc.start()
+        try:
+            report = cokernel_dim(F2, d, e)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 10**6
+        assert (report.coker_dim, len(report.gaps)) == (250_000, 999)
+        assert report.sumset_size == report.h0_sum - 250_000
+        missing = report.missing_points  # expanded on read, in (x, y) order
+        x, g0, _ = report.gaps[0]
+        assert len(missing) == 250_000 and missing[:2] == (V(x, g0), V(x, g0 + 1))
+
+    def test_report_fields_are_the_gaps_and_vars_lists_every_count(self):
+        import dataclasses
+        from types import SimpleNamespace
+
+        report = cokernel_dim(F2, D((1, 0, 1, 1)), D((0, 1, 0, 0)))
+        assert [f.name for f in dataclasses.fields(report)] == ["h0_D", "h0_E", "h0_sum", "gaps"]
+        assert report.gaps == ((-1, -1, -1),)
+        copy = SimpleNamespace(**vars(report))
+        for name in ("h0_D", "h0_E", "h0_sum", "sumset_size", "coker_dim", "missing_points"):
+            assert getattr(copy, name) == getattr(report, name)
+        missing = report.missing_points
+        assert missing == (V(-1, -1),) and missing == [V(-1, -1)] and (V(-1, -1),) == missing
+        assert missing != (V(-1, 0),) and missing != "x"
+        assert (list(missing), missing[0], missing[-1:], repr(missing)) == (
+            [V(-1, -1)], V(-1, -1), (V(-1, -1),), repr((V(-1, -1),)))
+        assert report == dataclasses.replace(report) and report != dataclasses.replace(report, gaps=())
 
     def test_budget_counts_exactly_when_boxes_exceed_it(self, monkeypatch):
         import toricmult.multiplication as mult

@@ -242,6 +242,11 @@ class TestEdgeLatticeReport:
 
 
 class TestSweep:
+    def test_e_max_below_one_is_refused(self):
+        with pytest.raises(PreconditionError) as exc:
+            sweep_cokernel(F2, D((1, 0, 1, 1)), e_max=0)
+        assert str(exc.value) == "e_max must be >= 1"
+
     def test_p2_everything_surjective(self):
         sweep = sweep_cokernel(P2, D((0, 0, 1)), e_max=5)
         assert sweep.max_coker == 0

@@ -87,10 +87,31 @@ class TestValidateFan:
         assert time.perf_counter() - start < 0.1
         assert validate_fan([(1, 0)] + [(1, i) for i in range(1, 10)] + [(0, 1), (-1, -1)]).n == 12
 
+    def test_rays_that_wind_twice_are_refused(self):
+        # distinct primitive rays with every consecutive determinant 1, which still go
+        # round the origin twice: the wrap count is the check that refuses them
+        with pytest.raises(NonCompleteFanError) as exc:
+            validate_fan([(1, 0), (0, 1), (-1, -3), (1, 2), (-1, -1)])
+        assert str(exc.value) == "fan is not complete: ray angles wrap 2 times instead of once"
+
     def test_rotation_normalized(self):
         a = validate_fan([(0, 1), (-1, -1), (1, 0)])
         b = validate_fan([(1, 0), (0, 1), (-1, -1)])
         assert a == b
+
+
+class TestDivisorRefusals:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: D((1.0, 2, 3)), TypeError, "divisor coefficients must be int"),
+        (lambda: D._derived((2**200,)), CoordinateOverflowError,
+         "derived coefficient exceeds the 128-bit bound"),
+        (lambda: D((1, 2, 3)) + D((1, 2, 3, 4)), PreconditionError,
+         "divisors live on fans with different ray counts"),
+    ])
+    def test_refusal(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestPolygonOf:
