@@ -88,9 +88,6 @@ class LatticeVector:
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(-self.x, -self.y)
-
     def dot(self, other: "LatticeVector") -> int:
         return self.x * other.x + self.y * other.y
 

@@ -23,7 +23,10 @@ columns x1 of P_D, cut by bisection to those whose partner x - x1 lies in
 P_E's x-range (_meeting), for (d) and the oracle.  A key at x' plus column
 x - x' of the other factor fills a y-interval of column x, and each point
 goes to the first key, in the proof's order, whose interval holds it.  A
-single point takes the same route on its one-point range.
+single point takes the same route on its one-point range.  Where only gaps are
+asked for (mode "both", cokernel_dim, the sweep), _sumset_gaps first tries a
+covered column against the pair that covered the column before it, in O(1)
+lookups, and otherwise walks _meeting's columns.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
@@ -669,14 +672,24 @@ def _refuse_over_pair_budget(rec_d: _DivisorRecord, rec_e: _DivisorRecord) -> No
 def _sumset_gaps(table_a: _Table, table_b: _Table) -> Callable[..., list[tuple[int, int]]]:
     """The oracle of one pair, as gaps(x, lo, hi): the y-ranges of lo..hi, column x of
     a region holding the sumset of A and B, that no column x1 of A plus column x - x1
-    of B covers, in increasing y.  A walk of the narrower table's _meeting columns
-    keeps the union m..M of the intervals while each touches it, and returns [] once
-    m..M holds lo..hi; the first that does not sends all to a sort-and-merge."""
+    of B covers, in increasing y.  A covered column is first tried against the pair
+    that closed the last covered one, and against its next x1, in O(1) lookups: []
+    once one real pair alone holds lo..hi.  Otherwise a walk of the narrower table's
+    _meeting columns keeps the union m..M of the intervals while each touches it, and
+    returns [] once m..M holds lo..hi; the first that does not sends all to a
+    sort-and-merge.  The pair kept only orders the reads, so any call order is exact."""
     if len(table_b) < len(table_a):
         table_a, table_b = table_b, table_a
-    meeting, partner = _meeting(table_a, table_b), table_b.get
+    meeting, own, partner = _meeting(table_a, table_b), table_a.get, table_b.get
+    last = next(iter(table_a), 0)  # x1 of the pair that closed the last covered column
 
     def gaps_of(x: int, lo: int, hi: int) -> list[tuple[int, int]]:
+        nonlocal last
+        for x1 in last, last + 1:
+            if ((col1 := own(x1)) is not None and (col := partner(x - x1)) is not None
+                    and col1[0] + col[0] <= lo and hi <= col1[1] + col[1]):
+                last = x1
+                return []
         m = M = None
         items = iter(meeting(x))
         for x1, (lo1, hi1) in items:
@@ -695,6 +708,7 @@ def _sumset_gaps(table_a: _Table, table_b: _Table) -> Callable[..., list[tuple[i
                 spans.sort()
                 break
             if m <= lo and hi <= M:
+                last = x1
                 return []
         else:
             spans = [] if m is None else [(m, M)]
@@ -734,13 +748,14 @@ def cokernel_dim(fan: Fan, d: TorusDivisor, e: TorusDivisor) -> CokernelReport:
     Exact, from column intervals: the lattice points (x1, lo1..hi1) of a column of
     P_D plus those (x2, lo2..hi2) of a column of P_E fill the interval
     [lo1+lo2, hi1+hi2] of column x1 + x2, so the missing points are the gaps these
-    intervals leave in the columns of P_{D+E}, merged one column at a time, a
-    covered column stopping early: O(w_D w_E) time at worst and O(w_D + w_E) memory,
-    both tables, for column counts w_D, w_E.  The report keeps these gaps, at most a
-    few per column, and lists the missing points only when they are read.  Both
-    divisors must have sections; more than PAIR_BUDGET column pairs or POINT_BUDGET
-    missing points are refused, the latter first by the collar the moving parts
-    leave (see _moving_sum).
+    intervals leave in the columns of P_{D+E}, merged one column at a time.  A
+    covered column is first tried against the pair that covered the column before
+    it, in O(1) lookups, and is otherwise walked, stopping once covered: O(w_D w_E)
+    time at worst and O(w_D + w_E) memory, both tables, for column counts w_D,
+    w_E.  The report keeps these gaps, at most a few per column, and lists the
+    missing points only when they are read.  Both divisors must have sections;
+    more than PAIR_BUDGET column pairs or POINT_BUDGET missing points are refused,
+    the latter first by the collar the moving parts leave (see _moving_sum).
     """
     rec_d, rec_e = _record(fan, d), _record(fan, e)
     _refuse_over_pair_budget(rec_d, rec_e)

@@ -1,4 +1,5 @@
-"""The package's witnesses and cokernels against bench/checker.py.
+"""The package's answers against bench/checker.py: h0, classify, reduce, the
+witnesses, the cokernels and a sweep's CSV.
 
 The checker imports nothing from toricmult: it enumerates each polygon's
 points by rows from the half-planes and checks every witness point by point.
@@ -10,15 +11,27 @@ these properties are what would see a span leave a factor.
 
 import importlib.util
 import sys
+import tempfile
 from math import gcd
 from pathlib import Path
 from unittest.mock import patch
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
+from toricmult.errors import PreconditionError
 from toricmult.multiplication import _StructuredContext, check_surjectivity, cokernel_dim
-from toricmult.surface import TorusDivisor, blowup, generate_family
+from toricmult.reduction import reduce_to_globally_generated, sweep_cokernel
+from toricmult.serialization import sweep_rows, write_csv
+from toricmult.surface import (
+    PositivityClass,
+    TorusDivisor,
+    blowup,
+    classify,
+    generate_family,
+    h0,
+)
 
 _spec = importlib.util.spec_from_file_location(
     "bench_checker", Path(__file__).resolve().parents[1] / "bench" / "checker.py"
@@ -64,6 +77,14 @@ def instances(draw):
     e_gg = checker.reduced(fan.xy, e)
     assert checker.is_globally_generated(fan.xy, e_gg)
     return fan, l_coeffs, e, e_gg
+
+
+@st.composite
+def divisors(draw):
+    """(fan, coeffs): a blown-up fan and coefficients in -3..6, so that the draws
+    hold divisors that are not globally generated and divisors with no sections."""
+    fan, _ = draw(blowups_with_ample())
+    return fan, tuple(draw(st.integers(-3, 6)) for _ in range(fan.n))
 
 
 def _witnesses(report):
@@ -128,3 +149,66 @@ def test_cokernel_matches_the_independent_sumset(instance):
     assert (report.h0_D, report.h0_E, report.h0_sum) == (want.h0_l, want.h0_e, want.h0_sum)
     assert tuple(p.as_tuple() for p in report.missing_points) == want.missing
     assert report.coker_dim == len(want.missing)
+
+
+ONE_OF_EACH_CLASS = [  # ample, globally generated only, sections only, no sections
+    (generate_family("p2"), (1, 1, 1)),
+    (generate_family("p1xp1"), (1, 0, 0, 0)),
+    (generate_family("f2"), (0, 1, 0, 0)),
+    (generate_family("p2"), (-3, -3, -3)),
+]
+
+
+@given(divisors())
+@settings(max_examples=200, deadline=None)
+@example(ONE_OF_EACH_CLASS[0])
+@example(ONE_OF_EACH_CLASS[1])
+@example(ONE_OF_EACH_CLASS[2])
+@example(ONE_OF_EACH_CLASS[3])
+def test_h0_and_classify_match_the_independent_checker(divisor):
+    # the checker counts a divisor that is not globally generated row by row from
+    # its half-planes, and reads positivity off its corners
+    fan, coeffs = divisor
+    d = TorusDivisor(coeffs)
+    sections = checker.h0(fan.xy, coeffs)
+    assert h0(fan, d) == sections
+    if checker.is_ample(fan.xy, coeffs):
+        want = PositivityClass.AMPLE
+    elif checker.is_globally_generated(fan.xy, coeffs):
+        want = PositivityClass.GLOBALLY_GENERATED_NOT_AMPLE
+    else:
+        want = PositivityClass.EFFECTIVE_SECTIONS_ONLY if sections else PositivityClass.NO_SECTIONS
+    assert classify(fan, d) is want
+
+
+@given(divisors())
+@settings(max_examples=200, deadline=None)
+@example(ONE_OF_EACH_CLASS[2])
+@example(ONE_OF_EACH_CLASS[3])
+def test_reduce_matches_the_independent_rounding(divisor):
+    # the checker rounds each coefficient to the largest -<s, v> over the sections s
+    fan, coeffs = divisor
+    d = TorusDivisor(coeffs)
+    if not checker.row_count(fan.xy, coeffs):
+        with pytest.raises(PreconditionError, match="reduction requires a divisor with sections"):
+            reduce_to_globally_generated(fan, d)
+        return
+    result = reduce_to_globally_generated(fan, d)
+    red = checker.reduced(fan.xy, coeffs)
+    assert result.reduced.coeffs == red
+    assert result.J == {i + 1 for i, (a, b) in enumerate(zip(coeffs, red)) if b < a}
+    assert {(v.x, v.y) for v in result.hull_polygon.vrep} == set(checker.corners(fan.xy, red))
+
+
+@given(blowups_with_ample(), st.integers(1, 2), st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_sweep_csv_passes_the_independent_checker(fan_and_l, e_max, seed):
+    # a budget of 8 takes P2's whole grid at e_max 1 and samples every other sweep
+    fan, l_coeffs = fan_and_l
+    sweep = sweep_cokernel(fan, TorusDivisor(l_coeffs), e_max, budget=8, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        write_csv(sweep_rows(fan, sweep), path)
+        text = path.read_text(encoding="utf-8")
+    es = checker.check_sweep_csv(text, fan.xy, l_coeffs, e_max, seed, {})
+    assert es == [e.coeffs for e, _ in sweep.instances]

@@ -95,6 +95,15 @@ class TestHull:
         square = hull([V(5, 5), V(0, 0), V(5, 0), V(0, 5)])
         assert vrep_ints(square) == [(0, 0), (5, 0), (5, 5), (0, 5)]
 
+    def test_str_names_the_dimension_and_lists_the_vertices(self):
+        assert str(hull([V(0, 2), V(0, 0), V(2, 0)])) == "polygon[(0, 0), (2, 0), (0, 2)]"
+        assert str(hull([V(3, 3), V(1, 1)])) == "segment[(1, 1), (3, 3)]"
+        assert str(hull([V(1, -1)])) == "point[(1, -1)]"
+        assert str(hull([])) == "empty[]"
+        # a rational vertex prints its numerators over the shared denominator
+        tri = intersect_halfplanes([hp(1, 0, 0), hp(0, 1, 0), hp(-2, -3, 1)])
+        assert str(tri) == "polygon[(0, 0), (1/2, 0/2), (0/3, 1/3)]"
+
     def test_hull_points_match_a_box_scan_of_its_edges(self):
         p = hull([V(0, 0), V(2, 0), V(0, 3)])
         # x >= 0, y >= 0 and 3x + 2y <= 6, written out by hand

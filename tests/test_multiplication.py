@@ -206,6 +206,20 @@ class TestCover:
         assert wide.lookups == 8
         assert gaps_of(1, -1, 9) == [(-1, -1)]  # the walk still reports what is left
 
+    def test_covered_column_reads_the_pair_that_covered_the_one_before(self):
+        # n one-point columns against n columns whose column 0 alone reaches y = 9:
+        # column x = 0..n-1 of the sum is covered only by x1 = x, the right end of its
+        # meeting range, so a walk from the left reads x + 1 partners per column
+        n = 40
+        narrow = CountingTable({x: (0, 0) for x in range(n)})
+        wide = CountingTable({0: (0, 9), **{x: (0, 0) for x in range(1, n)}})
+        gaps_of = _sumset_gaps(narrow, wide)
+        assert gaps_of(0, 0, 9) == []
+        for x in range(1, n):
+            wide.lookups = narrow.lookups = 0
+            assert gaps_of(x, 0, 9) == []
+            assert max(narrow.lookups, wide.lookups) <= 2, x
+
 
 class TestDecomposeBruteforce:
     def test_unit_triangles_corner(self):

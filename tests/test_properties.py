@@ -1087,9 +1087,15 @@ def test_sumset_gaps_match_a_brute_union(table_a, table_b, x, below, above):
 # column 3 is cut from x = 0..2 and column 0 from x = 5..7
 @example({0: (0, 0), 3: (0, 2)}, {0: (0, 1), 1: (5, 5), 2: (0, 0), 3: (0, 0), 4: (1, 1)}, 1, 0,
          random.Random(1))
+# the pair (0, 0) covers x = 0, and column 1 of the partner is missing at x = 1
+@example({0: (0, 0)}, {0: (0, 0), 2: (0, 0)}, 0, 0, random.Random(2))
+# the pair (0, 0) covers x = 0; at x = 1 the pair (0, 1) reaches only y = 0 and
+# (1, 0) only y = 5, so 1..4 is a gap that the walk must report
+@example({0: (0, 0), 1: (5, 5)}, {0: (0, 0), 1: (0, 0)}, 0, 0, random.Random(3))
 def test_one_sumset_closure_serves_every_column(table_a, table_b, below, above, rng):
     # one closure per pair answers every column of the sum, in x order and shuffled,
-    # so nothing a column leaves behind may change the next column's answer
+    # so nothing a column leaves behind (the pair that covered it, which the next
+    # column tries first) may change the next column's answer
     first, last = min(table_a) + min(table_b), max(table_a) + max(table_b)
     columns = [(x, *_brute_sumset_column(table_a, table_b, x, below, above))
                for x in range(first - 1, last + 2)]

@@ -43,6 +43,10 @@ class TestValidateFan:
         fan = validate_fan([(1, 0), (0, 1), (-1, -1)])
         assert [r.as_tuple() for r in fan.rays] == [(1, 0), (0, 1), (-1, -1)]
 
+    def test_str_lists_the_rays(self):
+        assert str(validate_fan([(1, 0), (0, 1), (-1, -1)])) == "Fan[(1, 0), (0, 1), (-1, -1)]"
+        assert str(hirzebruch(2)) == "Fan[(1, 0), (0, 1), (-1, 2), (0, -1)]"
+
     def test_hirzebruch_two(self):
         # four consecutive determinants equal 1, checked by hand
         fan = validate_fan([(1, 0), (0, 1), (-1, 2), (0, -1)])
