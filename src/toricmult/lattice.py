@@ -150,9 +150,7 @@ class RationalPoint:
         return LatticeVector(self.x_num, self.y_num)
 
     def __str__(self) -> str:
-        if self.den == 1:
-            return f"({self.x_num}, {self.y_num})"
-        return f"({self.x_num}/{self.den}, {self.y_num}/{self.den})"
+        return f"({self.x}, {self.y})"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ goes to the first key, in the proof's order, whose interval holds it.  A
 single point takes the same route on its one-point range.  Where only gaps are
 asked for (mode "both", cokernel_dim, the sweep), _sumset_gaps first tries a
 covered column against the pair that covered the column before it, in O(1)
-lookups, and otherwise walks _meeting's columns.
+lookups, and otherwise takes the oracle's one walk, _cover over _meeting's
+columns, keeping only the gaps it leaves.
 
 Each route's witnesses are spans (x, c0, c1, x1, lo1, hi2, path): (x, y) for
 c0 <= y <= c1 splits as q1 = (x1, max(lo1, y - hi2)) plus q2 = (x, y) - q1.
@@ -255,7 +256,10 @@ def _cover(
         if (col := get(x - kx)) is None:
             continue
         olo, ohi = col
-        a, b, rest = klo + olo, khi + ohi, []
+        a, b = klo + olo, khi + ohi
+        if b < gaps[0][0] or a > gaps[-1][1]:  # the interval misses every gap
+            continue
+        rest = []
         for gap in gaps:
             g0, g1 = gap
             if b < g0 or a > g1:
@@ -674,13 +678,13 @@ def _sumset_gaps(table_a: _Table, table_b: _Table) -> Callable[..., list[tuple[i
     a region holding the sumset of A and B, that no column x1 of A plus column x - x1
     of B covers, in increasing y.  A covered column is first tried against the pair
     that closed the last covered one, and against its next x1, in O(1) lookups: []
-    once one real pair alone holds lo..hi.  Otherwise a walk of the narrower table's
-    _meeting columns keeps the union m..M of the intervals while each touches it, and
-    returns [] once m..M holds lo..hi; the first that does not sends all to a
-    sort-and-merge.  The pair kept only orders the reads, so any call order is exact."""
+    once one real pair alone holds lo..hi.  Otherwise the column takes the oracle's one
+    walk, _cover over the narrower table's _meeting columns, and its gaps are what
+    that leaves.  The pair kept only orders the reads, so any call order is exact."""
     if len(table_b) < len(table_a):
         table_a, table_b = table_b, table_a
     meeting, own, partner = _meeting(table_a, table_b), table_a.get, table_b.get
+    path = DecompositionPath.FALLBACK_SEARCH
     last = next(iter(table_a), 0)  # x1 of the pair that closed the last covered column
 
     def gaps_of(x: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -690,36 +694,10 @@ def _sumset_gaps(table_a: _Table, table_b: _Table) -> Callable[..., list[tuple[i
                     and col1[0] + col[0] <= lo and hi <= col1[1] + col[1]):
                 last = x1
                 return []
-        m = M = None
-        items = iter(meeting(x))
-        for x1, (lo1, hi1) in items:
-            if (col := partner(x - x1)) is None:
-                continue
-            a, b = lo1 + col[0], hi1 + col[1]
-            if m is None:
-                m, M = a, b
-            elif a <= M + 1 and b >= m - 1:
-                m, M = a if a < m else m, b if b > M else M
-            else:
-                spans = [(m, M), (a, b)]
-                for x1, (lo1, hi1) in items:
-                    if (col := partner(x - x1)) is not None:
-                        spans.append((lo1 + col[0], hi1 + col[1]))
-                spans.sort()
-                break
-            if m <= lo and hi <= M:
-                last = x1
-                return []
-        else:
-            spans = [] if m is None else [(m, M)]
-        gaps = []
-        y = lo  # the lowest y that no span so far covers
-        for a, b in spans:
-            if a > y:
-                gaps.append((y, a - 1))
-            if b >= y:
-                y = b + 1
-        return gaps + [(y, hi)] if y <= hi else gaps
+        spans: list[Span] = []
+        if not (gaps := _cover(x, [(lo, hi)], meeting(x), table_b, path, spans)):
+            last = spans[-1][3]  # x1 of the key that closed the column
+        return gaps
 
     return gaps_of
 

@@ -100,9 +100,9 @@ class TestHull:
         assert str(hull([V(3, 3), V(1, 1)])) == "segment[(1, 1), (3, 3)]"
         assert str(hull([V(1, -1)])) == "point[(1, -1)]"
         assert str(hull([])) == "empty[]"
-        # a rational vertex prints its numerators over the shared denominator
+        # a rational vertex prints each coordinate in lowest terms
         tri = intersect_halfplanes([hp(1, 0, 0), hp(0, 1, 0), hp(-2, -3, 1)])
-        assert str(tri) == "polygon[(0, 0), (1/2, 0/2), (0/3, 1/3)]"
+        assert str(tri) == "polygon[(0, 0), (1/2, 0), (0, 1/3)]"
 
     def test_hull_points_match_a_box_scan_of_its_edges(self):
         p = hull([V(0, 0), V(2, 0), V(0, 3)])

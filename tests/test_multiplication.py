@@ -310,6 +310,25 @@ class TestTriangleReduce:
         with pytest.raises(PreconditionError, match="sigma_1 is not a nondegenerate edge"):
             triangle_reduce(F2, D((1, 0, 0, 0)), RationalPoint(0, 0), edge_index=1)
 
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda lengths: [-1, *lengths[1:]], "the reduction of an edge is not globally generated"),
+        (lambda lengths: [0] * len(lengths), "triangle legs are not supported by consecutive"),
+    ])
+    def test_a_tampered_corner_ring_raises(self, monkeypatch, tamper, message):
+        # the offsets' ring read with a negative edge length, or with no corner between
+        # two edges of positive length: only a fault reaches either guard
+        import toricmult.multiplication as mult
+
+        corner_ring = mult._corner_ring
+
+        def tampered(xy, c):
+            corners, lengths = corner_ring(xy, c)
+            return corners, tamper(list(lengths))
+
+        monkeypatch.setattr(mult, "_corner_ring", tampered)
+        with pytest.raises(TheoremViolationError, match=message):
+            triangle_reduce(F2, D((1, 1, 1, 1)), RationalPoint(-1, 0), edge_index=1)
+
 
 class TestDecomposeHomothetic:
     def test_unit_pair(self):

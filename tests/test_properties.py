@@ -1070,9 +1070,14 @@ def _brute_sumset_column(table_a, table_b, x, below, above):
 @given(column_tables, column_tables, st.integers(-8, 8), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=500, deadline=None)
 @example({0: (0, 0), 1: (4, 4), 2: (1, 3)}, {0: (0, 0), 1: (0, 0), 2: (0, 0)}, 2, 0, 0)
+# at x = 2 the keys fill 0..1 and 3..5, then 1..2 ends on the one gap's first y
+@example({0: (0, 1), 1: (3, 5), 2: (1, 2)}, {0: (0, 0), 1: (0, 0), 2: (0, 0)}, 2, 0, 0)
+# at x = 2 the keys fill 4..5 and 0..2, then 3..4 starts on the one gap's last y
+@example({0: (4, 5), 1: (0, 2), 2: (3, 4)}, {0: (0, 0), 1: (0, 0), 2: (0, 0)}, 2, 0, 0)
 def test_sumset_gaps_match_a_brute_union(table_a, table_b, x, below, above):
-    # tables with holes and far-apart columns give intervals that do not touch,
-    # which send the one-pass union to its sort-and-merge
+    # tables with holes and far-apart columns give intervals that leave gaps, so no
+    # one pair holds the column and _cover walks it; a key whose interval only
+    # touches the lowest or the highest gap must still cover that end
     lo, hi, gaps = _brute_sumset_column(table_a, table_b, x, below, above)
     assert _sumset_gaps(table_a, table_b)(x, lo, hi) == gaps
     assert _sumset_gaps(table_b, table_a)(x, lo, hi) == gaps

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import toricmult
@@ -108,3 +109,84 @@ def test_readme_example_prints_what_its_comments_say(capsys):
     assert capsys.readouterr().out.splitlines() == [
         line.split("  # ", 1)[1].strip() for line in prints
     ]
+
+
+#: Every TheoremViolationError the package builds, keyed by (module, enclosing
+#: function), one entry per site in source order: the test that reaches the site
+#: by tampering with the code or data before it, or why no input can reach it.
+THEOREM_GUARDS = {
+    ("lattice", "_ring_count"): (
+        "cannot fire: a lattice ring is counter-clockwise and 2A + B is even (Pick)",
+    ),
+    ("lattice", "decompose_interval"): (
+        "cannot fire: once I1 holds an integer and a1 + a2 <= z <= b1 + b2, "
+        "max(ceil a1, z - b2) <= min(floor b1, z - a2)",
+    ),
+    ("multiplication", "DecompositionWitness.__post_init__"): (
+        "tests/test_multiplication.py::TestWitnessInvariants::test_witness_must_sum",
+    ),
+    ("multiplication", "_check_span"): (
+        "tests/test_multiplication.py::TestSpans::test_span_check_names_the_first_failing_point",
+    ),
+    ("multiplication", "triangle_reduce"): (
+        "tests/test_multiplication.py::TestTriangleReduce::test_a_tampered_corner_ring_raises",
+        "tests/test_multiplication.py::TestTriangleReduce::test_a_tampered_corner_ring_raises",
+    ),
+    ("multiplication", "decompose_homothetic_triangles"): (
+        "cannot fire: two multiples of one lattice triangle share a normal fan, so every "
+        "lattice point of their sum splits (Haase, Nill, Paffenholz and Santos, 2008)",
+    ),
+    ("multiplication", "_structured_column"): (
+        "tests/test_multiplication.py::TestTriangleRegions"
+        "::test_a_gap_step_d_leaves_raises_at_its_first_point",
+    ),
+    ("multiplication", "_violation"): (
+        "tests/test_multiplication.py::TestCheckSurjectivity::test_violation_names_its_instance",
+    ),
+    ("multiplication", "check_surjectivity"): (
+        "tests/test_multiplication.py::TestCheckSurjectivity"
+        "::test_both_mode_raises_when_oracle_lacks_a_point",
+    ),
+}
+
+
+def _theorem_violation_sites(tree, module):
+    """(module, qualified enclosing function) per TheoremViolationError(...) call."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "TheoremViolationError":
+                sites.append((module, ".".join(scope)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def _test_ids(path):
+    """file::Class::test for every test function of a test file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    name = f"tests/{path.name}"
+    ids = {f"{name}::{n.name}" for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        ids |= {f"{name}::{cls.name}::{n.name}" for n in cls.body if isinstance(n, ast.FunctionDef)}
+    return ids
+
+
+def test_every_theorem_guard_is_named():
+    # a TheoremViolationError can only come from a fault: each site is either
+    # reached by a tamper test or argued unreachable, and the list keeps up with src/
+    sites = Counter()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        sites.update(_theorem_violation_sites(ast.parse(path.read_text()), path.stem))
+    named = {key: len(entries) for key, entries in THEOREM_GUARDS.items()}
+    assert dict(sites) == named, f"guards in src/ {dict(sites)} != named {named}"
+    test_ids = set().union(*map(_test_ids, Path(__file__).resolve().parent.glob("test_*.py")))
+    for key, entries in THEOREM_GUARDS.items():
+        for entry in entries:
+            assert entry.startswith("cannot fire: ") or entry in test_ids, (key, entry)
